@@ -29,7 +29,6 @@ from .measurement import (
     FAMILY_PARAMETERS,
     POSTERIOR_FAMILIES,
     ModelFamily,
-    arthurs_kelly_errors,
     arthurs_kelly_model,
     branciard_ozawa_residual,
     build_model,
@@ -84,6 +83,9 @@ class RunConfig:
         )
 
     def validate(self):
+        for name in ("hbar", "sigma1", "q1", "p1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.nu_grid:
             raise ValueError("nu grid is empty")
         for nu in self.nu_grid:
@@ -91,17 +93,24 @@ class RunConfig:
                 raise ValueError(f"nu values must lie strictly in (0, 1), got {nu}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValueError(f"output path must be a string, got {self.output_path!r}")
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _json(payload) -> str:
+    """Strict JSON (RFC 8259): a NaN or infinity raises ValueError."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 def _write_table(cfg: RunConfig, header: list, rows: list):
     """Emit a table as CSV or JSON to the output path (or stdout)."""
     if cfg.output_format == "json":
         payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload)
     else:
         lines = [",".join(header)]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
@@ -133,12 +142,6 @@ def _model_for(cfg: RunConfig, nu: float):
     return build_model(cfg.family, nu, cfg.psi)
 
 
-def _errors_for(cfg: RunConfig, nu: float):
-    if cfg.family is ModelFamily.ARTHURS_KELLY:
-        return arthurs_kelly_errors(_balanced_probe(cfg.hbar))
-    return qrms_errors(build_model(cfg.family, nu, cfg.psi), cfg.psi)
-
-
 def cmd_sweep(cfg: RunConfig) -> int:
     """Error and residual columns per grid point; 0 iff the bound holds tight."""
     psi = cfg.psi
@@ -154,7 +157,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     rows = []
     worst = -math.inf
     for nu in cfg.nu_grid:
-        errs = _errors_for(cfg, nu)
+        errs = qrms_errors(_model_for(cfg, nu), psi)
         bo_res = branciard_ozawa_residual(errs, psi)
         rows.append(
             [
@@ -179,7 +182,7 @@ def cmd_check(cfg: RunConfig) -> int:
     nu = cfg.nu_grid[0]
     report = check_theorem_conditions(_model_for(cfg, nu), cfg.psi)
     payload = {"family": cfg.family.value, "nu": nu, **report.as_dict()}
-    _write_text(cfg.output_path, json.dumps(payload, indent=2) + "\n")
+    _write_text(cfg.output_path, _json(payload))
     return 0 if report.all_pass else 1
 
 
@@ -240,7 +243,7 @@ def cmd_sample(cfg: RunConfig, which: str, n: int) -> int:
         "mean_z_scores": z_scores.tolist(),
         "low_confidence": n < 100,
     }
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    sys.stdout.write(_json(summary))
     return 0
 
 
@@ -277,13 +280,17 @@ def cmd_posterior(cfg: RunConfig, y=None, region=None) -> int:
         payload = {
             "family": cfg.family.value,
             "nu": nu,
-            "region": [region.z_lo, region.z_hi, region.w_lo, region.w_hi],
+            # open ends (infinite bounds) are echoed as null
+            "region": [
+                v if math.isfinite(v) else None
+                for v in (region.z_lo, region.z_hi, region.w_lo, region.w_hi)
+            ],
             "mean": mean.tolist(),
             "cov": cov.tolist(),
             "posterior_var_product": fam.var_q * fam.var_p,
             "uncertainty_product_target": target,
         }
-    _write_text(cfg.output_path, json.dumps(payload, indent=2) + "\n")
+    _write_text(cfg.output_path, _json(payload))
     return 0
 
 
@@ -340,37 +347,46 @@ def _resolve_config(args) -> RunConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             file_values = json.load(fh)
+        if not isinstance(file_values, dict):
+            raise ValueError(
+                f"config file {args.config} must hold a JSON object, "
+                f"got {type(file_values).__name__}"
+            )
 
     def pick(flag_value, key, default):
         if flag_value is not None:
             return flag_value
         return file_values.get(key, default)
 
-    nu_grid = None
-    if args.nu is not None and args.nu_grid is not None:
-        raise ValueError("--nu and --nu-grid are mutually exclusive")
-    if args.nu is not None:
-        nu_grid = [args.nu]
-    elif args.nu_grid is not None:
-        nu_grid = [float(tok) for tok in args.nu_grid.split(",") if tok.strip()]
-    elif "nu" in file_values:
-        nu_grid = [float(file_values["nu"])]
-    elif "nu_grid" in file_values:
-        nu_grid = [float(v) for v in file_values["nu_grid"]]
-    else:
-        nu_grid = list(DEFAULT_NU_GRID)
+    try:
+        nu_grid = None
+        if args.nu is not None and args.nu_grid is not None:
+            raise ValueError("--nu and --nu-grid are mutually exclusive")
+        if args.nu is not None:
+            nu_grid = [args.nu]
+        elif args.nu_grid is not None:
+            nu_grid = [float(tok) for tok in args.nu_grid.split(",") if tok.strip()]
+        elif "nu" in file_values:
+            nu_grid = [float(file_values["nu"])]
+        elif "nu_grid" in file_values:
+            nu_grid = [float(v) for v in file_values["nu_grid"]]
+        else:
+            nu_grid = list(DEFAULT_NU_GRID)
 
-    cfg = RunConfig(
-        hbar=float(pick(args.hbar, "hbar", 1.0)),
-        sigma1=float(pick(args.sigma1, "sigma1", 1.0)),
-        q1=float(pick(args.q1, "q1", 0.0)),
-        p1=float(pick(args.p1, "p1", 0.0)),
-        family=ModelFamily.from_string(pick(args.family, "family", "y0")),
-        nu_grid=nu_grid,
-        seed=int(pick(args.seed, "seed", 0)),
-        output_format=pick(args.output_format, "format", "csv"),
-        output_path=pick(args.output_path, "out", None),
-    )
+        cfg = RunConfig(
+            hbar=float(pick(args.hbar, "hbar", 1.0)),
+            sigma1=float(pick(args.sigma1, "sigma1", 1.0)),
+            q1=float(pick(args.q1, "q1", 0.0)),
+            p1=float(pick(args.p1, "p1", 0.0)),
+            family=ModelFamily.from_string(pick(args.family, "family", "y0")),
+            nu_grid=nu_grid,
+            seed=int(pick(args.seed, "seed", 0)),
+            output_format=pick(args.output_format, "format", "csv"),
+            output_path=pick(args.output_path, "out", None),
+        )
+    except (TypeError, AttributeError) as exc:
+        # flags arrive typed from argparse, so only a file value can get here
+        raise ValueError(f"config file {args.config} holds a value of the wrong type: {exc}")
     cfg.validate()
     if cfg.family not in FAMILY_PARAMETERS and cfg.family is not ModelFamily.ARTHURS_KELLY:
         raise ValueError(f"family {cfg.family} is not runnable")
@@ -398,6 +414,8 @@ def main(argv=None) -> int:
             return cmd_sample(cfg, args.which, args.n)
         if args.command == "posterior":
             y = _parse_pair(args.y, 2, "--y") if args.y else None
+            if y is not None and not all(math.isfinite(v) for v in y):
+                raise ValueError(f"--y needs finite numbers, got {args.y!r}")
             region = None
             if args.region:
                 vals = _parse_pair(args.region, 4, "--region")

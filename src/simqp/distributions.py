@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .measurement import (
     POSTERIOR_FAMILIES,
@@ -26,6 +25,7 @@ from .phase_space import (
     GaussianState,
     LinearObservable,
     MinUncertaintyParams,
+    check_close,
     commutator_coeff,
     covariance,
     make_min_uncertainty_state,
@@ -67,8 +67,10 @@ class JointGaussian:
             raise ValueError(
                 f"dimension mismatch: {d} labels, mean {mean.shape}, cov {cov.shape}"
             )
-        if not np.allclose(cov, cov.T, rtol=0, atol=1e-12 * max(1.0, np.abs(cov).max())):
-            raise ValueError("covariance matrix is not symmetric")
+        check_close(
+            cov, cov.T, 1e-12 * max(1.0, np.abs(cov).max()),
+            "covariance matrix is not symmetric",
+        )
         cov = 0.5 * (cov + cov.T)
         eigvals = np.linalg.eigvalsh(cov)
         if eigvals[0] < -CLIP_ATOL * max(1.0, eigvals[-1]):
@@ -401,6 +403,29 @@ class OutcomeRegion:
         return cls(-math.inf, math.inf, -math.inf, math.inf)
 
 
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _normal_pdf(x: float) -> float:
+    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+
+
+def _normal_mass(a: float, b: float) -> float:
+    """``P(a < Z < b)`` for a standard normal ``Z``, ``a < b``.
+
+    Each tail is taken with ``erfc`` on its own side, so a far-out
+    interval keeps its relative accuracy instead of cancelling as a
+    difference of two CDF values near 1; mirrored intervals give
+    identical masses.
+    """
+    if a >= 0.0:
+        return 0.5 * (math.erfc(a / _SQRT2) - math.erfc(b / _SQRT2))
+    if b <= 0.0:
+        return 0.5 * (math.erfc(-b / _SQRT2) - math.erfc(-a / _SQRT2))
+    return 1.0 - 0.5 * (math.erfc(-a / _SQRT2) + math.erfc(b / _SQRT2))
+
+
 def _truncated_moments(mean: float, sd: float, lo: float, hi: float) -> tuple:
     """(mass, mean, variance) of a normal truncated to [lo, hi].
 
@@ -409,11 +434,11 @@ def _truncated_moments(mean: float, sd: float, lo: float, hi: float) -> tuple:
     """
     a = (lo - mean) / sd
     b = (hi - mean) / sd
-    mass = stats.norm.cdf(b) - stats.norm.cdf(a)
+    mass = _normal_mass(a, b)
     if mass <= 0.0:
         return 0.0, math.nan, math.nan
-    pdf_a = stats.norm.pdf(a) if math.isfinite(a) else 0.0
-    pdf_b = stats.norm.pdf(b) if math.isfinite(b) else 0.0
+    pdf_a = _normal_pdf(a) if math.isfinite(a) else 0.0
+    pdf_b = _normal_pdf(b) if math.isfinite(b) else 0.0
     edge_a = a * pdf_a if math.isfinite(a) else 0.0
     edge_b = b * pdf_b if math.isfinite(b) else 0.0
     shift = (pdf_a - pdf_b) / mass

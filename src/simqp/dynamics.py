@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import LinearObservable
+from .phase_space import LinearObservable, check_close
 
 # matrix identities (S^3 = -E S, consistency of E with the couplings) are
 # enforced on construction at this absolute scale
@@ -26,6 +26,9 @@ TRANSFORM_ATOL = 1e-10
 
 # |E| below this is treated as the E = 0 branch
 E_ZERO_TOL = 1e-14
+
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +78,7 @@ def build_generator(params: InteractionParams) -> np.ndarray:
 
 def _check_close(actual, expected, atol, message):
     scale = max(1.0, np.abs(np.asarray(expected)).max(initial=0.0))
-    if not np.allclose(actual, expected, rtol=0.0, atol=atol * scale):
-        worst = np.abs(np.asarray(actual) - np.asarray(expected)).max()
-        raise ValueError(f"{message} (max deviation {worst:g})")
+    check_close(actual, expected, atol * scale, message)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,15 +162,14 @@ class SolvableGenerator:
 
 def _solvable_expm(m: np.ndarray, e: float, t: float) -> np.ndarray:
     """Closed form of ``e^{tM}`` for ``M^3 = -E M``, three branches in E."""
-    eye = np.eye(3)
     m2 = m @ m
     if abs(e) < E_ZERO_TOL:
-        return eye + t * m + 0.5 * t**2 * m2
+        return _EYE3 + t * m + 0.5 * t**2 * m2
     if e > 0.0:
         root = np.sqrt(e)
-        return eye + np.sin(t * root) / root * m + (1.0 - np.cos(t * root)) / e * m2
+        return _EYE3 + np.sin(t * root) / root * m + (1.0 - np.cos(t * root)) / e * m2
     root = np.sqrt(-e)
-    return eye + np.sinh(t * root) / root * m + (np.cosh(t * root) - 1.0) / (-e) * m2
+    return _EYE3 + np.sinh(t * root) / root * m + (np.cosh(t * root) - 1.0) / (-e) * m2
 
 
 def closed_form_propagator(gen: SolvableGenerator, t: float) -> np.ndarray:
@@ -222,7 +222,7 @@ class PropagatedTransform:
             raise ValueError("A and B must both be 3x3")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        _check_close(a @ b.T, np.eye(3), TRANSFORM_ATOL, "A B^T != I")
+        _check_close(a @ b.T, _EYE3, TRANSFORM_ATOL, "A B^T != I")
         for name, mat in (("A", a), ("B", b)):
             if abs(np.linalg.det(mat) - 1.0) > TRANSFORM_ATOL:
                 raise ValueError(f"det({name}) = {np.linalg.det(mat):g} != 1")

@@ -20,7 +20,6 @@ from .dynamics import (
     E_ZERO_TOL,
     PropagatedTransform,
     SolvableGenerator,
-    heisenberg_observables,
     numeric_expm,
     propagate,
 )
@@ -165,6 +164,15 @@ def solve_couplings(nu: float, tau: float, gamma2: float, e: float) -> tuple:
     return nu / factor, -(1.0 - nu) / factor
 
 
+def _meters(transform: PropagatedTransform) -> tuple:
+    """The meters ``Q2(tau)`` (row 2 of A) and ``P3(tau)`` (row 3 of B)."""
+    zero = np.zeros(3)
+    return (
+        LinearObservable(transform.a[1], zero, 0.0),
+        LinearObservable(zero, transform.b[2], 0.0),
+    )
+
+
 def build_model(
     family: ModelFamily, nu: float, psi: MinUncertaintyParams
 ) -> LinearSimultaneousMeasurement:
@@ -195,11 +203,11 @@ def build_model(
             f"(nu={nu:g}, kappa={recipe.kappa:g})"
         )
     probe = make_probe_state(nu, recipe.kappa, psi)
-    q_out, p_out = heisenberg_observables(transform)
+    meter_q, meter_p = _meters(transform)
     return LinearSimultaneousMeasurement(
         probe=probe,
-        meter_q=q_out[1],
-        meter_p=p_out[2],
+        meter_q=meter_q,
+        meter_p=meter_p,
         tau=recipe.tau,
         generator=gen,
         transform=transform,
@@ -211,11 +219,11 @@ def measurement_from_parts(
 ) -> LinearSimultaneousMeasurement:
     """Wire an arbitrary solvable generator to an arbitrary probe state."""
     transform = propagate(gen)
-    q_out, p_out = heisenberg_observables(transform)
+    meter_q, meter_p = _meters(transform)
     return LinearSimultaneousMeasurement(
         probe=probe,
-        meter_q=q_out[1],
-        meter_p=p_out[2],
+        meter_q=meter_q,
+        meter_p=meter_p,
         tau=gen.tau,
         generator=gen,
         transform=transform,
@@ -234,11 +242,11 @@ def measurement_from_matrix(
     transform = PropagatedTransform(
         a=numeric_expm(r, tau), b=numeric_expm(-r.T, tau), tau=tau
     )
-    q_out, p_out = heisenberg_observables(transform)
+    meter_q, meter_p = _meters(transform)
     return LinearSimultaneousMeasurement(
         probe=probe,
-        meter_q=q_out[1],
-        meter_p=p_out[2],
+        meter_q=meter_q,
+        meter_p=meter_p,
         tau=tau,
         transform=transform,
     )
@@ -264,32 +272,63 @@ def noise_operators(m: LinearSimultaneousMeasurement) -> tuple:
     return m.meter_q - position(1), m.meter_p - momentum(1)
 
 
-def _qrms_one(
-    noise: LinearObservable,
-    system_state: GaussianState,
-    probe: GaussianState,
-    joint: GaussianState,
-) -> float:
-    """Squared q-rms error of one noise operator, by two routes.
+# unit rows of the targets Q1 and P1 in the global order (Q1, Q2, Q3, P1, P2, P3)
+_TARGET_ROWS = np.eye(6)[[0, 3]]
+# positions of the probe quadratures (Q2, Q3, P2, P3) in that order; the
+# system's (Q1, P1) sit at the slice 0::3
+_PROBE_IDX = np.array([1, 2, 4, 5])
 
-    Route 1 splits the second moment over the product state: system-part
-    variance + probe-part variance + squared total mean.  Route 2 is the
-    direct second moment of the noise operator in the joint state.  Both
-    must agree; route 1 (the explicit representation) is returned.
+
+def _quadratic_forms(rows: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``r @ cov @ r`` for each row ``r``: one variance per row.
+
+    Each row is contiguous and contracted on its own, so the sums run in
+    the same order as for a single observable's ``c @ cov @ c``.
     """
-    sys_part = noise.restrict({1})
-    probe_part = noise.restrict({2, 3})
-    _, var_sys = moments(system_state, sys_part)
-    _, var_probe = moments(probe, probe_part)
-    mean_joint, var_joint = moments(joint, noise)
-    explicit = var_sys + var_probe + mean_joint**2
-    direct = var_joint + mean_joint**2
-    if abs(explicit - direct) > ERROR_ROUTE_ATOL * max(1.0, abs(explicit)):
-        raise RuntimeError(
-            f"error routes disagree: representation {explicit!r} vs "
-            f"noise moment {direct!r}"
-        )
-    return explicit
+    return np.array([r @ cov @ r for r in np.ascontiguousarray(rows)])
+
+
+def _noise_moments(
+    m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams
+) -> tuple:
+    """Means, probe-part variances and second moments of both noise operators.
+
+    The noise operators ``N_q = Mq - Q1`` and ``N_p = Mp - P1`` are the
+    meters' 6-vectors ``(coeff_q, coeff_p)`` minus the unit rows of Q1
+    and P1, evaluated in one joint state ``psi x probe``.  Each second
+    moment is computed by two routes that must agree: route 1 splits it
+    over the product state (system-part variance + probe-part variance +
+    squared mean), route 2 is the direct second moment in the joint
+    state.  Route 1 (the explicit representation) is returned.
+
+    Returns:
+        ``(means, var_probe, second)``, each a length-2 array ordered
+        ``(N_q, N_p)``.  The probe part of a noise operator is the probe
+        part of its meter.
+    """
+    system_state = make_min_uncertainty_state(psi)
+    joint = tensor(system_state, m.probe)
+    mq, mp = m.meter_q, m.meter_p
+    rows = (
+        np.concatenate((mq.coeff_q, mq.coeff_p, mp.coeff_q, mp.coeff_p)).reshape(2, 6)
+        - _TARGET_ROWS
+    )
+    means = np.array([r @ joint.mean for r in rows]) + (mq.offset, mp.offset)
+    var_probe = _quadratic_forms(rows[:, _PROBE_IDX], m.probe.cov)
+    explicit = _quadratic_forms(rows[:, 0::3], system_state.cov) + var_probe + means**2
+    direct = _quadratic_forms(rows, joint.cov) + means**2
+    for rep, mom in zip(explicit.tolist(), direct.tolist()):
+        if abs(rep - mom) > ERROR_ROUTE_ATOL * max(1.0, abs(rep)):
+            raise RuntimeError(
+                f"error routes disagree: representation {rep!r} vs "
+                f"noise moment {mom!r}"
+            )
+    return means, var_probe, explicit
+
+
+def _error_pair(second) -> ErrorPair:
+    """Errors from the squared errors ``(eps_q^2, eps_p^2)``."""
+    return ErrorPair(eps_q=math.sqrt(second[0]), eps_p=math.sqrt(second[1]))
 
 
 def qrms_errors(
@@ -300,12 +339,8 @@ def qrms_errors(
     ``eps(Q1)^2 = <N_q^2>`` and ``eps(P1)^2 = <N_p^2>`` in the product of
     the system packet and the probe state.
     """
-    n_q, n_p = noise_operators(m)
-    system_state = make_min_uncertainty_state(psi)
-    joint = tensor(system_state, m.probe)
-    eps_q_sq = _qrms_one(n_q, system_state, m.probe, joint)
-    eps_p_sq = _qrms_one(n_p, system_state, m.probe, joint)
-    return ErrorPair(eps_q=math.sqrt(eps_q_sq), eps_p=math.sqrt(eps_p_sq))
+    _, _, second = _noise_moments(m, psi)
+    return _error_pair(second)
 
 
 def branciard_ozawa_residual(errs: ErrorPair, psi: MinUncertaintyParams) -> float:
@@ -420,25 +455,18 @@ def check_theorem_conditions(
     (iii) the meter weights satisfy a21 > 0, b31 > 0, a21 + b31 = 1.
     All three hold together exactly when the quadratic bound is saturated.
     """
-    n_q, n_p = noise_operators(m)
-    system_state = make_min_uncertainty_state(psi)
-    joint = tensor(system_state, m.probe)
-
-    mean_q, _ = moments(joint, n_q)
-    mean_p, _ = moments(joint, n_p)
+    (mean_q, mean_p), (var_probe_q, var_probe_p), second = _noise_moments(m, psi)
+    mean_q, mean_p = float(mean_q), float(mean_p)
 
     a21 = float(m.meter_q.coeff_q[0])
     b31 = float(m.meter_p.coeff_p[0])
     weight = math.sqrt(abs(a21 * b31))
-    _, var_probe_q = moments(m.probe, m.meter_q.restrict({2, 3}))
-    _, var_probe_p = moments(m.probe, m.meter_p.restrict({2, 3}))
     res_ii_q = math.sqrt(var_probe_q) - weight * psi.sigma_q
     res_ii_p = math.sqrt(var_probe_p) - weight * psi.sigma_p
 
     sum_res = a21 + b31 - 1.0
     passes_iii = a21 > 0.0 and b31 > 0.0 and abs(sum_res) <= tol
 
-    errs = qrms_errors(m, psi)
     return TheoremReport(
         cond_i_residuals=(mean_q, mean_p),
         cond_ii_residuals=(res_ii_q, res_ii_p),
@@ -446,5 +474,5 @@ def check_theorem_conditions(
         passes_i=abs(mean_q) <= tol and abs(mean_p) <= tol,
         passes_ii=abs(res_ii_q) <= tol and abs(res_ii_p) <= tol,
         passes_iii=passes_iii,
-        bo_residual=branciard_ozawa_residual(errs, psi),
+        bo_residual=branciard_ozawa_residual(_error_pair(second), psi),
     )

@@ -11,6 +11,8 @@ ascending.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +25,27 @@ MODES = (1, 2, 3)
 PSD_RTOL = 1e-10
 
 
+# packet states kept by make_min_uncertainty_state; about 0.75 kB each with
+# its key, so a full cache holds under 1 MB
+PACKET_CACHE_SIZE = 1024
+
+
 class ModeMismatchError(ValueError):
     """An observable touches a mode the state is not defined on."""
+
+
+def check_close(actual, expected, tol: float, message: str) -> None:
+    """Raise ``ValueError(message)`` unless ``max |actual - expected| <= tol``.
+
+    The one closeness test behind every matrix identity check; callers
+    pass ``tol`` already multiplied by their natural scale.  NaN or
+    infinite entries on either side always fail.
+    """
+    worst = float(np.abs(np.subtract(actual, expected)).max(initial=0.0))
+    if not math.isfinite(worst):
+        raise ValueError(f"{message}: non-finite entries")
+    if worst > tol:
+        raise ValueError(f"{message} (max deviation {worst:g})")
 
 
 def _as_coeffs(values) -> np.ndarray:
@@ -187,8 +208,10 @@ class GaussianState:
             raise ValueError(f"mean must have shape ({2 * m},), got {mean.shape}")
         if cov.shape != (2 * m, 2 * m):
             raise ValueError(f"cov must have shape ({2 * m}, {2 * m}), got {cov.shape}")
-        if not np.allclose(cov, cov.T, rtol=0, atol=1e-12 * max(1.0, np.abs(cov).max())):
-            raise ValueError("covariance matrix is not symmetric")
+        check_close(
+            cov, cov.T, 1e-12 * max(1.0, np.abs(cov).max()),
+            "covariance matrix is not symmetric",
+        )
         cov = 0.5 * (cov + cov.T)
         eigvals = np.linalg.eigvalsh(cov)
         if eigvals[0] < -PSD_RTOL * max(1.0, eigvals[-1]):
@@ -247,17 +270,21 @@ def covariance(state: GaussianState, f: LinearObservable, g: LinearObservable) -
     return float(cf @ state.cov @ cg)
 
 
+@functools.lru_cache(maxsize=PACKET_CACHE_SIZE)
 def make_min_uncertainty_state(params: MinUncertaintyParams) -> GaussianState:
     """System state on mode 1 with the minimum uncertainty product.
 
     Mean ``(q1, p1)``, covariance ``diag(sigma1^2, (hbar/(2 sigma1))^2)``,
-    no Q-P correlation.
+    no Q-P correlation.  The state is immutable, so it is built once per
+    distinct ``params`` and shared; ``+ 0.0`` stores a signed zero mean
+    as ``0.0``, because equal params must give the same cached state
+    whichever of ``0.0`` and ``-0.0`` was asked for first.
     """
     var_q = params.sigma1**2
     var_p = params.sigma_p**2
     return GaussianState(
         modes=(1,),
-        mean=np.array([params.q1, params.p1]),
+        mean=np.array([params.q1 + 0.0, params.p1 + 0.0]),
         cov=np.diag([var_q, var_p]),
         hbar=params.hbar,
     )
@@ -299,6 +326,20 @@ def make_probe_state(
     return GaussianState(modes=(2, 3), mean=mean, cov=cov, hbar=psi.hbar)
 
 
+@functools.lru_cache(maxsize=None)  # keyed by mode tuples, so at most a few entries
+def _tensor_layout(first_modes: tuple, second_modes: tuple) -> tuple:
+    """Merged modes, and for each factor its target indices in the merged
+    (Q..., P...) order plus the matching covariance block index."""
+    modes = tuple(sorted(first_modes + second_modes))
+    m = len(modes)
+    targets = []
+    for factor in (first_modes, second_modes):
+        q_idx = [modes.index(j) for j in factor]
+        idx = q_idx + [m + k for k in q_idx]
+        targets.append((idx, np.ix_(idx, idx)))
+    return modes, targets
+
+
 def tensor(first: GaussianState, second: GaussianState) -> GaussianState:
     """Product state of two Gaussian states on disjoint modes."""
     if set(first.modes) & set(second.modes):
@@ -307,14 +348,11 @@ def tensor(first: GaussianState, second: GaussianState) -> GaussianState:
         )
     if first.hbar != second.hbar:
         raise ValueError("states carry different values of hbar")
-    modes = tuple(sorted(first.modes + second.modes))
+    modes, targets = _tensor_layout(first.modes, second.modes)
     m = len(modes)
     mean = np.zeros(2 * m)
     cov = np.zeros((2 * m, 2 * m))
-    for state in (first, second):
-        # target indices of this factor's (Q..., P...) entries
-        q_idx = [modes.index(j) for j in state.modes]
-        idx = q_idx + [m + k for k in q_idx]
+    for state, (idx, block) in zip((first, second), targets):
         mean[idx] = state.mean
-        cov[np.ix_(idx, idx)] = state.cov
+        cov[block] = state.cov
     return GaussianState(modes=modes, mean=mean, cov=cov, hbar=first.hbar)

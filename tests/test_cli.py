@@ -15,6 +15,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    """Parse RFC 8259 JSON: NaN, Infinity and -Infinity are rejected."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def parse_csv(text):
     lines = [ln for ln in text.splitlines() if ln]
     header = lines[0].split(",")
@@ -268,7 +277,89 @@ class TestPosterior:
         assert code == 2
 
 
+class TestStrictJson:
+    def test_open_region_ends_echoed_as_null(self, capsys):
+        code, out, _ = run(
+            capsys, "posterior", "--family", "z", "--nu", "0.5",
+            "--region=-inf,1.5,0,inf", "--q1", "0.2",
+        )
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["region"] == [None, 1.5, 0.0, None]
+        assert all(math.isfinite(v) for v in payload["mean"])
+
+    def test_fully_open_region_parses(self, capsys):
+        code, out, _ = run(
+            capsys, "posterior", "--family", "y0", "--nu", "0.3",
+            "--region=-inf,inf,-inf,inf",
+        )
+        assert code == 0
+        assert strict_json(out)["region"] == [None, None, None, None]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--family", "x", "--nu", "0.4"),
+            ("check", "--family", "ak", "--nu", "0.4"),
+            ("sweep", "--family", "z", "--nu-grid", "0.2,0.7", "--format", "json"),
+            ("posterior", "--family", "z", "--nu", "0.6", "--y", "1,-2"),
+            ("sample", "--family", "y2", "--nu", "0.5", "--n", "50"),
+        ],
+    )
+    def test_outputs_are_strict_json(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1)
+        strict_json(out)
+
+    @pytest.mark.parametrize("flag", ["--q1", "--p1", "--sigma1", "--hbar", "--nu"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_inputs_are_usage_errors(self, capsys, flag, value):
+        argv = ["check", "--family", "y0", "--nu", "0.5"]
+        if flag == "--nu":
+            argv = argv[:3]
+        code, out, err = run(capsys, *argv, f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("y", ["inf,0", "0,-inf", "nan,1"])
+    def test_non_finite_outcome_is_usage_error(self, capsys, y):
+        code, out, err = run(
+            capsys, "posterior", "--family", "y0", "--nu", "0.5", f"--y={y}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("text", ["[0.5]", "3", '"y0"', "null"])
+    def test_non_object_config_is_usage_error(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "JSON object" in err
+
+    @pytest.mark.parametrize(
+        "values", [{"hbar": [1.0]}, {"family": 3}, {"nu_grid": 0.5}, {"out": 7}]
+    )
+    def test_wrongly_typed_config_value_is_usage_error(self, capsys, tmp_path, values):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_non_finite_config_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"sigma1": Infinity}')
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "finite" in err
+
     def test_flags_override_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"family": "z", "nu": 0.25, "sigma1": 2.0}))

@@ -263,6 +263,16 @@ class TestSample:
         with pytest.raises(ValueError, match="semidefinite"):
             JointGaussian(("a", "b"), [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
+    def test_asymmetric_covariance_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            JointGaussian(("a", "b"), [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_covariance_rejected(self, bad):
+        for cov in ([[1.0, bad], [bad, 1.0]], [[bad, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                JointGaussian(("a", "b"), [0.0, 0.0], cov)
+
 
 class TestLogDensity:
     def test_matches_scipy(self):
@@ -403,6 +413,34 @@ class TestRegionMixture:
         first, _ = quad(lambda x: x * density.pdf(x), PSI.q1, math.inf)
         oracle = (first / mass - (1.0 - nu) * PSI.q1) / nu
         assert mean[0] == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("family", [ModelFamily.Y0, ModelFamily.Z])
+    @pytest.mark.parametrize("nu", [0.2, 0.5, 0.8])
+    def test_right_tails_mirror_left_tails(self, family, nu):
+        psi = MinUncertaintyParams(q1=0.0, p1=0.0, sigma1=1.7, hbar=0.6)
+        spreads = (math.sqrt(nu) * psi.sigma1, math.sqrt(1.0 - nu) * psi.sigma_p)
+        inf = math.inf
+        for axis, sd in enumerate(spreads):
+            for lo, hi in ((6.0, 7.0), (7.5, 8.5), (9.0, inf), (12.0, inf)):
+                right = [-inf, inf, -inf, inf]
+                left = [-inf, inf, -inf, inf]
+                right[2 * axis : 2 * axis + 2] = [lo * sd, hi * sd]
+                left[2 * axis : 2 * axis + 2] = [-hi * sd, -lo * sd]
+                mean_r, cov_r = region_mixture_moments(family, nu, psi, OutcomeRegion(*right))
+                mean_l, cov_l = region_mixture_moments(family, nu, psi, OutcomeRegion(*left))
+                np.testing.assert_allclose(mean_r, -mean_l, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(cov_r, cov_l, rtol=1e-12, atol=0)
+                # the truncated axis sits beyond its lower edge
+                assert abs(mean_r[axis]) > 0
+
+    def test_far_right_tail_mean_matches_mills_ratio(self):
+        # E[Z | Z > 9] = phi(9) / Q(9) to full precision via erfc
+        nu = 0.5
+        sd = math.sqrt(nu) * PSI.sigma1
+        region = OutcomeRegion(9.0 * sd, math.inf, -math.inf, math.inf)
+        mean, _ = region_mixture_moments(ModelFamily.Y0, nu, PSI, region)
+        mills = math.exp(-40.5) / math.sqrt(2.0 * math.pi) / (0.5 * math.erfc(9.0 / math.sqrt(2.0)))
+        assert mean[0] == pytest.approx(sd * mills / nu, rel=1e-12)
 
     def test_zero_measure_region_rejected(self):
         region = OutcomeRegion(60.0, 70.0, -1.0, 1.0)

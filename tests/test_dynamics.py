@@ -84,6 +84,19 @@ class TestSolvableGenerator:
         with pytest.raises(ValueError, match="products"):
             SolvableGenerator(s=s, e=2.0, gamma2=0.0, tau=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0), (2, 2)])
+    def test_rejects_non_finite_entry(self, bad, entry):
+        s = frozen_generator(ModelFamily.X, 0.5).copy()
+        s[entry] = bad
+        with pytest.raises(ValueError):
+            SolvableGenerator(s=s, e=1.0, gamma2=1.0, tau=math.pi / 2)
+
+    def test_rejects_non_finite_e(self):
+        s = frozen_generator(ModelFamily.X, 0.5)
+        with pytest.raises(ValueError):
+            SolvableGenerator(s=s, e=math.nan, gamma2=1.0, tau=math.pi / 2)
+
     def test_rejects_inconsistent_e(self):
         s = frozen_generator(ModelFamily.X, 0.5)
         with pytest.raises(ValueError, match="inconsistent"):
@@ -235,6 +248,31 @@ class TestPropagatedTransform:
     def test_rejects_non_canonical_pair(self):
         with pytest.raises(ValueError, match="B"):
             PropagatedTransform(a=np.eye(3), b=2.0 * np.eye(3), tau=1.0)
+
+    def test_rejects_non_symplectic_pair_with_unit_determinants(self):
+        a = np.diag([2.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="A B"):
+            PropagatedTransform(a=a, b=np.eye(3), tau=1.0)
+
+    def test_canonical_tolerance_scales_with_identity(self):
+        # A B^T = I is checked to 1e-10 times max(1, |I|) = 1e-10
+        for off, ok in ((5e-11, True), (1e-9, False)):
+            b = np.eye(3)
+            b[0, 1] = off
+            if ok:
+                PropagatedTransform(a=np.eye(3), b=b, tau=1.0)
+            else:
+                with pytest.raises(ValueError, match="A B"):
+                    PropagatedTransform(a=np.eye(3), b=b, tau=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_pair(self, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        with pytest.raises(ValueError):
+            PropagatedTransform(a=a, b=np.eye(3), tau=1.0)
+        with pytest.raises(ValueError):
+            PropagatedTransform(a=np.eye(3), b=a, tau=1.0)
 
     def test_rejects_nonunit_determinant(self):
         a = np.diag([2.0, 1.0, 1.0])

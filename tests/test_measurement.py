@@ -16,6 +16,9 @@ from conftest import (
 
 from simqp import (
     ErrorPair,
+    make_min_uncertainty_state,
+    moments,
+    tensor,
     GaussianState,
     InteractionParams,
     LinearSimultaneousMeasurement,
@@ -74,7 +77,62 @@ class TestNoiseOperators:
         np.testing.assert_allclose(n_p.coeff_p, [-1.0, 0.0, 1.0])
 
 
+def old_route_second_moments(m, psi):
+    """The q-rms squares as the observable-by-observable route computed them.
+
+    Each noise operator is split with ``restrict`` into its system and
+    probe parts, and both routes are taken through ``moments``.  Kept here
+    as the oracle of the 6-vector computation in :func:`qrms_errors`.
+    """
+    system_state = make_min_uncertainty_state(psi)
+    joint = tensor(system_state, m.probe)
+    out = []
+    for noise in noise_operators(m):
+        _, var_sys = moments(system_state, noise.restrict({1}))
+        _, var_probe = moments(m.probe, noise.restrict({2, 3}))
+        mean_joint, var_joint = moments(joint, noise)
+        explicit = var_sys + var_probe + mean_joint**2
+        assert abs(explicit - (var_joint + mean_joint**2)) <= 1e-12 * max(1.0, explicit)
+        out.append(explicit)
+    return out
+
+
 class TestQrmsErrors:
+    def test_matches_observable_route_on_random_draws(self):
+        rng = np.random.default_rng(20240611)
+        worst = 0.0
+        for _ in range(1000):
+            psi = MinUncertaintyParams(
+                q1=rng.normal(),
+                p1=rng.normal(),
+                sigma1=10.0 ** rng.uniform(-1.0, 1.0),
+                hbar=10.0 ** rng.uniform(-1.0, 1.0),
+            )
+            m = random_measurement(rng, psi)
+            errs = qrms_errors(m, psi)
+            want_q, want_p = old_route_second_moments(m, psi)
+            for got, want in ((errs.eps_q**2, want_q), (errs.eps_p**2, want_p)):
+                worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-14
+
+    def test_conditions_match_observable_route(self):
+        rng = np.random.default_rng(7)
+        psi = MinUncertaintyParams(q1=0.4, p1=-1.1, sigma1=1.3, hbar=0.8)
+        for _ in range(50):
+            m = random_measurement(rng, psi)
+            joint_state = tensor(make_min_uncertainty_state(psi), m.probe)
+            report = check_theorem_conditions(m, psi)
+            means = [moments(joint_state, n)[0] for n in noise_operators(m)]
+            assert report.cond_i_residuals == pytest.approx(means, rel=1e-14, abs=1e-15)
+            weight = math.sqrt(abs(m.meter_q.coeff_q[0] * m.meter_p.coeff_p[0]))
+            spreads = [
+                math.sqrt(moments(m.probe, meter.restrict({2, 3}))[1]) - weight * sigma
+                for meter, sigma in ((m.meter_q, psi.sigma_q), (m.meter_p, psi.sigma_p))
+            ]
+            assert report.cond_ii_residuals == pytest.approx(spreads, rel=1e-14, abs=1e-15)
+            bo = branciard_ozawa_residual(qrms_errors(m, psi), psi)
+            assert report.bo_residual == bo
+
     def test_minimum_trade_off_at_half(self):
         errs = qrms_errors(build_model(ModelFamily.Y0, 0.5, PSI), PSI)
         assert errs.eps_q == pytest.approx(math.sqrt(0.5), rel=1e-12)

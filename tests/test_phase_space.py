@@ -97,6 +97,36 @@ class TestMinUncertaintyState:
         np.testing.assert_allclose(moved.mean, [5.0, -7.0])
         np.testing.assert_allclose(moved.cov, base.cov)
 
+    def test_cached_state_is_read_only(self):
+        state = make_min_uncertainty_state(MinUncertaintyParams(0.3, -0.2, 1.5, 0.7))
+        for arr in (state.mean, state.cov):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_cached_state_shared_by_equal_params(self):
+        first = make_min_uncertainty_state(MinUncertaintyParams(0.3, -0.2, 1.5, 0.7))
+        again = make_min_uncertainty_state(MinUncertaintyParams(0.3, -0.2, 1.5, 0.7))
+        assert again is first
+
+    def test_cached_state_differs_for_different_params(self):
+        base = make_min_uncertainty_state(MinUncertaintyParams(0.3, -0.2, 1.5, 0.7))
+        for other in (
+            MinUncertaintyParams(0.31, -0.2, 1.5, 0.7),
+            MinUncertaintyParams(0.3, -0.2, 1.6, 0.7),
+            MinUncertaintyParams(0.3, -0.2, 1.5, 0.8),
+        ):
+            state = make_min_uncertainty_state(other)
+            assert state is not base
+            assert state.mean[0] == other.q1
+            assert state.cov[1, 1] == pytest.approx(other.sigma_p**2, rel=1e-15)
+            assert state.hbar == other.hbar
+
+    def test_signed_zero_mean_does_not_depend_on_call_order(self):
+        neg = make_min_uncertainty_state(MinUncertaintyParams(q1=-0.0, p1=-0.0, sigma1=1.25))
+        pos = make_min_uncertainty_state(MinUncertaintyParams(q1=0.0, p1=0.0, sigma1=1.25))
+        assert neg is pos
+        assert not np.signbit(pos.mean).any()
+
     @pytest.mark.parametrize("sigma1,hbar", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
     def test_invalid_params_rejected(self, sigma1, hbar):
         with pytest.raises(ValueError):
@@ -216,6 +246,19 @@ class TestGaussianState:
     def test_rejects_indefinite_cov(self):
         with pytest.raises(ValueError, match="semidefinite"):
             GaussianState((1,), np.zeros(2), np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_cov(self, bad):
+        for cov in (np.array([[1.0, bad], [bad, 1.0]]), np.diag([bad, 1.0])):
+            with pytest.raises(ValueError, match="non-finite"):
+                GaussianState((1,), np.zeros(2), cov)
+
+    def test_symmetry_tolerance_scales_with_cov(self):
+        # 1e-12 of the largest entry (at least 1): accepted just inside, rejected outside
+        big = 1e6
+        GaussianState((1,), np.zeros(2), np.array([[big, 0.5e-6], [0.0, big]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianState((1,), np.zeros(2), np.array([[big, 2e-6], [0.0, big]]))
 
     def test_rejects_bad_modes(self):
         with pytest.raises(ValueError):
