@@ -17,6 +17,7 @@ which re-bases relative ``--out`` paths.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -27,7 +28,6 @@ import numpy as np
 
 from .measurement import (
     FAMILY_PARAMETERS,
-    POSTERIOR_FAMILIES,
     ModelFamily,
     arthurs_kelly_model,
     branciard_ozawa_residual,
@@ -40,6 +40,7 @@ from .measurement import (
 from .distributions import (
     OutcomeRegion,
     PosteriorFamily,
+    check_posterior_family,
     gauss_error,
     meter_joint,
     p_pair_joint,
@@ -97,10 +98,6 @@ class RunConfig:
             raise ValueError(f"output path must be a string, got {self.output_path!r}")
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _json(payload) -> str:
     """Strict JSON (RFC 8259): a NaN or infinity raises ValueError."""
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -109,24 +106,35 @@ def _json(payload) -> str:
 def _write_table(cfg: RunConfig, header: list, rows: list):
     """Emit a table as CSV or JSON to the output path (or stdout)."""
     if cfg.output_format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = _json(payload)
+        _write_text(cfg.output_path, _json([dict(zip(header, row)) for row in rows]))
     else:
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    _write_text(cfg.output_path, text)
+        _write_csv(cfg.output_path, header, rows)
 
 
-def _write_text(path: str | None, text: str):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The text stream for ``path``: stdout, or a file under ``SIMQP_OUT_DIR``."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     base = os.environ.get("SIMQP_OUT_DIR")
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
     with open(path, "w", encoding="utf-8") as fh:
+        yield fh
+
+
+def _write_text(path: str | None, text: str):
+    with _output(path) as fh:
         fh.write(text)
+
+
+def _write_csv(path: str | None, header: list, rows):
+    """CSV with a header line; ``%.17g`` reads back to the same float."""
+    with _output(path) as fh:
+        np.savetxt(
+            fh, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments=""
+        )
 
 
 def _balanced_probe(hbar: float) -> GaussianState:
@@ -217,9 +225,7 @@ def cmd_sample(cfg: RunConfig, which: str, n: int) -> int:
     draws = sample(joint, n, cfg.seed)
 
     if cfg.output_path is not None:
-        lines = [",".join(joint.labels)]
-        lines += [",".join(_fmt(v) for v in row) for row in draws]
-        _write_text(cfg.output_path, "\n".join(lines) + "\n")
+        _write_csv(cfg.output_path, joint.labels, draws)
 
     emp_mean = draws.mean(axis=0)
     emp_cov = np.cov(draws.T, ddof=1).tolist() if n > 1 else None
@@ -253,11 +259,7 @@ def cmd_posterior(cfg: RunConfig, y=None, region=None) -> int:
         raise ValueError("posterior needs exactly one of --y or --region")
     if len(cfg.nu_grid) != 1:
         raise ValueError("posterior needs exactly one nu (use --nu)")
-    if cfg.family not in POSTERIOR_FAMILIES:
-        raise ValueError(
-            f"no posterior family is available for {cfg.family.value!r}; "
-            f"supported: {[f.value for f in POSTERIOR_FAMILIES]}"
-        )
+    check_posterior_family(cfg.family)
     nu = cfg.nu_grid[0]
     psi = cfg.psi
     fam = PosteriorFamily(nu=nu, psi=psi)

@@ -23,13 +23,11 @@ from .measurement import (
 from .dynamics import heisenberg_observables
 from .phase_space import (
     GaussianState,
-    LinearObservable,
     MinUncertaintyParams,
-    check_close,
+    checked_covariance,
     commutator_coeff,
-    covariance,
+    linear_moments,
     make_min_uncertainty_state,
-    moments,
     position,
     momentum,
     tensor,
@@ -67,19 +65,8 @@ class JointGaussian:
             raise ValueError(
                 f"dimension mismatch: {d} labels, mean {mean.shape}, cov {cov.shape}"
             )
-        check_close(
-            cov, cov.T, 1e-12 * max(1.0, np.abs(cov).max()),
-            "covariance matrix is not symmetric",
-        )
-        cov = 0.5 * (cov + cov.T)
-        eigvals = np.linalg.eigvalsh(cov)
-        if eigvals[0] < -CLIP_ATOL * max(1.0, eigvals[-1]):
-            raise ValueError(
-                f"covariance is not positive semidefinite "
-                f"(smallest eigenvalue {eigvals[0]:g})"
-            )
+        cov = checked_covariance(cov, CLIP_ATOL)
         mean.setflags(write=False)
-        cov.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -138,11 +125,7 @@ def joint_distribution(
                     f"observables {labels[i]!r} and {labels[j]!r} do not "
                     f"commute: coefficient {c:g}"
                 )
-    mean = np.array([moments(state, f)[0] for f in obs])
-    cov = np.empty((len(obs), len(obs)))
-    for i in range(len(obs)):
-        for j in range(i, len(obs)):
-            cov[i, j] = cov[j, i] = covariance(state, obs[i], obs[j])
+    mean, cov = linear_moments(state, obs)
     return JointGaussian(labels=tuple(labels), mean=mean, cov=cov)
 
 
@@ -221,34 +204,40 @@ def sample(joint: JointGaussian, n: int, seed: int) -> np.ndarray:
     return joint.mean + z @ root.T
 
 
+def _product_joint(m, psi, observables, labels) -> JointGaussian:
+    """Joint law of ``observables`` in the product state psi x probe."""
+    state = tensor(make_min_uncertainty_state(psi), m.probe)
+    return joint_distribution(observables, state, labels=labels)
+
+
 def meter_joint(
     m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams
 ) -> JointGaussian:
     """Joint law of the two meters (Q2(tau), P3(tau)) in psi x probe."""
-    state = tensor(make_min_uncertainty_state(psi), m.probe)
-    return joint_distribution(
-        [m.meter_q, m.meter_p], state, labels=("Q2(tau)", "P3(tau)")
-    )
+    return _product_joint(m, psi, [m.meter_q, m.meter_p], ("Q2(tau)", "P3(tau)"))
 
 
 def q_pair_joint(
     m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams
 ) -> JointGaussian:
     """Joint law of the target and its meter, (Q1(0), Q2(tau))."""
-    state = tensor(make_min_uncertainty_state(psi), m.probe)
-    return joint_distribution(
-        [position(1), m.meter_q], state, labels=("Q1(0)", "Q2(tau)")
-    )
+    return _product_joint(m, psi, [position(1), m.meter_q], ("Q1(0)", "Q2(tau)"))
 
 
 def p_pair_joint(
     m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams
 ) -> JointGaussian:
     """Joint law of the target and its meter, (P1(0), P3(tau))."""
-    state = tensor(make_min_uncertainty_state(psi), m.probe)
-    return joint_distribution(
-        [momentum(1), m.meter_p], state, labels=("P1(0)", "P3(tau)")
-    )
+    return _product_joint(m, psi, [momentum(1), m.meter_p], ("P1(0)", "P3(tau)"))
+
+
+def check_posterior_family(family: ModelFamily) -> None:
+    """Raise ``ValueError`` unless ``family`` has a known posterior family."""
+    if family not in POSTERIOR_FAMILIES:
+        raise ValueError(
+            f"no posterior family is available for {ModelFamily(family).value!r}; "
+            f"supported: {[f.value for f in POSTERIOR_FAMILIES]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -311,12 +300,12 @@ class PosteriorConsistencyReport:
         return max(self.max_mean_deviation, self.max_var_deviation)
 
 
-def _default_outcome_grid(m, psi) -> list:
-    """3x3 grid of meter outcomes at the meter means +/- one spread."""
-    mj = meter_joint(m, psi)
-    sd = np.sqrt(np.diag(mj.cov))
+def _default_outcome_grid(joint: JointGaussian) -> list:
+    """3x3 grid at the means +/- one spread of the meters, ``joint``'s last two."""
+    mean = joint.mean[-2:]
+    sd = np.sqrt(np.diag(joint.cov)[-2:])
     return [
-        (mj.mean[0] + dz * sd[0], mj.mean[1] + dw * sd[1])
+        (mean[0] + dz * sd[0], mean[1] + dw * sd[1])
         for dz in (-1.0, 0.0, 1.0)
         for dw in (-1.0, 0.0, 1.0)
     ]
@@ -340,26 +329,18 @@ def posterior_consistency(
         outcomes: iterable of (z, w) meter outcomes; defaults to a 3x3
             grid around the meter means.
     """
-    if family not in POSTERIOR_FAMILIES:
-        raise ValueError(
-            f"no posterior family is available for {family}; "
-            f"supported: {[f.value for f in POSTERIOR_FAMILIES]}"
-        )
+    check_posterior_family(family)
     m = build_model(family, nu, psi)
     q_out, p_out = heisenberg_observables(m.transform)
-    state = tensor(make_min_uncertainty_state(psi), m.probe)
-    joint_q = joint_distribution(
-        [q_out[0], m.meter_q, m.meter_p],
-        state,
-        labels=("Q1(tau)", "Q2(tau)", "P3(tau)"),
+    meters = [m.meter_q, m.meter_p]
+    joint_q = _product_joint(
+        m, psi, [q_out[0], *meters], ("Q1(tau)", "Q2(tau)", "P3(tau)")
     )
-    joint_p = joint_distribution(
-        [p_out[0], m.meter_q, m.meter_p],
-        state,
-        labels=("P1(tau)", "Q2(tau)", "P3(tau)"),
+    joint_p = _product_joint(
+        m, psi, [p_out[0], *meters], ("P1(tau)", "Q2(tau)", "P3(tau)")
     )
     if outcomes is None:
-        outcomes = _default_outcome_grid(m, psi)
+        outcomes = _default_outcome_grid(joint_q)
     fam = PosteriorFamily(nu=nu, psi=psi)
 
     max_mean_dev = 0.0
@@ -468,13 +449,7 @@ def region_mixture_moments(
     Raises:
         ValueError: if the region carries no outcome probability.
     """
-    if family not in POSTERIOR_FAMILIES:
-        raise ValueError(
-            f"no posterior family is available for {family}; "
-            f"supported: {[f.value for f in POSTERIOR_FAMILIES]}"
-        )
-    if not 0.0 < nu < 1.0:
-        raise ValueError(f"nu must lie strictly between 0 and 1, got {nu}")
+    check_posterior_family(family)
     fam = PosteriorFamily(nu=nu, psi=psi)
     sd_z = math.sqrt(nu) * psi.sigma1
     sd_w = math.sqrt(1.0 - nu) * psi.sigma_p

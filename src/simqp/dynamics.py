@@ -160,16 +160,26 @@ class SolvableGenerator:
         return cls(s=s, e=e, gamma2=gamma2, tau=tau)
 
 
-def _solvable_expm(m: np.ndarray, e: float, t: float) -> np.ndarray:
-    """Closed form of ``e^{tM}`` for ``M^3 = -E M``, three branches in E."""
-    m2 = m @ m
+def expm_coefficients(e: float, t: float) -> tuple:
+    """``(c1, c2)`` with ``e^{tM} = I + c1 M + c2 M^2`` whenever ``M^3 = -E M``.
+
+    ``c2 = (1 - cos x)/E`` with ``x = t sqrt(E)`` is taken as
+    ``sin(x) tan(x/2)/E``, which does not cancel at small ``x``; likewise
+    for the hyperbolic branch.
+    """
     if abs(e) < E_ZERO_TOL:
-        return _EYE3 + t * m + 0.5 * t**2 * m2
+        return t, 0.5 * t**2
+    root = np.sqrt(abs(e))
+    x = t * root
     if e > 0.0:
-        root = np.sqrt(e)
-        return _EYE3 + np.sin(t * root) / root * m + (1.0 - np.cos(t * root)) / e * m2
-    root = np.sqrt(-e)
-    return _EYE3 + np.sinh(t * root) / root * m + (np.cosh(t * root) - 1.0) / (-e) * m2
+        return np.sin(x) / root, np.sin(x) * np.tan(x / 2.0) / e
+    return np.sinh(x) / root, np.sinh(x) * np.tanh(x / 2.0) / (-e)
+
+
+def _solvable_expm(m: np.ndarray, e: float, t: float) -> np.ndarray:
+    """Closed form of ``e^{tM}`` for ``M^3 = -E M``."""
+    c1, c2 = expm_coefficients(e, t)
+    return _EYE3 + c1 * m + c2 * (m @ m)
 
 
 def closed_form_propagator(gen: SolvableGenerator, t: float) -> np.ndarray:

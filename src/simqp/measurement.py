@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    E_ZERO_TOL,
     PropagatedTransform,
     SolvableGenerator,
+    expm_coefficients,
     numeric_expm,
     propagate,
 )
@@ -30,7 +30,6 @@ from .phase_space import (
     commutator_coeff,
     make_min_uncertainty_state,
     make_probe_state,
-    moments,
     position,
     momentum,
     tensor,
@@ -133,13 +132,8 @@ def coupling_time_factor(tau: float, gamma2: float, e: float) -> float:
     for positive E, its tau-polynomial limit at E = 0, and the hyperbolic
     counterpart for negative E.
     """
-    if abs(e) < E_ZERO_TOL:
-        return tau + 0.5 * gamma2 * tau**2
-    if e > 0.0:
-        root = math.sqrt(e)
-        return math.sin(tau * root) / root + gamma2 * (1.0 - math.cos(tau * root)) / e
-    root = math.sqrt(-e)
-    return math.sinh(tau * root) / root + gamma2 * (math.cosh(tau * root) - 1.0) / (-e)
+    c1, c2 = expm_coefficients(e, tau)
+    return c1 + gamma2 * c2
 
 
 def solve_couplings(nu: float, tau: float, gamma2: float, e: float) -> tuple:
@@ -274,9 +268,6 @@ def noise_operators(m: LinearSimultaneousMeasurement) -> tuple:
 
 # unit rows of the targets Q1 and P1 in the global order (Q1, Q2, Q3, P1, P2, P3)
 _TARGET_ROWS = np.eye(6)[[0, 3]]
-# positions of the probe quadratures (Q2, Q3, P2, P3) in that order; the
-# system's (Q1, P1) sit at the slice 0::3
-_PROBE_IDX = np.array([1, 2, 4, 5])
 
 
 def _quadratic_forms(rows: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -314,8 +305,9 @@ def _noise_moments(
         - _TARGET_ROWS
     )
     means = np.array([r @ joint.mean for r in rows]) + (mq.offset, mp.offset)
-    var_probe = _quadratic_forms(rows[:, _PROBE_IDX], m.probe.cov)
-    explicit = _quadratic_forms(rows[:, 0::3], system_state.cov) + var_probe + means**2
+    var_probe = _quadratic_forms(rows[:, m.probe.basis_index], m.probe.cov)
+    var_system = _quadratic_forms(rows[:, system_state.basis_index], system_state.cov)
+    explicit = var_system + var_probe + means**2
     direct = _quadratic_forms(rows, joint.cov) + means**2
     for rep, mom in zip(explicit.tolist(), direct.tolist()):
         if abs(rep - mom) > ERROR_ROUTE_ATOL * max(1.0, abs(rep)):
@@ -387,17 +379,11 @@ def ozawa_inequality_residual(errs: ErrorPair, psi: MinUncertaintyParams) -> flo
 def arthurs_kelly_errors(probe: GaussianState) -> ErrorPair:
     """Errors of the Arthurs-Kelly comparator for a given probe.
 
-    The noise operators are pure probe observables ``Q2 + P3/2`` and
-    ``-P2/2 + Q3``, so each squared error is the probe second moment of
-    the corresponding combination.
+    Its noise operators ``Q2 + P3/2`` and ``-P2/2 + Q3`` have no system
+    part, so the errors are the same in every packet; the default one
+    with the probe's hbar is used.
     """
-    n_q = position(2) + 0.5 * momentum(3)
-    n_p = -0.5 * momentum(2) + position(3)
-    out = []
-    for noise in (n_q, n_p):
-        mean, var = moments(probe, noise)
-        out.append(math.sqrt(var + mean**2))
-    return ErrorPair(eps_q=out[0], eps_p=out[1])
+    return qrms_errors(arthurs_kelly_model(probe), MinUncertaintyParams(hbar=probe.hbar))
 
 
 @dataclass(frozen=True)

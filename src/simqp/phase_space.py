@@ -6,7 +6,9 @@ six quadratures Q1, Q2, Q3, P1, P2, P3 and with Gaussian states given by
 their mean vector and symmetrized covariance matrix.  The global ordering
 convention is (Q1, Q2, Q3, P1, P2, P3); states defined on a subset of
 modes order their mean/covariance as (all Q's, then all P's) with modes
-ascending.
+ascending; ``GaussianState.basis_index`` places them in the global order.
+The moments kernel :func:`linear_moments` and the covariance check
+:func:`checked_covariance` used across the package live here too.
 """
 
 from __future__ import annotations
@@ -46,6 +48,23 @@ def check_close(actual, expected, tol: float, message: str) -> None:
         raise ValueError(f"{message}: non-finite entries")
     if worst > tol:
         raise ValueError(f"{message} (max deviation {worst:g})")
+
+
+def checked_covariance(cov: np.ndarray, psd_rtol: float) -> np.ndarray:
+    """Symmetrized read-only ``cov``, PSD to ``psd_rtol * max(1, top eigenvalue)``."""
+    check_close(
+        cov, cov.T, 1e-12 * max(1.0, np.abs(cov).max()),
+        "covariance matrix is not symmetric",
+    )
+    cov = 0.5 * (cov + cov.T)
+    eigvals = np.linalg.eigvalsh(cov)
+    if eigvals[0] < -psd_rtol * max(1.0, eigvals[-1]):
+        raise ValueError(
+            f"covariance matrix is not positive semidefinite "
+            f"(smallest eigenvalue {eigvals[0]:g})"
+        )
+    cov.setflags(write=False)
+    return cov
 
 
 def _as_coeffs(values) -> np.ndarray:
@@ -208,43 +227,52 @@ class GaussianState:
             raise ValueError(f"mean must have shape ({2 * m},), got {mean.shape}")
         if cov.shape != (2 * m, 2 * m):
             raise ValueError(f"cov must have shape ({2 * m}, {2 * m}), got {cov.shape}")
-        check_close(
-            cov, cov.T, 1e-12 * max(1.0, np.abs(cov).max()),
-            "covariance matrix is not symmetric",
-        )
-        cov = 0.5 * (cov + cov.T)
-        eigvals = np.linalg.eigvalsh(cov)
-        if eigvals[0] < -PSD_RTOL * max(1.0, eigvals[-1]):
-            raise ValueError(
-                f"covariance matrix is not positive semidefinite "
-                f"(smallest eigenvalue {eigvals[0]:g})"
-            )
+        cov = checked_covariance(cov, PSD_RTOL)
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         mean.setflags(write=False)
-        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "hbar", float(self.hbar))
 
     @property
-    def n_modes(self) -> int:
-        return len(self.modes)
+    def basis_index(self) -> np.ndarray:
+        """Positions of the (Q..., P...) coordinates in (Q1, Q2, Q3, P1, P2, P3)."""
+        return _basis_index(self.modes)
 
-    def _coefficient_vector(self, f: LinearObservable) -> np.ndarray:
-        """Coefficients of ``f`` in this state's (Q..., P...) basis."""
-        missing = f.modes - set(self.modes)
-        if missing:
-            raise ModeMismatchError(
-                f"observable touches mode(s) {sorted(missing)} "
-                f"but the state is defined on modes {self.modes}"
-            )
-        m = self.n_modes
-        c = np.zeros(2 * m)
-        for k, j in enumerate(self.modes):
-            c[k] = f.coeff_q[j - 1]
-            c[m + k] = f.coeff_p[j - 1]
-        return c
+
+@functools.lru_cache(maxsize=None)  # keyed by mode tuples, so at most a few entries
+def _basis_index(modes: tuple) -> np.ndarray:
+    idx = np.array([j - 1 for j in modes] + [j + 2 for j in modes])
+    idx.setflags(write=False)
+    return idx
+
+
+def linear_moments(state: GaussianState, observables) -> tuple:
+    """Means ``C mu + offsets`` and covariance ``C V C^T`` of observables.
+
+    Row i of ``C`` holds observable i on the state's coordinates.  Rows
+    are contracted one at a time and the upper triangle is mirrored, so
+    each entry has the bits of a lone ``c @ mu`` or ``f @ V @ g``.  Raises
+    :class:`ModeMismatchError` if an observable leaves the state's modes.
+    """
+    obs = tuple(observables)
+    rows = np.empty((len(obs), 6))
+    rows[:, :3] = [f.coeff_q for f in obs]
+    rows[:, 3:] = [f.coeff_p for f in obs]
+    idx = state.basis_index
+    if len(idx) < 6 and np.delete(rows, idx, axis=1).any():
+        for f in obs:
+            missing = f.modes - set(state.modes)
+            if missing:
+                raise ModeMismatchError(
+                    f"observable touches mode(s) {sorted(missing)} "
+                    f"but the state is defined on modes {state.modes}"
+                )
+    c = np.ascontiguousarray(rows[:, idx])  # strided rows are summed in another order
+    mean = np.array([r @ state.mean for r in c]) + [f.offset for f in obs]
+    cov = np.array([r @ state.cov for r in c]) @ c.T
+    return mean, np.triu(cov) + np.triu(cov, 1).T
 
 
 def moments(state: GaussianState, f: LinearObservable) -> tuple:
@@ -257,17 +285,13 @@ def moments(state: GaussianState, f: LinearObservable) -> tuple:
     Raises:
         ModeMismatchError: if ``f`` touches a mode outside ``state.modes``.
     """
-    c = state._coefficient_vector(f)
-    mean = float(c @ state.mean) + f.offset
-    variance = float(c @ state.cov @ c)
-    return mean, variance
+    mean, cov = linear_moments(state, (f,))
+    return float(mean[0]), float(cov[0, 0])
 
 
 def covariance(state: GaussianState, f: LinearObservable, g: LinearObservable) -> float:
     """Symmetrized covariance ``<fg + gf>/2 - <f><g>`` in ``state``."""
-    cf = state._coefficient_vector(f)
-    cg = state._coefficient_vector(g)
-    return float(cf @ state.cov @ cg)
+    return float(linear_moments(state, (f, g))[1][0, 1])
 
 
 @functools.lru_cache(maxsize=PACKET_CACHE_SIZE)

@@ -6,6 +6,19 @@ import math
 import numpy as np
 import pytest
 
+from simqp import (
+    MinUncertaintyParams,
+    ModelFamily,
+    branciard_ozawa_residual,
+    build_model,
+    heisenberg_product,
+    meter_joint,
+    ozawa_inequality_residual,
+    p_pair_joint,
+    q_pair_joint,
+    qrms_errors,
+    sample,
+)
 from simqp.cli import main
 
 
@@ -419,3 +432,50 @@ class TestOutputFiles:
         )
         assert code == 0
         assert (tmp_path / "curve.csv").exists()
+
+
+class TestExactValues:
+    """CSV values read back to exactly the floats the library computes."""
+
+    PSI_FLAGS = ("--q1", "0.3", "--p1", "-0.7", "--sigma1", "1.3", "--hbar", "0.9")
+    PSI = MinUncertaintyParams(q1=0.3, p1=-0.7, sigma1=1.3, hbar=0.9)
+
+    @pytest.mark.parametrize("family", ["x", "y0", "z"])  # E > 0, E = 0, E < 0
+    def test_sweep_values(self, capsys, family):
+        grid = [0.01, 0.37, 0.5, 0.99]
+        code, out, _ = run(
+            capsys, "sweep", "--family", family,
+            "--nu-grid", ",".join(map(str, grid)), *self.PSI_FLAGS,
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header[:3] == ["nu", "eps_q", "eps_p"]
+        psi = self.PSI
+        for nu, row in zip(grid, rows, strict=True):
+            errs = qrms_errors(build_model(ModelFamily(family), nu, psi), psi)
+            bo = branciard_ozawa_residual(errs, psi)
+            assert row == [
+                nu,
+                errs.eps_q,
+                errs.eps_p,
+                bo + psi.hbar**2 / 4.0,
+                bo,
+                heisenberg_product(errs),
+                ozawa_inequality_residual(errs, psi),
+            ]
+
+    @pytest.mark.parametrize(
+        "which, builder",
+        [("meters", meter_joint), ("q-pair", q_pair_joint), ("p-pair", p_pair_joint)],
+    )
+    def test_sample_rows(self, capsys, tmp_path, which, builder):
+        path = tmp_path / "draws.csv"
+        code, _, _ = run(
+            capsys, "sample", "--family", "z", "--which", which, "--nu", "0.42",
+            "--n", "500", "--seed", "7", "--out", str(path), *self.PSI_FLAGS,
+        )
+        assert code == 0
+        header, rows = parse_csv(path.read_text(encoding="utf-8"))
+        joint = builder(build_model(ModelFamily.Z, 0.42, self.PSI), self.PSI)
+        assert header == list(joint.labels)
+        np.testing.assert_array_equal(np.array(rows), sample(joint, 500, 7))

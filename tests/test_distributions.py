@@ -268,6 +268,7 @@ class TestSample:
             JointGaussian(("a", "b"), [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_covariance_rejected(self, bad):
         for cov in ([[1.0, bad], [bad, 1.0]], [[bad, 0.0], [0.0, 1.0]]):
             with pytest.raises(ValueError, match="non-finite"):

@@ -21,6 +21,7 @@ from simqp import (
     heisenberg_observables,
     numeric_expm,
     propagate,
+    solve_couplings,
 )
 
 FAMILY_TAUS = {
@@ -86,6 +87,7 @@ class TestSolvableGenerator:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("entry", [(0, 1), (1, 0), (2, 2)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rejects_non_finite_entry(self, bad, entry):
         s = frozen_generator(ModelFamily.X, 0.5).copy()
         s[entry] = bad
@@ -173,6 +175,27 @@ class TestClosedFormPropagator:
         lhs = closed_form_propagator(gen, t + s)
         rhs = closed_form_propagator(gen, t) @ closed_form_propagator(gen, s)
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
+
+
+class TestZeroBranchEdge:
+    """E on both sides of the E = 0 branch switch (|E| < 1e-14)."""
+
+    @pytest.mark.parametrize("e", [-1e-13, -5e-15, 0.0, 5e-15, 1e-13])
+    @pytest.mark.parametrize(
+        "tau, gamma2", [(1.0, 0.0), (1.0, 2.0), (math.log(2.0), 1.0), (math.pi / 2.0, 1.0)]
+    )
+    def test_couplings_and_closed_form(self, e, tau, gamma2):
+        nu = 0.3
+        alpha1, alpha3 = solve_couplings(nu, tau, gamma2, e)
+        gen = SolvableGenerator.from_couplings(alpha1, alpha3, gamma2, e, tau)
+        transform = propagate(gen)
+        assert abs(transform.a[1, 0] - nu) <= 1e-12
+        np.testing.assert_allclose(
+            transform.a, numeric_expm(gen.s, tau), rtol=0, atol=1e-13
+        )
+        np.testing.assert_allclose(
+            transform.b, numeric_expm(-gen.s.T, tau), rtol=0, atol=1e-13
+        )
 
 
 class TestNumericExpm:
@@ -266,6 +289,7 @@ class TestPropagatedTransform:
                     PropagatedTransform(a=np.eye(3), b=b, tau=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rejects_non_finite_pair(self, bad):
         a = np.eye(3)
         a[1, 2] = bad

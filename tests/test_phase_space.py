@@ -19,6 +19,7 @@ from simqp import (
     position,
     tensor,
 )
+from simqp.phase_space import linear_moments
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -248,6 +249,7 @@ class TestGaussianState:
             GaussianState((1,), np.zeros(2), np.diag([1.0, -0.5]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rejects_non_finite_cov(self, bad):
         for cov in (np.array([[1.0, bad], [bad, 1.0]]), np.diag([bad, 1.0])):
             with pytest.raises(ValueError, match="non-finite"):
@@ -305,3 +307,47 @@ class TestLinearObservableAlgebra:
         g = f.restrict({3})
         np.testing.assert_allclose(g.coeff_q, 0.0)
         np.testing.assert_allclose(g.coeff_p, [0.0, 0.0, 0.5])
+
+
+class TestLinearMoments:
+    def test_basis_index(self):
+        psi = MinUncertaintyParams()
+        assert make_min_uncertainty_state(psi).basis_index.tolist() == [0, 3]
+        assert make_probe_state(0.5, 1.0, psi).basis_index.tolist() == [1, 2, 4, 5]
+        joint = tensor(make_min_uncertainty_state(psi), make_probe_state(0.5, 1.0, psi))
+        assert joint.basis_index.tolist() == list(range(6))
+
+    @staticmethod
+    def loop_coefficients(state, f):
+        """Reference: ``f`` on the state's (Q..., P...) basis, one mode at a time."""
+        m = len(state.modes)
+        c = np.zeros(2 * m)
+        for k, j in enumerate(state.modes):
+            c[k] = f.coeff_q[j - 1]
+            c[m + k] = f.coeff_p[j - 1]
+        return c
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("modes", [(1, 2, 3), (2, 3)])
+    def test_equals_per_observable_contractions(self, seed, modes):
+        rng = np.random.default_rng(seed)
+        psi = MinUncertaintyParams(0.5, -0.5, 1.2, 1.0)
+        state = make_probe_state(0.4, 2.0, psi)
+        if modes == (1, 2, 3):
+            state = tensor(make_min_uncertainty_state(psi), state)
+        mask = np.array([j in modes for j in (1, 2, 3)], dtype=float)
+        obs = [
+            LinearObservable(rng.normal(size=3) * mask, rng.normal(size=3) * mask, rng.normal())
+            for _ in range(3)
+        ]
+        mean, cov = linear_moments(state, obs)
+        c = [self.loop_coefficients(state, f) for f in obs]
+        for i, f in enumerate(obs):
+            assert mean[i] == float(c[i] @ state.mean) + f.offset
+            for j in range(i, 3):
+                assert cov[i, j] == cov[j, i] == c[i] @ state.cov @ c[j]
+
+    def test_mode_mismatch_names_the_first_offending_observable(self):
+        probe = make_probe_state(0.5, 1.0, MinUncertaintyParams())
+        with pytest.raises(ModeMismatchError, match=r"mode\(s\) \[1\]"):
+            linear_moments(probe, [position(2), momentum(1), position(1) + momentum(3)])
