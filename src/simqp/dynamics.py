@@ -36,14 +36,13 @@ class InteractionParams:
     """Coupling coefficients of the bilinear three-mode interaction.
 
     ``alpha``, ``beta`` and ``gamma`` hold (a1, a2, a3), (b1, b2, b3) and
-    (g1, g2, g3); ``coupling`` is the overall strength K.  A nonunit K
-    only rescales the measurement time (tau' = K tau), so it is kept at 1.
+    (g1, g2, g3).  The overall strength K is fixed at 1: a nonunit K only
+    rescales the measurement time (tau' = K tau), so it loses nothing.
     """
 
     alpha: tuple
     beta: tuple
     gamma: tuple
-    coupling: float = 1.0
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
@@ -51,8 +50,6 @@ class InteractionParams:
             if len(vals) != 3:
                 raise ValueError(f"{name} must have 3 entries, got {len(vals)}")
             object.__setattr__(self, name, vals)
-        if not self.coupling > 0:
-            raise ValueError(f"coupling must be positive, got {self.coupling}")
 
 
 def build_generator(params: InteractionParams) -> np.ndarray:

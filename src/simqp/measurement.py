@@ -158,12 +158,20 @@ def solve_couplings(nu: float, tau: float, gamma2: float, e: float) -> tuple:
     return nu / factor, -(1.0 - nu) / factor
 
 
-def _meters(transform: PropagatedTransform) -> tuple:
-    """The meters ``Q2(tau)`` (row 2 of A) and ``P3(tau)`` (row 3 of B)."""
+def _wire(
+    transform: PropagatedTransform,
+    probe: GaussianState,
+    generator: SolvableGenerator | None = None,
+) -> LinearSimultaneousMeasurement:
+    """Model reading ``Q2(tau)`` (row 2 of A) and ``P3(tau)`` (row 3 of B)."""
     zero = np.zeros(3)
-    return (
-        LinearObservable(transform.a[1], zero, 0.0),
-        LinearObservable(zero, transform.b[2], 0.0),
+    return LinearSimultaneousMeasurement(
+        probe=probe,
+        meter_q=LinearObservable(transform.a[1], zero, 0.0),
+        meter_p=LinearObservable(zero, transform.b[2], 0.0),
+        tau=transform.tau,
+        generator=generator,
+        transform=transform,
     )
 
 
@@ -189,39 +197,21 @@ def build_model(
     gen = SolvableGenerator.from_couplings(
         alpha1, alpha3, recipe.gamma2, recipe.e, recipe.tau
     )
-    transform = propagate(gen)
-    a21, a22 = transform.a[1, 0], transform.a[1, 1]
+    m = measurement_from_parts(gen, make_probe_state(nu, recipe.kappa, psi))
+    a21, a22 = m.transform.a[1, 0], m.transform.a[1, 1]
     if abs(a21 - nu) > 1e-10 or abs(a22 - recipe.kappa) > 1e-10:
         raise RuntimeError(
             f"propagated weights (a21={a21:g}, a22={a22:g}) drifted from "
             f"(nu={nu:g}, kappa={recipe.kappa:g})"
         )
-    probe = make_probe_state(nu, recipe.kappa, psi)
-    meter_q, meter_p = _meters(transform)
-    return LinearSimultaneousMeasurement(
-        probe=probe,
-        meter_q=meter_q,
-        meter_p=meter_p,
-        tau=recipe.tau,
-        generator=gen,
-        transform=transform,
-    )
+    return m
 
 
 def measurement_from_parts(
     gen: SolvableGenerator, probe: GaussianState
 ) -> LinearSimultaneousMeasurement:
     """Wire an arbitrary solvable generator to an arbitrary probe state."""
-    transform = propagate(gen)
-    meter_q, meter_p = _meters(transform)
-    return LinearSimultaneousMeasurement(
-        probe=probe,
-        meter_q=meter_q,
-        meter_p=meter_p,
-        tau=gen.tau,
-        generator=gen,
-        transform=transform,
-    )
+    return _wire(propagate(gen), probe, gen)
 
 
 def measurement_from_matrix(
@@ -236,14 +226,7 @@ def measurement_from_matrix(
     transform = PropagatedTransform(
         a=numeric_expm(r, tau), b=numeric_expm(-r.T, tau), tau=tau
     )
-    meter_q, meter_p = _meters(transform)
-    return LinearSimultaneousMeasurement(
-        probe=probe,
-        meter_q=meter_q,
-        meter_p=meter_p,
-        tau=tau,
-        transform=transform,
-    )
+    return _wire(transform, probe)
 
 
 def arthurs_kelly_model(probe: GaussianState) -> LinearSimultaneousMeasurement:

@@ -355,11 +355,10 @@ def _tensor_layout(first_modes: tuple, second_modes: tuple) -> tuple:
     """Merged modes, and for each factor its target indices in the merged
     (Q..., P...) order plus the matching covariance block index."""
     modes = tuple(sorted(first_modes + second_modes))
-    m = len(modes)
+    merged = _basis_index(modes)  # ascending modes give a sorted index
     targets = []
     for factor in (first_modes, second_modes):
-        q_idx = [modes.index(j) for j in factor]
-        idx = q_idx + [m + k for k in q_idx]
+        idx = np.searchsorted(merged, _basis_index(factor))
         targets.append((idx, np.ix_(idx, idx)))
     return modes, targets
 

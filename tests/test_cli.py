@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import simqp
 from simqp import (
     MinUncertaintyParams,
     ModelFamily,
@@ -479,3 +484,32 @@ class TestExactValues:
         joint = builder(build_model(ModelFamily.Z, 0.42, self.PSI), self.PSI)
         assert header == list(joint.labels)
         np.testing.assert_array_equal(np.array(rows), sample(joint, 500, 7))
+
+
+# Runs CLI commands in a fresh interpreter where ``import scipy`` fails, so
+# a scipy import anywhere in the runtime makes the command exit non-zero.
+_NUMPY_ONLY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None
+import simqp
+import simqp.cli
+for argv in (
+    ["check", "--family", "y0", "--nu", "0.4"],
+    ["sample", "--family", "z", "--nu", "0.4", "--n", "100"],
+    ["posterior", "--family", "z", "--nu", "0.4", "--region=-1,inf,-inf,0.5"],
+):
+    code = simqp.cli.main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def test_runtime_needs_no_scipy():
+    src = str(Path(simqp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -367,6 +367,61 @@ class TestPosteriorConsistency:
         with pytest.raises(ValueError, match="posterior"):
             posterior_consistency(ModelFamily.X, 0.5, PSI)
 
+    def test_matches_per_outcome_conditionals(self):
+        """Reference: one full ``conditional`` law per outcome and joint."""
+
+        def per_outcome_report(family, nu, psi, outcomes):
+            m = build_model(family, nu, psi)
+            q_out, p_out = heisenberg_observables(m.transform)
+            meters = [m.meter_q, m.meter_p]
+            joint_q = joint_distribution([q_out[0], *meters], joint_state(m, psi))
+            joint_p = joint_distribution([p_out[0], *meters], joint_state(m, psi))
+            if outcomes is None:
+                mean = joint_q.mean[-2:]
+                sd = np.sqrt(np.diag(joint_q.cov)[-2:])
+                outcomes = [
+                    (mean[0] + dz * sd[0], mean[1] + dw * sd[1])
+                    for dz in (-1.0, 0.0, 1.0)
+                    for dw in (-1.0, 0.0, 1.0)
+                ]
+            fam = PosteriorFamily(nu=nu, psi=psi)
+            max_mean_dev = max_var_dev = 0.0
+            count = 0
+            for z, w in outcomes:
+                expected_mean = fam.mean_map((z, w))
+                expected_var = (fam.var_q, fam.var_p)
+                for joint, k in ((joint_q, 0), (joint_p, 1)):
+                    cond = conditional(joint, given=(1, 2), values=(z, w))
+                    max_mean_dev = max(
+                        max_mean_dev, abs(cond.mean[0] - expected_mean[k])
+                    )
+                    max_var_dev = max(
+                        max_var_dev, abs(cond.cov[0, 0] - expected_var[k])
+                    )
+                count += 1
+            return count, max_mean_dev, max_var_dev
+
+        rng = np.random.default_rng(8128)
+        for _ in range(1000):
+            family = (ModelFamily.Y0, ModelFamily.Z)[rng.integers(2)]
+            nu = rng.uniform(0.01, 0.99)
+            psi = MinUncertaintyParams(
+                q1=rng.normal(scale=3.0),
+                p1=rng.normal(scale=3.0),
+                sigma1=10.0 ** rng.uniform(-3.0, 3.0),
+                hbar=10.0 ** rng.uniform(-3.0, 3.0),
+            )
+            n = (0, 1, None)[rng.integers(3)]
+            outcomes = None if n is None else [
+                tuple(rng.normal(scale=3.0 * psi.sigma1, size=2)) for _ in range(n)
+            ]
+            report = posterior_consistency(family, nu, psi, outcomes)
+            want = per_outcome_report(family, nu, psi, outcomes)
+            got = (
+                report.n_outcomes, report.max_mean_deviation, report.max_var_deviation
+            )
+            assert got == want, (family, nu, psi, outcomes)
+
 
 class TestRegionMixture:
     def test_full_plane_matches_heisenberg_moments(self):

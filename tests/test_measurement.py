@@ -1,5 +1,6 @@
 """Model assembly, q-rms errors, trade-off bounds, achievability conditions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (
     random_matched_measurement,
     random_measurement,
     random_pure_probe,
+    random_solvable_generator,
 )
 
 from simqp import (
@@ -34,6 +36,7 @@ from simqp import (
     heisenberg_product,
     lower_bound_l,
     measurement_from_matrix,
+    measurement_from_parts,
     momentum,
     noise_operators,
     ozawa_inequality_residual,
@@ -41,6 +44,7 @@ from simqp import (
     qrms_errors,
     solve_couplings,
 )
+from simqp import measurement
 
 PSI = MinUncertaintyParams()
 
@@ -311,6 +315,13 @@ class TestBuildModel:
         m = build_model(family, 0.37, PSI)
         assert abs(commutator_coeff(m.meter_q, m.meter_p)) <= 1e-12
 
+    def test_recipe_kappa_drift_is_caught(self, monkeypatch):
+        recipe = measurement.FAMILY_PARAMETERS[ModelFamily.X]
+        wrong = dataclasses.replace(recipe, kappa=recipe.kappa + 0.5)
+        monkeypatch.setitem(measurement.FAMILY_PARAMETERS, ModelFamily.X, wrong)
+        with pytest.raises(RuntimeError, match=r"a22=2\b.*drifted.*kappa=2\.5"):
+            build_model(ModelFamily.X, 0.5, PSI)
+
 
 class TestGeneralGenerator:
     def test_outside_solvable_class(self):
@@ -326,6 +337,22 @@ class TestGeneralGenerator:
         errs = qrms_errors(m, PSI)
         assert branciard_ozawa_residual(errs, PSI) >= -1e-9
         assert ozawa_inequality_residual(errs, PSI) >= -1e-9
+
+    def test_matrix_route_matches_solvable_route(self):
+        rng = np.random.default_rng(707)
+        for _ in range(50):
+            gen = random_solvable_generator(rng)
+            probe = random_pure_probe(rng)
+            by_parts = measurement_from_parts(gen, probe)
+            by_matrix = measurement_from_matrix(gen.s, gen.tau, probe)
+            assert by_matrix.generator is None
+            assert by_matrix.tau == by_parts.tau
+            for got, want in (
+                (by_matrix.meter_q, by_parts.meter_q),
+                (by_matrix.meter_p, by_parts.meter_p),
+            ):
+                np.testing.assert_allclose(got.coeff_q, want.coeff_q, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got.coeff_p, want.coeff_p, rtol=0, atol=1e-12)
 
     def test_fuzz_bounds_hold(self):
         rng = np.random.default_rng(606)

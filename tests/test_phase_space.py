@@ -1,5 +1,7 @@
 """Quadrature observables, commutators, and Gaussian state constructors."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,9 @@ from simqp import (
 from simqp.phase_space import linear_moments
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
+
+# every non-empty proper subset of the modes, as an ascending tuple
+MODE_TUPLES = [c for k in (1, 2) for c in itertools.combinations((1, 2, 3), k)]
 
 
 def random_observable(rng):
@@ -280,6 +285,40 @@ class TestGaussianState:
             assert moments(joint, f) == pytest.approx(moments(probe, f))
         # no cross-subsystem correlations
         assert covariance(joint, position(1), position(2)) == 0.0
+
+    @pytest.mark.parametrize(
+        "first_modes, second_modes",
+        [(a, b) for a in MODE_TUPLES for b in MODE_TUPLES if not set(a) & set(b)],
+    )
+    def test_tensor_keeps_marginals_for_every_mode_split(self, first_modes, second_modes):
+        rng = np.random.default_rng(sum(first_modes) * 10 + sum(second_modes))
+        factors = []
+        for modes in (first_modes, second_modes):
+            root = rng.normal(size=(2 * len(modes),) * 2)
+            factors.append(
+                GaussianState(
+                    modes=modes,
+                    mean=rng.normal(size=2 * len(modes)),
+                    cov=root @ root.T + 0.1 * np.eye(2 * len(modes)),
+                )
+            )
+        joint = tensor(*factors)
+        assert joint.modes == tuple(sorted(first_modes + second_modes))
+        for state in factors:
+            for j in state.modes:
+                for f in (position(j), momentum(j)):
+                    assert moments(joint, f) == moments(state, f)
+                for k in state.modes:
+                    assert covariance(joint, position(j), momentum(k)) == covariance(
+                        state, position(j), momentum(k)
+                    )
+        # no cross-factor correlations
+        for j in first_modes:
+            for k in second_modes:
+                for f, g in itertools.product(
+                    (position(j), momentum(j)), (position(k), momentum(k))
+                ):
+                    assert covariance(joint, f, g) == 0.0
 
     def test_tensor_rejects_overlap(self):
         psi = MinUncertaintyParams()
