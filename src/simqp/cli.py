@@ -56,6 +56,9 @@ SWEEP_RESIDUAL_TOL = 1e-8
 
 DEFAULT_NU_GRID = [round(0.01 * k, 2) for k in range(1, 100)]
 
+# rows formatted and written per call in _write_csv
+_CSV_BLOCK_ROWS = 8192
+
 JOINT_BUILDERS = {
     "meters": meter_joint,
     "q-pair": q_pair_joint,
@@ -130,11 +133,25 @@ def _write_text(path: str | None, text: str):
 
 
 def _write_csv(path: str | None, header: list, rows):
-    """CSV with a header line; ``%.17g`` reads back to the same float."""
-    with _output(path) as fh:
-        np.savetxt(
-            fh, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments=""
+    """CSV with a header line; ``%.17g`` reads back to the same float.
+
+    A non-finite value raises ValueError before the output is opened.
+    """
+    table = np.asarray(rows, dtype=float)
+    bad = ~np.isfinite(table)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(
+            f"column {header[col]!r} holds the non-finite value {table[row, col]} "
+            f"(row {row + 1}); CSV output must be finite"
         )
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with _output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        # one string per block keeps memory bounded whatever the row count
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _balanced_probe(hbar: float) -> GaussianState:
@@ -426,6 +443,10 @@ def main(argv=None) -> int:
         raise ValueError(f"unknown command {args.command!r}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # a finite input whose square (sigma1**2, sigma_p**2, ...) exceeds float64
+        print(f"error: an input overflows float64 ({exc})", file=sys.stderr)
         return 2
 
 

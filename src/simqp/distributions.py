@@ -185,14 +185,11 @@ def gauss_error(joint: JointGaussian, i: int = 0, j: int = 1) -> float:
 
 
 def _factor_covariance(cov: np.ndarray) -> np.ndarray:
-    """Symmetric square root with tiny negative eigenvalues clipped to 0."""
+    """Factor ``L`` with ``L Lᵀ = cov``, tiny negative eigenvalues clipped to 0.
+
+    ``cov`` is a ``JointGaussian`` covariance, already PSD to ``CLIP_ATOL``.
+    """
     eigvals, eigvecs = np.linalg.eigh(cov)
-    floor = -CLIP_ATOL * max(1.0, eigvals[-1])
-    if eigvals[0] < floor:
-        raise ValueError(
-            f"covariance is not positive semidefinite "
-            f"(smallest eigenvalue {eigvals[0]:g})"
-        )
     return eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))
 
 
@@ -200,7 +197,7 @@ def sample(joint: JointGaussian, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` i.i.d. outcome vectors, deterministically in ``seed``.
 
     Exact-rank covariances (perfectly correlated components) sample fine
-    thanks to the clipped symmetric square root.
+    thanks to the clipped eigen-factorisation.
 
     Returns:
         array of shape ``(n, dim)``.

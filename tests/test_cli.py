@@ -1,5 +1,7 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -24,6 +26,7 @@ from simqp import (
     qrms_errors,
     sample,
 )
+from simqp import cli
 from simqp.cli import main
 
 
@@ -486,6 +489,142 @@ class TestExactValues:
         np.testing.assert_array_equal(np.array(rows), sample(joint, 500, 7))
 
 
+BLOCK = cli._CSV_BLOCK_ROWS
+
+
+def savetxt_oracle(header, rows) -> bytes:
+    """The CSV that ``np.savetxt`` writes: the reference for ``_write_csv``."""
+    fh = io.BytesIO()
+    np.savetxt(
+        fh, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments=""
+    )
+    return fh.getvalue()
+
+
+def write_csv_bytes(tmp_path, header, rows) -> bytes:
+    path = tmp_path / "table.csv"
+    cli._write_csv(str(path), header, rows)
+    return path.read_bytes()
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_matches_savetxt(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        for ncol in range(1, 8):
+            header = [f"c{j}" for j in range(ncol)]
+            # magnitudes over the whole float64 range, both signs
+            rows = rng.standard_normal((n, ncol)) * 10.0 ** rng.uniform(
+                -300, 300, (n, ncol)
+            )
+            assert write_csv_bytes(tmp_path, header, rows) == savetxt_oracle(
+                header, rows
+            )
+
+    def test_special_values_and_list_rows(self, tmp_path):
+        rows = [
+            [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308],
+            [1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1e-310],
+            [0.1, 1.0 / 3.0, 2.0**53 + 2.0, -123456789.0, math.pi],
+        ]
+        header = ["a", "b", "c", "d", "e"]
+        got = write_csv_bytes(tmp_path, header, rows)
+        assert got == savetxt_oracle(header, rows)
+        assert got.splitlines()[1].startswith(b"-0,0,")
+
+    def test_no_write_exceeds_one_block(self, monkeypatch):
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                assert text.count("\n") <= BLOCK
+                writes.append(text)
+
+        @contextlib.contextmanager
+        def recording_output(path):
+            yield Recorder()
+
+        monkeypatch.setattr(cli, "_output", recording_output)
+        rows = np.random.default_rng(1).standard_normal((2 * BLOCK + 3, 3))
+        cli._write_csv(None, ["a", "b", "c"], rows)
+        assert len(writes) == 4  # header, then three blocks
+        assert "".join(writes).encode() == savetxt_oracle(["a", "b", "c"], rows)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_writes_nothing(self, tmp_path, bad):
+        rows = np.ones((5, 3))
+        rows[3, 2] = bad
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="column 'c' .*row 4"):
+            cli._write_csv(str(path), ["a", "b", "c"], rows)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_csv_and_json_agree_on_non_finite_output(self, capsys, tmp_path, fmt):
+        # sigma_p = hbar / (2 sigma1) overflows to inf
+        path = tmp_path / f"curve.{fmt}"
+        code, out, err = run(
+            capsys, "frontier", "--sigma1", "1e-320", "--format", fmt
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        code, _, _ = run(
+            capsys, "frontier", "--sigma1", "1e-320", "--format", fmt,
+            "--out", str(path),
+        )
+        assert code == 2
+        assert not path.exists()
+
+    def test_non_finite_error_names_the_column(self, capsys):
+        _, _, err = run(capsys, "frontier", "--sigma1", "1e-320")
+        assert "'eps_p'" in err
+
+    @pytest.mark.parametrize("which, builder", [
+        ("meters", meter_joint), ("q-pair", q_pair_joint), ("p-pair", p_pair_joint),
+    ])
+    def test_sample_rows_across_block_boundary(self, capsys, tmp_path, which, builder):
+        path = tmp_path / "draws.csv"
+        n = BLOCK + 1
+        code, _, _ = run(
+            capsys, "sample", "--family", "y2", "--which", which, "--nu", "0.3",
+            "--n", str(n), "--seed", "11", "--out", str(path),
+        )
+        assert code == 0
+        psi = MinUncertaintyParams()
+        joint = builder(build_model(ModelFamily.Y2, 0.3, psi), psi)
+        header, rows = parse_csv(path.read_text(encoding="utf-8"))
+        assert header == list(joint.labels)
+        np.testing.assert_array_equal(np.array(rows), sample(joint, n, 11))
+
+
+def _subprocess_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(simqp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--family", "z", "--sigma1", "1e200"),
+        ("check", "--family", "x", "--nu", "0.5", "--sigma1", "1e200"),
+        ("sample", "--family", "y0", "--nu", "0.5", "--sigma1", "1e200", "--n", "10"),
+        ("sweep", "--family", "ak", "--hbar", "1e300"),
+    ],
+)
+def test_overflowing_inputs_are_usage_errors(argv):
+    done = subprocess.run(
+        [sys.executable, "-m", "simqp.cli", *argv],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr
+
+
 # Runs CLI commands in a fresh interpreter where ``import scipy`` fails, so
 # a scipy import anywhere in the runtime makes the command exit non-zero.
 _NUMPY_ONLY_SCRIPT = """
@@ -505,11 +644,8 @@ for argv in (
 
 
 def test_runtime_needs_no_scipy():
-    src = str(Path(simqp.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     done = subprocess.run(
         [sys.executable, "-c", _NUMPY_ONLY_SCRIPT],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

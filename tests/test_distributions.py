@@ -263,6 +263,29 @@ class TestSample:
         with pytest.raises(ValueError, match="semidefinite"):
             JointGaussian(("a", "b"), [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
+    @pytest.mark.parametrize("excess", [1e-6, 1e-11])
+    def test_non_psd_rejected_when_joint_is_built(self, excess):
+        # smallest eigenvalue -excess, beyond CLIP_ATOL * top eigenvalue
+        c = 1.0 + excess
+        with pytest.raises(
+            ValueError, match="^covariance matrix is not positive semidefinite"
+        ):
+            JointGaussian(("a", "b"), [0.0, 0.0], [[1.0, c], [c, 1.0]])
+
+    @pytest.mark.parametrize("excess", [0.0, 5e-13])
+    def test_exact_rank_covariance_samples(self, excess):
+        # rank-1 in three components, plus a negative eigenvalue within CLIP_ATOL
+        v = np.array([1.0, -2.0, 0.5])
+        u = np.array([2.0, 1.0, 0.0]) / math.sqrt(5.0)
+        cov = np.outer(v, v) - excess * np.outer(u, u)
+        joint = JointGaussian(("a", "b", "c"), [1.0, 0.0, -1.0], cov)
+        draws = sample(joint, 2000, seed=4)
+        assert np.isfinite(draws).all()
+        # every draw lies on the line mean + t v, up to the square roots
+        # (about 1e-8) of the round-off eigenvalues eigh leaves at zero
+        t = (draws - joint.mean) / v
+        assert np.ptp(t, axis=1).max() < 1e-6
+
     def test_asymmetric_covariance_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             JointGaussian(("a", "b"), [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
