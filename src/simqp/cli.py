@@ -59,6 +59,15 @@ DEFAULT_NU_GRID = [round(0.01 * k, 2) for k in range(1, 100)]
 # rows formatted and written per call in _write_csv
 _CSV_BLOCK_ROWS = 8192
 
+# the spreads each command squares on its way: a value whose square
+# overflows float64 is refused up front, naming its flag
+_SQUARED_INPUTS = {
+    "sweep": ("sigma1", "hbar", "sigma_p"),
+    "check": ("sigma1", "hbar", "sigma_p"),
+    "sample": ("sigma1", "sigma_p"),
+    "posterior": ("sigma1", "hbar"),
+}
+
 JOINT_BUILDERS = {
     "meters": meter_joint,
     "q-pair": q_pair_joint,
@@ -86,7 +95,9 @@ class RunConfig:
             q1=self.q1, p1=self.p1, sigma1=self.sigma1, hbar=self.hbar
         )
 
-    def validate(self):
+    def validate(self, squared=()):
+        """Check the parameters; ``squared`` names the spreads whose squares
+        must stay finite (see ``_SQUARED_INPUTS``)."""
         for name in ("hbar", "sigma1", "q1", "p1"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -99,6 +110,19 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ValueError(f"output path must be a string, got {self.output_path!r}")
+        psi = self.psi
+        for name in squared:
+            value = getattr(psi, name)
+            if math.isinf(value * value):
+                source = (
+                    f"hbar/(2 sigma1) from --hbar {psi.hbar:g} and --sigma1 {psi.sigma1:g}"
+                    if name == "sigma_p"
+                    else f"--{name}"
+                )
+                raise ValueError(
+                    f"{name} = {value:g} ({source}) is too large: "
+                    f"its square overflows float64"
+                )
 
 
 def _json(payload) -> str:
@@ -406,7 +430,7 @@ def _resolve_config(args) -> RunConfig:
     except (TypeError, AttributeError) as exc:
         # flags arrive typed from argparse, so only a file value can get here
         raise ValueError(f"config file {args.config} holds a value of the wrong type: {exc}")
-    cfg.validate()
+    cfg.validate(_SQUARED_INPUTS.get(args.command, ()))
     if cfg.family not in FAMILY_PARAMETERS and cfg.family is not ModelFamily.ARTHURS_KELLY:
         raise ValueError(f"family {cfg.family} is not runnable")
     return cfg

@@ -20,11 +20,12 @@ from .measurement import (
     ModelFamily,
     build_model,
 )
-from .dynamics import heisenberg_observables
 from .phase_space import (
     GaussianState,
+    LinearObservable,
     MinUncertaintyParams,
     checked_covariance,
+    checked_variances,
     commutator_coeff,
     linear_moments,
     make_min_uncertainty_state,
@@ -261,6 +262,10 @@ class PosteriorFamily:
     def __post_init__(self):
         if not 0.0 < self.nu < 1.0:
             raise ValueError(f"nu must lie strictly between 0 and 1, got {self.nu}")
+        inputs = dict(nu=self.nu, sigma1=self.psi.sigma1, hbar=self.psi.hbar)
+        # var_p divides by var_q, so var_q is checked first
+        checked_variances((("posterior Var(Q1)", self.var_q),), **inputs)
+        checked_variances((("posterior Var(P1)", self.var_p),), **inputs)
 
     @property
     def var_q(self) -> float:
@@ -337,11 +342,15 @@ def posterior_consistency(
     """
     check_posterior_family(family)
     m = build_model(family, nu, psi)
-    q_out, p_out = heisenberg_observables(m.transform)
+    zero = np.zeros(3)
+    targets = (  # Q1(tau) and P1(tau): row 1 of A and row 1 of B
+        LinearObservable(m.transform.a[0], zero, 0.0),
+        LinearObservable(zero, m.transform.b[0], 0.0),
+    )
     state = tensor(make_min_uncertainty_state(psi), m.probe)
     joints = [
         joint_distribution([target, m.meter_q, m.meter_p], state)
-        for target in (q_out[0], p_out[0])
+        for target in targets
     ]
     if outcomes is None:
         outcomes = _default_outcome_grid(joints[0])

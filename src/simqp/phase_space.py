@@ -26,6 +26,10 @@ MODES = (1, 2, 3)
 # more negative than this fraction of the largest one
 PSD_RTOL = 1e-10
 
+# from this magnitude on, an entry doubles past float64's largest value, so
+# the symmetrisation 0.5 * (cov + cov.T) would turn it into inf
+_SYMMETRISE_LIMIT = 2.0**1023
+
 
 # packet states kept by make_min_uncertainty_state; about 0.75 kB each with
 # its key, so a full cache holds under 1 MB
@@ -52,10 +56,15 @@ def check_close(actual, expected, tol: float, message: str) -> None:
 
 def checked_covariance(cov: np.ndarray, psd_rtol: float) -> np.ndarray:
     """Symmetrized read-only ``cov``, PSD to ``psd_rtol * max(1, top eigenvalue)``."""
+    largest = np.abs(cov).max()
     check_close(
-        cov, cov.T, 1e-12 * max(1.0, np.abs(cov).max()),
-        "covariance matrix is not symmetric",
+        cov, cov.T, 1e-12 * max(1.0, largest), "covariance matrix is not symmetric"
     )
+    if largest >= _SYMMETRISE_LIMIT:
+        raise ValueError(
+            f"covariance matrix entry {largest:g} is too large: "
+            "symmetrising it overflows float64"
+        )
     cov = 0.5 * (cov + cov.T)
     eigvals = np.linalg.eigvalsh(cov)
     if eigvals[0] < -psd_rtol * max(1.0, eigvals[-1]):
@@ -65,6 +74,26 @@ def checked_covariance(cov: np.ndarray, psd_rtol: float) -> np.ndarray:
         )
     cov.setflags(write=False)
     return cov
+
+
+def checked_variances(variances, **inputs) -> None:
+    """Raise ``ValueError`` naming the first variance that is not finite and positive.
+
+    ``variances`` holds ``(name, value)`` pairs; the message also lists
+    the ``inputs`` they were computed from.
+    """
+    for name, value in variances:
+        if not 0.0 < value < math.inf:
+            given = ", ".join(f"{key}={val:g}" for key, val in inputs.items())
+            raise ValueError(f"{name} = {value:g} is not finite and positive ({given})")
+
+
+def _square(x: float) -> float:
+    """``x**2``, or ``inf`` where that overflows float64."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def _as_coeffs(values) -> np.ndarray:
@@ -200,6 +229,10 @@ class MinUncertaintyParams:
 class GaussianState:
     """Gaussian state on a subset of the three modes.
 
+    Every instance has passed :func:`checked_covariance`: either directly,
+    in the constructor, or as the :func:`tensor` product of two states
+    that have.
+
     Args:
         modes: ascending tuple of distinct modes from {1, 2, 3}.
         mean: length ``2m`` vector, all Q means then all P means.
@@ -303,9 +336,16 @@ def make_min_uncertainty_state(params: MinUncertaintyParams) -> GaussianState:
     distinct ``params`` and shared; ``+ 0.0`` stores a signed zero mean
     as ``0.0``, because equal params must give the same cached state
     whichever of ``0.0`` and ``-0.0`` was asked for first.
+
+    Raises:
+        ValueError: naming the variance that is not finite and positive.
     """
-    var_q = params.sigma1**2
-    var_p = params.sigma_p**2
+    var_q = _square(params.sigma1)
+    var_p = _square(params.sigma_p)
+    checked_variances(
+        (("packet Var(Q1)", var_q), ("packet Var(P1)", var_p)),
+        sigma1=params.sigma1, hbar=params.hbar,
+    )
     return GaussianState(
         modes=(1,),
         mean=np.array([params.q1 + 0.0, params.p1 + 0.0]),
@@ -335,18 +375,23 @@ def make_probe_state(
         psi: system packet parameters supplying q1, p1, sigma1, hbar.
 
     Raises:
-        ValueError: if ``nu`` is outside (0, 1) or ``kappa == 0``.
+        ValueError: if ``nu`` is outside (0, 1) or ``kappa == 0``, or
+            naming the probe variance that is not finite and positive.
     """
     if not 0.0 < nu < 1.0:
         raise ValueError(f"nu must lie strictly between 0 and 1, got {nu}")
     if kappa == 0.0:
         raise ValueError("kappa must be nonzero")
-    s2 = psi.sigma1**2
-    quarter_h2 = (psi.hbar / 2.0) ** 2
+    s2 = _square(psi.sigma1)
+    quarter_h2 = _square(psi.hbar / 2.0)
     var_q2 = nu * (1.0 - nu) * s2 / (2.0 * kappa**2)
     var_q3 = 2.0 * kappa**2 * s2 / (nu * (1.0 - nu))
+    inputs = dict(nu=nu, kappa=kappa, sigma1=psi.sigma1, hbar=psi.hbar)
+    checked_variances((("probe Var(Q2)", var_q2), ("probe Var(Q3)", var_q3)), **inputs)
+    var_p2, var_p3 = quarter_h2 / var_q2, quarter_h2 / var_q3  # divisors checked above
+    checked_variances((("probe Var(P2)", var_p2), ("probe Var(P3)", var_p3)), **inputs)
     mean = np.array([(1.0 - nu) * psi.q1 / kappa, 0.0, 0.0, nu * psi.p1 / kappa])
-    cov = np.diag([var_q2, var_q3, quarter_h2 / var_q2, quarter_h2 / var_q3])
+    cov = np.diag([var_q2, var_q3, var_p2, var_p3])
     return GaussianState(modes=(2, 3), mean=mean, cov=cov, hbar=psi.hbar)
 
 
@@ -364,7 +409,17 @@ def _tensor_layout(first_modes: tuple, second_modes: tuple) -> tuple:
 
 
 def tensor(first: GaussianState, second: GaussianState) -> GaussianState:
-    """Product state of two Gaussian states on disjoint modes."""
+    """Product state of two Gaussian states on disjoint modes.
+
+    The product's covariance is the direct sum of the factors' (Weedbrook
+    et al., Rev. Mod. Phys. 84, 621 (2012), sec. II), placed in the merged
+    (Q..., P...) order.  Its eigenvalues are the union of the factors'
+    eigenvalues, and the PSD scale ``max(1, top eigenvalue)`` of the sum is
+    at least each factor's, so the product passes :func:`checked_covariance`
+    whenever both factors did: it is assembled without checking again.  The
+    assembled matrix is exactly symmetric, so symmetrising would not change
+    a bit of it.
+    """
     if set(first.modes) & set(second.modes):
         raise ValueError(
             f"states overlap on modes {set(first.modes) & set(second.modes)}"
@@ -378,4 +433,8 @@ def tensor(first: GaussianState, second: GaussianState) -> GaussianState:
     for state, (idx, block) in zip((first, second), targets):
         mean[idx] = state.mean
         cov[block] = state.cov
-    return GaussianState(modes=modes, mean=mean, cov=cov, hbar=first.hbar)
+    mean.setflags(write=False)
+    cov.setflags(write=False)
+    product = object.__new__(GaussianState)  # skips __post_init__, see above
+    vars(product).update(modes=modes, mean=mean, cov=cov, hbar=first.hbar)
+    return product

@@ -625,6 +625,54 @@ def test_overflowing_inputs_are_usage_errors(argv):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (
+            ("sweep", "--family", "z", "--sigma1", "1e200"),
+            ["sigma1 = 1e+200 (--sigma1)", "its square overflows float64"],
+        ),
+        (
+            ("sweep", "--family", "ak", "--hbar", "1e300"),
+            ["hbar = 1e+300 (--hbar)", "its square overflows float64"],
+        ),
+        (
+            ("check", "--family", "x", "--nu", "0.5", "--sigma1", "1e-160"),
+            ["sigma_p = 5e+159", "--hbar 1 and --sigma1 1e-160"],
+        ),
+        (
+            ("sample", "--family", "y0", "--nu", "0.5", "--sigma1", "1e154", "--n", "10"),
+            ["probe Var(Q3) = inf", "nu=0.5, kappa=1, sigma1=1e+154"],
+        ),
+        (
+            ("posterior", "--family", "z", "--nu", "0.5", "--sigma1", "1e154", "--y", "1,2"),
+            ["covariance matrix entry 1e+308 is too large"],
+        ),
+        (
+            ("posterior", "--family", "z", "--nu", "0.5", "--sigma1", "1e-160", "--y", "1,2"),
+            ["posterior Var(P1) = inf", "sigma1=1e-160"],
+        ),
+        (
+            ("sweep", "--family", "z", "--nu", "0.5", "--sigma1", "1e-170", "--hbar", "1e-200"),
+            ["probe Var(Q2) = 0 is not finite and positive"],
+        ),
+    ],
+)
+def test_out_of_range_inputs_are_named(capsys, argv, names):
+    code, out, err = run(capsys, *argv)  # a numpy RuntimeWarning would raise here
+    assert (code, out) == (2, "")
+    for name in names:
+        assert name in err
+
+
+@pytest.mark.parametrize("sigma1", ["1e200", "1e-160"])
+def test_frontier_squares_no_input(capsys, sigma1):
+    code, out, _ = run(capsys, "frontier", "--nu", "0.5", "--sigma1", sigma1)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert all(math.isfinite(v) and v > 0.0 for v in rows[0])
+
+
 # Runs CLI commands in a fresh interpreter where ``import scipy`` fails, so
 # a scipy import anywhere in the runtime makes the command exit non-zero.
 _NUMPY_ONLY_SCRIPT = """

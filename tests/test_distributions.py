@@ -353,6 +353,20 @@ class TestPosteriorStates:
             product = state.cov[0, 0] * state.cov[1, 1]
             assert product == pytest.approx((psi.hbar / 2.0) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "nu, sigma1, hbar, message",
+        [
+            (0.5, 1e-160, 1.0, r"posterior Var\(P1\) = inf .*nu=0.5, sigma1=1e-160"),
+            (1e-6, 1e154, 1.0, r"posterior Var\(Q1\) = inf "),
+            (0.5, 1e-170, 1e-200, r"posterior Var\(Q1\) = 0 is not finite and positive"),
+            (0.5, 2.3e-162, 1e-320, r"posterior Var\(P1\) = 0 "),
+        ],
+    )
+    def test_unrepresentable_variance_is_named(self, nu, sigma1, hbar, message):
+        psi = MinUncertaintyParams(sigma1=sigma1, hbar=hbar)
+        with pytest.raises(ValueError, match=message):
+            PosteriorFamily(nu=nu, psi=psi)
+
 
 class TestPosteriorConsistency:
     def test_neutral_outcome_moments(self):

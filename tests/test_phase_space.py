@@ -21,12 +21,46 @@ from simqp import (
     position,
     tensor,
 )
-from simqp.phase_space import linear_moments
+from simqp.phase_space import PSD_RTOL, checked_covariance, linear_moments
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 
 # every non-empty proper subset of the modes, as an ascending tuple
 MODE_TUPLES = [c for k in (1, 2) for c in itertools.combinations((1, 2, 3), k)]
+
+# the 12 ordered pairs of disjoint mode tuples
+MODE_SPLITS = [(a, b) for a in MODE_TUPLES for b in MODE_TUPLES if not set(a) & set(b)]
+
+FACTOR_KINDS = ("random", "pure", "rank-one", "psd-edge")
+
+
+def factor_covariance(rng, kind: str, dim: int) -> np.ndarray:
+    """A covariance that passes ``checked_covariance`` at ``PSD_RTOL``, of one kind.
+
+    ``pure``: a pure state squeezed by up to e^20 per mode, rotated within
+    each mode; ``rank-one``: an exact-rank ``v v^T``; ``psd-edge``: smallest
+    eigenvalue at -0.9 * PSD_RTOL times the largest.
+    """
+    if kind == "random":
+        root = rng.normal(size=(dim, dim))
+        return root @ root.T
+    if kind == "pure":
+        m = dim // 2
+        squeeze = np.exp(rng.uniform(-10.0, 10.0, size=m))
+        cov = 0.5 * np.diag(np.concatenate([squeeze**2, squeeze**-2]))
+        rot = np.eye(dim)
+        for j, angle in enumerate(rng.uniform(0.0, np.pi, size=m)):
+            c, s = np.cos(angle), np.sin(angle)
+            rot[np.ix_([j, m + j], [j, m + j])] = [[c, -s], [s, c]]
+        return rot @ cov @ rot.T
+    if kind == "rank-one":
+        v = rng.normal(size=dim)
+        return np.outer(v, v)
+    eigvals = rng.uniform(0.1, 1.0, size=dim)
+    eigvals[0] = 1.0
+    eigvals[-1] = -0.9 * PSD_RTOL
+    basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return basis @ np.diag(eigvals) @ basis.T
 
 
 def random_observable(rng):
@@ -102,6 +136,19 @@ class TestMinUncertaintyState:
         moved = make_min_uncertainty_state(MinUncertaintyParams(5.0, -7.0, 1.0, 1.0))
         np.testing.assert_allclose(moved.mean, [5.0, -7.0])
         np.testing.assert_allclose(moved.cov, base.cov)
+
+    @pytest.mark.parametrize(
+        "sigma1, hbar, message",
+        [
+            (1e200, 1.0, r"packet Var\(Q1\) = inf .*sigma1=1e\+200, hbar=1"),
+            (1e-170, 1e-200, r"packet Var\(Q1\) = 0 is not finite and positive"),
+            (1e-160, 1.0, r"packet Var\(P1\) = inf "),
+            (1e100, 1e-100, r"packet Var\(P1\) = 0 "),
+        ],
+    )
+    def test_unrepresentable_variance_is_named(self, sigma1, hbar, message):
+        with pytest.raises(ValueError, match=message):
+            make_min_uncertainty_state(MinUncertaintyParams(sigma1=sigma1, hbar=hbar))
 
     def test_cached_state_is_read_only(self):
         state = make_min_uncertainty_state(MinUncertaintyParams(0.3, -0.2, 1.5, 0.7))
@@ -243,6 +290,21 @@ class TestProbeState:
         with pytest.raises(ValueError):
             make_probe_state(0.5, 0.0, MinUncertaintyParams())
 
+    @pytest.mark.parametrize(
+        "sigma1, hbar, message",
+        [
+            (1e200, 1.0, r"probe Var\(Q2\) = inf .*sigma1=1e\+200"),
+            (1e154, 1.0, r"probe Var\(Q3\) = inf .*nu=0.5, kappa=1, sigma1=1e\+154"),
+            (1e-170, 1e-200, r"probe Var\(Q2\) = 0 is not finite and positive"),
+            (1e100, 1e-100, r"probe Var\(P2\) = 0 "),
+            (1.0, 1e300, r"probe Var\(P2\) = inf .*hbar=1e\+300"),
+        ],
+    )
+    def test_unrepresentable_variance_is_named(self, sigma1, hbar, message):
+        psi = MinUncertaintyParams(sigma1=sigma1, hbar=hbar)
+        with pytest.raises(ValueError, match=message):
+            make_probe_state(0.5, 1.0, psi)
+
 
 class TestGaussianState:
     def test_rejects_asymmetric_cov(self):
@@ -259,6 +321,12 @@ class TestGaussianState:
         for cov in (np.array([[1.0, bad], [bad, 1.0]]), np.diag([bad, 1.0])):
             with pytest.raises(ValueError, match="non-finite"):
                 GaussianState((1,), np.zeros(2), cov)
+
+    def test_rejects_entries_whose_symmetrisation_overflows(self):
+        # 0.5 * (cov + cov.T) doubles each entry first; from 2**1023 that is inf
+        GaussianState((1,), np.zeros(2), np.diag([np.nextafter(2.0**1023, 0.0), 1.0]))
+        with pytest.raises(ValueError, match="entry 8.98847e\\+307 is too large"):
+            GaussianState((1,), np.zeros(2), np.diag([2.0**1023, 1.0]))
 
     def test_symmetry_tolerance_scales_with_cov(self):
         # 1e-12 of the largest entry (at least 1): accepted just inside, rejected outside
@@ -286,10 +354,7 @@ class TestGaussianState:
         # no cross-subsystem correlations
         assert covariance(joint, position(1), position(2)) == 0.0
 
-    @pytest.mark.parametrize(
-        "first_modes, second_modes",
-        [(a, b) for a in MODE_TUPLES for b in MODE_TUPLES if not set(a) & set(b)],
-    )
+    @pytest.mark.parametrize("first_modes, second_modes", MODE_SPLITS)
     def test_tensor_keeps_marginals_for_every_mode_split(self, first_modes, second_modes):
         rng = np.random.default_rng(sum(first_modes) * 10 + sum(second_modes))
         factors = []
@@ -320,11 +385,45 @@ class TestGaussianState:
                 ):
                     assert covariance(joint, f, g) == 0.0
 
+    @pytest.mark.parametrize("first_modes, second_modes", MODE_SPLITS)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.tuples(st.sampled_from(FACTOR_KINDS), st.sampled_from(FACTOR_KINDS)),
+        log_scales=st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_tensor_product_passes_the_check_it_skips(
+        self, first_modes, second_modes, seed, kinds, log_scales
+    ):
+        # tensor does not re-check its product: the factors' checks imply it
+        rng = np.random.default_rng(seed)
+        factors = []
+        for modes, kind, log_scale in zip((first_modes, second_modes), kinds, log_scales):
+            dim = 2 * len(modes)
+            scale = 10.0**log_scale
+            factors.append(
+                GaussianState(
+                    modes=modes,
+                    mean=rng.normal(size=dim) * np.sqrt(scale),
+                    cov=factor_covariance(rng, kind, dim) * scale,
+                )
+            )
+        joint = tensor(*factors)
+        assert not joint.mean.flags.writeable
+        assert not joint.cov.flags.writeable
+        np.testing.assert_array_equal(checked_covariance(joint.cov, PSD_RTOL), joint.cov)
+
     def test_tensor_rejects_overlap(self):
         psi = MinUncertaintyParams()
         state = make_min_uncertainty_state(psi)
         with pytest.raises(ValueError, match="overlap"):
             tensor(state, state)
+
+    def test_tensor_rejects_hbar_mismatch(self):
+        system = make_min_uncertainty_state(MinUncertaintyParams(hbar=1.0))
+        probe = make_probe_state(0.5, 1.0, MinUncertaintyParams(hbar=2.0))
+        with pytest.raises(ValueError, match="hbar"):
+            tensor(system, probe)
 
 
 class TestLinearObservableAlgebra:
