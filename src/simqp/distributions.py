@@ -24,6 +24,8 @@ from .phase_space import (
     GaussianState,
     LinearObservable,
     MinUncertaintyParams,
+    _diagonal_state,
+    _square,
     checked_covariance,
     checked_variances,
     commutator_coeff,
@@ -139,14 +141,15 @@ def _conditioning(joint: JointGaussian, given: list) -> tuple:
     rest = [i for i in range(joint.dim) if i not in given]
     if not rest:
         raise ValueError("conditioning on every component leaves nothing")
-    v_gg = joint.cov[np.ix_(given, given)]
-    v_rg = joint.cov[np.ix_(rest, given)]
+    v_gg = joint.cov[given][:, given]
+    v_r = joint.cov[rest]
+    v_rg = v_r[:, given]
     try:
-        chol = np.linalg.cholesky(v_gg)
+        np.linalg.cholesky(v_gg)  # succeeds exactly when v_gg is positive definite
     except np.linalg.LinAlgError:
         raise ValueError("conditioned block is singular; cannot condition on it")
-    gain = np.linalg.solve(chol.T, np.linalg.solve(chol, v_rg.T)).T
-    return rest, gain, joint.cov[np.ix_(rest, rest)] - gain @ v_rg.T
+    gain = np.linalg.solve(v_gg, v_rg.T).T
+    return rest, gain, v_r[:, rest] - gain @ v_rg.T
 
 
 def conditional(joint: JointGaussian, given, values) -> JointGaussian:
@@ -269,11 +272,11 @@ class PosteriorFamily:
 
     @property
     def var_q(self) -> float:
-        return (1.0 - self.nu) / self.nu * self.psi.sigma1**2
+        return (1.0 - self.nu) / self.nu * _square(self.psi.sigma1)
 
     @property
     def var_p(self) -> float:
-        return (self.psi.hbar / 2.0) ** 2 / self.var_q
+        return _square(self.psi.hbar / 2.0) / self.var_q
 
     def mean_map(self, y) -> np.ndarray:
         """Affine map ((y1-(1-nu)q1)/nu, (y2-nu p1)/(1-nu)) of y, shape (2, ...)."""
@@ -287,13 +290,20 @@ class PosteriorFamily:
 
 
 def posterior_state(fam: PosteriorFamily, y) -> GaussianState:
-    """Post-measurement system state for meter outcome ``y = (y1, y2)``."""
-    return GaussianState(
-        modes=(1,),
-        mean=fam.mean_map(y),
-        cov=np.diag([fam.var_q, fam.var_p]),
-        hbar=fam.psi.hbar,
-    )
+    """Post-measurement system state for meter outcome ``y = (y1, y2)``.
+
+    Its variances are the family's, which ``PosteriorFamily`` has checked.
+
+    Raises:
+        ValueError: if ``y`` is not one pair, or naming a posterior
+            variance from 2**1023 on.
+    """
+    mean = fam.mean_map(y)
+    if mean.shape != (2,):
+        raise ValueError(f"mean must have shape (2,), got {mean.shape}")
+    variances = (("posterior Var(Q1)", fam.var_q), ("posterior Var(P1)", fam.var_p))
+    inputs = dict(nu=fam.nu, sigma1=fam.psi.sigma1, hbar=fam.psi.hbar)
+    return _diagonal_state((1,), mean, variances, fam.psi.hbar, inputs)
 
 
 @dataclass(frozen=True)
@@ -437,7 +447,7 @@ def _truncated_moments(mean: float, sd: float, lo: float, hi: float) -> tuple:
     edge_b = b * pdf_b if math.isfinite(b) else 0.0
     shift = (pdf_a - pdf_b) / mass
     var_factor = 1.0 + (edge_a - edge_b) / mass - shift**2
-    return mass, mean + sd * shift, sd**2 * var_factor
+    return mass, mean + sd * shift, _square(sd) * var_factor
 
 
 def region_mixture_moments(

@@ -105,15 +105,17 @@ class SolvableGenerator:
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         g2 = float(self.gamma2)
+        entries = s.tolist()
         pattern = {(0, 0): 0.0, (1, 2): 0.0, (2, 1): 0.0, (1, 1): g2, (2, 2): -g2}
         for (i, j), want in pattern.items():
-            if abs(s[i, j] - want) > IDENTITY_ATOL * max(1.0, abs(want)):
+            got = entries[i][j]
+            if abs(got - want) > IDENTITY_ATOL * max(1.0, abs(want)):
                 raise ValueError(
-                    f"entry ({i},{j})={s[i, j]:g} breaks the solvable pattern "
+                    f"entry ({i},{j})={got:g} breaks the solvable pattern "
                     f"(expected {want:g})"
                 )
-        a1, b1 = s[1, 0], s[0, 1]
-        a3, b3 = s[0, 2], s[2, 0]
+        a1, b1 = entries[1][0], entries[0][1]
+        a3, b3 = entries[0][2], entries[2][0]
         prod = a1 * b1
         scale = max(1.0, abs(prod), abs(a3 * b3))
         if abs(prod - a3 * b3) > IDENTITY_ATOL * scale:
@@ -125,10 +127,13 @@ class SolvableGenerator:
             raise ValueError(
                 f"E={e:g} is inconsistent with a1*b1={prod:g} and gamma2={g2:g}"
             )
-        _check_close(s @ s @ s, -e * s, IDENTITY_ATOL, "S^3 != -E S")
+        s2 = s @ s
+        _check_close(s2 @ s, -e * s, IDENTITY_ATOL, "S^3 != -E S")
         s = s.copy()
         s.setflags(write=False)
+        s2.setflags(write=False)
         object.__setattr__(self, "s", s)
+        object.__setattr__(self, "_s2", s2)  # S^2, reused by propagate
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "gamma2", g2)
         object.__setattr__(self, "tau", float(self.tau))
@@ -229,10 +234,11 @@ class PropagatedTransform:
             raise ValueError("A and B must both be 3x3")
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
-        _check_close(a @ b.T, _EYE3, TRANSFORM_ATOL, "A B^T != I")
-        for name, mat in (("A", a), ("B", b)):
-            if abs(np.linalg.det(mat) - 1.0) > TRANSFORM_ATOL:
-                raise ValueError(f"det({name}) = {np.linalg.det(mat):g} != 1")
+        check_close(a @ b.T, _EYE3, TRANSFORM_ATOL, "A B^T != I")  # I has scale 1
+        # one batched LU call; a cofactor expansion would cancel at large ||A||
+        for name, det in zip("AB", np.linalg.det(np.stack((a, b))).tolist()):
+            if abs(det - 1.0) > TRANSFORM_ATOL:
+                raise ValueError(f"det({name}) = {det:g} != 1")
         a, b = a.copy(), b.copy()
         a.setflags(write=False)
         b.setflags(write=False)
@@ -242,9 +248,15 @@ class PropagatedTransform:
 
 
 def propagate(gen: SolvableGenerator) -> PropagatedTransform:
-    """Evaluate both closed-form factors at the generator's own tau."""
-    a = _solvable_expm(gen.s, gen.e, gen.tau)
-    b = _solvable_expm(-gen.s.T, gen.e, gen.tau)
+    """Evaluate both closed-form factors at the generator's own tau.
+
+    ``B = e^{-tau S^T}`` is the closed form at ``-S^T``, whose square is
+    ``(S^2)^T``, so one ``S^2`` and one pair of coefficients serve both.
+    """
+    c1, c2 = expm_coefficients(gen.e, gen.tau)
+    s, s2 = gen.s, gen._s2
+    a = _EYE3 + c1 * s + c2 * s2
+    b = _EYE3 - c1 * s.T + c2 * s2.T
     return PropagatedTransform(a=a, b=b, tau=gen.tau)
 
 

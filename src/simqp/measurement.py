@@ -94,7 +94,7 @@ class ErrorPair:
 
     def __post_init__(self):
         for name, val in (("eps_q", self.eps_q), ("eps_p", self.eps_p)):
-            if not (np.isfinite(val) and val >= 0.0):
+            if not (math.isfinite(val) and val >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {val}")
 
 
@@ -116,7 +116,7 @@ class LinearSimultaneousMeasurement:
     transform: PropagatedTransform | None = None
 
     def __post_init__(self):
-        if set(self.probe.modes) != {2, 3}:
+        if self.probe.modes != (2, 3):
             raise ValueError(f"probe must live on modes (2, 3), got {self.probe.modes}")
         c = commutator_coeff(self.meter_q, self.meter_p)
         if abs(c) > METER_COMMUTATOR_ATOL:
@@ -249,17 +249,10 @@ def noise_operators(m: LinearSimultaneousMeasurement) -> tuple:
     return m.meter_q - position(1), m.meter_p - momentum(1)
 
 
-# unit rows of the targets Q1 and P1 in the global order (Q1, Q2, Q3, P1, P2, P3)
-_TARGET_ROWS = np.eye(6)[[0, 3]]
-
-
-def _quadratic_forms(rows: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """``r @ cov @ r`` for each row ``r``: one variance per row.
-
-    Each row is contiguous and contracted on its own, so the sums run in
-    the same order as for a single observable's ``c @ cov @ c``.
-    """
-    return np.array([r @ cov @ r for r in np.ascontiguousarray(rows)])
+def _quadratic_form(row: np.ndarray, cov: np.ndarray) -> float:
+    """``row @ cov @ row``; a contiguous ``row`` sums in the same order as a
+    single observable's ``c @ cov @ c``."""
+    return float(row @ cov @ row)
 
 
 def _noise_moments(
@@ -276,23 +269,25 @@ def _noise_moments(
     state.  Route 1 (the explicit representation) is returned.
 
     Returns:
-        ``(means, var_probe, second)``, each a length-2 array ordered
+        ``(means, var_probe, second)``, each a list of two floats ordered
         ``(N_q, N_p)``.  The probe part of a noise operator is the probe
         part of its meter.
     """
     system_state = make_min_uncertainty_state(psi)
     joint = tensor(system_state, m.probe)
-    mq, mp = m.meter_q, m.meter_p
-    rows = (
-        np.concatenate((mq.coeff_q, mq.coeff_p, mp.coeff_q, mp.coeff_p)).reshape(2, 6)
-        - _TARGET_ROWS
-    )
-    means = np.array([r @ joint.mean for r in rows]) + (mq.offset, mp.offset)
-    var_probe = _quadratic_forms(rows[:, m.probe.basis_index], m.probe.cov)
-    var_system = _quadratic_forms(rows[:, system_state.basis_index], system_state.cov)
-    explicit = var_system + var_probe + means**2
-    direct = _quadratic_forms(rows, joint.cov) + means**2
-    for rep, mom in zip(explicit.tolist(), direct.tolist()):
+    probe_idx, system_idx = m.probe.basis_index, system_state.basis_index
+    means, var_probe, explicit, direct = [], [], [], []
+    for meter, target in ((m.meter_q, 0), (m.meter_p, 3)):
+        row = np.concatenate((meter.coeff_q, meter.coeff_p))
+        row[target] -= 1.0  # minus the unit row of Q1 or P1
+        mean = float(row @ joint.mean) + meter.offset
+        probe_part = _quadratic_form(row[probe_idx], m.probe.cov)
+        system_part = _quadratic_form(row[system_idx], system_state.cov)
+        means.append(mean)
+        var_probe.append(probe_part)
+        explicit.append(system_part + probe_part + mean * mean)
+        direct.append(_quadratic_form(row, joint.cov) + mean * mean)
+    for rep, mom in zip(explicit, direct):
         if abs(rep - mom) > ERROR_ROUTE_ATOL * max(1.0, abs(rep)):
             raise RuntimeError(
                 f"error routes disagree: representation {rep!r} vs "
@@ -425,7 +420,6 @@ def check_theorem_conditions(
     All three hold together exactly when the quadratic bound is saturated.
     """
     (mean_q, mean_p), (var_probe_q, var_probe_p), second = _noise_moments(m, psi)
-    mean_q, mean_p = float(mean_q), float(mean_p)
 
     a21 = float(m.meter_q.coeff_q[0])
     b31 = float(m.meter_p.coeff_p[0])

@@ -76,6 +76,11 @@ def checked_covariance(cov: np.ndarray, psd_rtol: float) -> np.ndarray:
     return cov
 
 
+def _named_error(name: str, value: float, problem: str, inputs: dict) -> ValueError:
+    given = ", ".join(f"{key}={val:g}" for key, val in inputs.items())
+    return ValueError(f"{name} = {value:g} {problem} ({given})")
+
+
 def checked_variances(variances, **inputs) -> None:
     """Raise ``ValueError`` naming the first variance that is not finite and positive.
 
@@ -84,8 +89,7 @@ def checked_variances(variances, **inputs) -> None:
     """
     for name, value in variances:
         if not 0.0 < value < math.inf:
-            given = ", ".join(f"{key}={val:g}" for key, val in inputs.items())
-            raise ValueError(f"{name} = {value:g} is not finite and positive ({given})")
+            raise _named_error(name, value, "is not finite and positive", inputs)
 
 
 def _square(x: float) -> float:
@@ -229,9 +233,12 @@ class MinUncertaintyParams:
 class GaussianState:
     """Gaussian state on a subset of the three modes.
 
-    Every instance has passed :func:`checked_covariance`: either directly,
-    in the constructor, or as the :func:`tensor` product of two states
-    that have.
+    Every instance satisfies what :func:`checked_covariance` checks, by
+    one of three routes: the constructor runs the check; :func:`tensor`
+    forms the direct sum of two states that satisfy it; or a diagonal
+    covariance is built from variances that :func:`checked_variances`
+    passed (the packet, the tuned probe and the posterior states), whose
+    eigenvalues are those variances.
 
     Args:
         modes: ascending tuple of distinct modes from {1, 2, 3}.
@@ -281,6 +288,40 @@ def _basis_index(modes: tuple) -> np.ndarray:
     return idx
 
 
+def _valid_state(modes: tuple, mean: np.ndarray, cov: np.ndarray, hbar: float):
+    """A :class:`GaussianState` whose covariance is valid by construction.
+
+    The caller guarantees what :func:`checked_covariance` would check: a
+    symmetric PSD ``cov`` with every entry below 2**1023 (``tensor``, and
+    :func:`_diagonal_state`, which refuses larger variances by name).  The
+    arrays are made read-only and no check runs again.
+    """
+    mean.setflags(write=False)
+    cov.setflags(write=False)
+    state = object.__new__(GaussianState)  # skips __post_init__
+    vars(state).update(modes=modes, mean=mean, cov=cov, hbar=float(hbar))
+    return state
+
+
+def _diagonal_state(modes: tuple, mean, variances, hbar: float, inputs: dict):
+    """State on ascending ``modes`` whose covariance is ``diag`` of ``variances``.
+
+    ``variances`` holds ``(name, value)`` pairs in (Q..., P...) order that
+    :func:`checked_variances` has passed.  A diagonal matrix of positive
+    finite entries is symmetric and PSD, its eigenvalues being its entries
+    (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012), sec. II), so the
+    only part of :func:`checked_covariance` left to run is its refusal of
+    an entry from 2**1023 on.  That refusal names the variance and the
+    ``inputs`` it was computed from.
+    """
+    for name, value in variances:
+        if value >= _SYMMETRISE_LIMIT:
+            problem = "is too large: a covariance entry must stay below 2**1023"
+            raise _named_error(name, value, problem, inputs)
+    cov = np.diag([value for _, value in variances])
+    return _valid_state(modes, np.array(mean, dtype=float), cov, hbar)
+
+
 def linear_moments(state: GaussianState, observables) -> tuple:
     """Means ``C mu + offsets`` and covariance ``C V C^T`` of observables.
 
@@ -290,9 +331,8 @@ def linear_moments(state: GaussianState, observables) -> tuple:
     :class:`ModeMismatchError` if an observable leaves the state's modes.
     """
     obs = tuple(observables)
-    rows = np.empty((len(obs), 6))
-    rows[:, :3] = [f.coeff_q for f in obs]
-    rows[:, 3:] = [f.coeff_p for f in obs]
+    rows = np.concatenate([c for f in obs for c in (f.coeff_q, f.coeff_p)])
+    rows = rows.reshape(len(obs), 6)
     idx = state.basis_index
     if len(idx) < 6 and np.delete(rows, idx, axis=1).any():
         for f in obs:
@@ -305,7 +345,15 @@ def linear_moments(state: GaussianState, observables) -> tuple:
     c = np.ascontiguousarray(rows[:, idx])  # strided rows are summed in another order
     mean = np.array([r @ state.mean for r in c]) + [f.offset for f in obs]
     cov = np.array([r @ state.cov for r in c]) @ c.T
-    return mean, np.triu(cov) + np.triu(cov, 1).T
+    # ``+ 0.0`` turns a -0.0 into 0.0, as adding the zero triangle did
+    return mean, np.where(_upper_triangle(len(obs)), cov, cov.T) + 0.0
+
+
+@functools.lru_cache(maxsize=None)  # keyed by observable count, a few entries
+def _upper_triangle(n: int) -> np.ndarray:
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.setflags(write=False)
+    return mask
 
 
 def moments(state: GaussianState, f: LinearObservable) -> tuple:
@@ -340,17 +388,14 @@ def make_min_uncertainty_state(params: MinUncertaintyParams) -> GaussianState:
     Raises:
         ValueError: naming the variance that is not finite and positive.
     """
-    var_q = _square(params.sigma1)
-    var_p = _square(params.sigma_p)
-    checked_variances(
-        (("packet Var(Q1)", var_q), ("packet Var(P1)", var_p)),
-        sigma1=params.sigma1, hbar=params.hbar,
+    variances = (
+        ("packet Var(Q1)", _square(params.sigma1)),
+        ("packet Var(P1)", _square(params.sigma_p)),
     )
-    return GaussianState(
-        modes=(1,),
-        mean=np.array([params.q1 + 0.0, params.p1 + 0.0]),
-        cov=np.diag([var_q, var_p]),
-        hbar=params.hbar,
+    inputs = dict(sigma1=params.sigma1, hbar=params.hbar)
+    checked_variances(variances, **inputs)
+    return _diagonal_state(
+        (1,), [params.q1 + 0.0, params.p1 + 0.0], variances, params.hbar, inputs
     )
 
 
@@ -387,12 +432,15 @@ def make_probe_state(
     var_q2 = nu * (1.0 - nu) * s2 / (2.0 * kappa**2)
     var_q3 = 2.0 * kappa**2 * s2 / (nu * (1.0 - nu))
     inputs = dict(nu=nu, kappa=kappa, sigma1=psi.sigma1, hbar=psi.hbar)
-    checked_variances((("probe Var(Q2)", var_q2), ("probe Var(Q3)", var_q3)), **inputs)
-    var_p2, var_p3 = quarter_h2 / var_q2, quarter_h2 / var_q3  # divisors checked above
-    checked_variances((("probe Var(P2)", var_p2), ("probe Var(P3)", var_p3)), **inputs)
-    mean = np.array([(1.0 - nu) * psi.q1 / kappa, 0.0, 0.0, nu * psi.p1 / kappa])
-    cov = np.diag([var_q2, var_q3, var_p2, var_p3])
-    return GaussianState(modes=(2, 3), mean=mean, cov=cov, hbar=psi.hbar)
+    positions = (("probe Var(Q2)", var_q2), ("probe Var(Q3)", var_q3))
+    checked_variances(positions, **inputs)
+    momenta = (  # divisors checked above
+        ("probe Var(P2)", quarter_h2 / var_q2),
+        ("probe Var(P3)", quarter_h2 / var_q3),
+    )
+    checked_variances(momenta, **inputs)
+    mean = [(1.0 - nu) * psi.q1 / kappa, 0.0, 0.0, nu * psi.p1 / kappa]
+    return _diagonal_state((2, 3), mean, positions + momenta, psi.hbar, inputs)
 
 
 @functools.lru_cache(maxsize=None)  # keyed by mode tuples, so at most a few entries
@@ -433,8 +481,4 @@ def tensor(first: GaussianState, second: GaussianState) -> GaussianState:
     for state, (idx, block) in zip((first, second), targets):
         mean[idx] = state.mean
         cov[block] = state.cov
-    mean.setflags(write=False)
-    cov.setflags(write=False)
-    product = object.__new__(GaussianState)  # skips __post_init__, see above
-    vars(product).update(modes=modes, mean=mean, cov=cov, hbar=first.hbar)
-    return product
+    return _valid_state(modes, mean, cov, first.hbar)

@@ -625,6 +625,20 @@ def test_overflowing_inputs_are_usage_errors(argv):
     assert "Traceback" not in done.stderr
 
 
+def test_posterior_variance_past_2_1023_is_named():
+    # (1 - nu)/nu * sigma1**2 = 1e308 is finite, but no state holds it
+    done = subprocess.run(
+        [sys.executable, "-m", "simqp.cli", "posterior", "--family", "z",
+         "--nu", "0.5", "--sigma1", "1e154", "--y", "1,2"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: posterior Var(Q1) = 1e+308 is too large: a covariance entry "
+        "must stay below 2**1023 (nu=0.5, sigma1=1e+154, hbar=1)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, names",
     [
@@ -646,7 +660,7 @@ def test_overflowing_inputs_are_usage_errors(argv):
         ),
         (
             ("posterior", "--family", "z", "--nu", "0.5", "--sigma1", "1e154", "--y", "1,2"),
-            ["covariance matrix entry 1e+308 is too large"],
+            ["posterior Var(Q1) = 1e+308", "nu=0.5, sigma1=1e+154, hbar=1"],
         ),
         (
             ("posterior", "--family", "z", "--nu", "0.5", "--sigma1", "1e-160", "--y", "1,2"),

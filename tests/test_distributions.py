@@ -360,6 +360,9 @@ class TestPosteriorStates:
             (1e-6, 1e154, 1.0, r"posterior Var\(Q1\) = inf "),
             (0.5, 1e-170, 1e-200, r"posterior Var\(Q1\) = 0 is not finite and positive"),
             (0.5, 2.3e-162, 1e-320, r"posterior Var\(P1\) = 0 "),
+            # sigma1**2 and (hbar/2)**2 themselves overflow
+            (1e-6, 1e303, 1.0, r"posterior Var\(Q1\) = inf .*nu=1e-06, sigma1=1e\+303"),
+            (0.5, 1.0, 1e300, r"posterior Var\(P1\) = inf .*hbar=1e\+300"),
         ],
     )
     def test_unrepresentable_variance_is_named(self, nu, sigma1, hbar, message):
@@ -534,6 +537,11 @@ class TestRegionMixture:
         mean, _ = region_mixture_moments(ModelFamily.Y0, nu, PSI, region)
         mills = math.exp(-40.5) / math.sqrt(2.0 * math.pi) / (0.5 * math.erfc(9.0 / math.sqrt(2.0)))
         assert mean[0] == pytest.approx(sd * mills / nu, rel=1e-12)
+
+    def test_unrepresentable_posterior_variance_is_named(self):
+        psi = MinUncertaintyParams(sigma1=1e200)  # sigma1**2 overflows
+        with pytest.raises(ValueError, match=r"posterior Var\(Q1\) = inf is not finite"):
+            region_mixture_moments(ModelFamily.Z, 0.5, psi, OutcomeRegion(-1, 1, -1, 1))
 
     def test_zero_measure_region_rejected(self):
         region = OutcomeRegion(60.0, 70.0, -1.0, 1.0)

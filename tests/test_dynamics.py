@@ -23,6 +23,7 @@ from simqp import (
     propagate,
     solve_couplings,
 )
+from simqp.dynamics import expm_coefficients
 
 FAMILY_TAUS = {
     ModelFamily.X: math.pi / 2.0,
@@ -196,6 +197,52 @@ class TestZeroBranchEdge:
         np.testing.assert_allclose(
             transform.b, numeric_expm(-gen.s.T, tau), rtol=0, atol=1e-13
         )
+
+
+def _propagate_twice(gen):
+    """The closed form evaluated separately at S and at -S^T: two squares."""
+
+    def expm(m):
+        c1, c2 = expm_coefficients(gen.e, gen.tau)
+        return np.eye(3) + c1 * m + c2 * (m @ m)
+
+    return expm(gen.s), expm(-gen.s.T)
+
+
+class TestPropagateSharesOneSquare:
+    """propagate reuses S^2 as (S^2)^T for B; the result must not move a bit."""
+
+    def test_matches_two_separate_closed_forms(self):
+        rng = np.random.default_rng(4242)
+        third = 3334
+        signs = rng.choice([-1.0, 1.0], (3, 3 * third))
+        alpha1 = rng.uniform(0.2, 2.0, 3 * third) * signs[0]
+        alpha3 = rng.uniform(0.2, 2.0, 3 * third) * signs[1]
+        gamma2 = rng.uniform(-1.5, 1.5, 3 * third)
+        tau = rng.uniform(0.2, 2.0, 3 * third)
+        es = np.concatenate([
+            np.resize([-1e-13, -5e-15, 0.0, 5e-15, 1e-13], third),
+            signs[2, :third] * 10.0 ** rng.uniform(-15.0, 0.3, third),  # 15 decades
+            rng.uniform(-2.0, 2.0, third),
+        ])
+        for k, e in enumerate(es.tolist()):
+            gen = SolvableGenerator.from_couplings(
+                alpha1[k], alpha3[k], gamma2[k], e, tau[k]
+            )
+            a, b = _propagate_twice(gen)
+            transform = propagate(gen)
+            assert np.array_equal(transform.a, a), (k, e)
+            assert np.array_equal(transform.b, b), (k, e)
+
+    def test_large_norm_generator_keeps_unit_determinants(self):
+        # ||A|| is about 569 here: an LU determinant is 1 to 1e-10, while a
+        # 3x3 cofactor expansion cancels to |det A - 1| of order 1e-8
+        gen = SolvableGenerator.from_couplings(
+            4.20337341083468, 3.680015046681608, -0.39368287242212796,
+            -17.837206618423735, 1.6683877611056739,
+        )
+        transform = propagate(gen)
+        assert np.linalg.norm(transform.a, 2) > 500.0
 
 
 class TestNumericExpm:

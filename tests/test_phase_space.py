@@ -12,6 +12,7 @@ from simqp import (
     LinearObservable,
     MinUncertaintyParams,
     ModeMismatchError,
+    PosteriorFamily,
     commutator_coeff,
     covariance,
     make_min_uncertainty_state,
@@ -19,6 +20,7 @@ from simqp import (
     moments,
     momentum,
     position,
+    posterior_state,
     tensor,
 )
 from simqp.phase_space import PSD_RTOL, checked_covariance, linear_moments
@@ -144,6 +146,7 @@ class TestMinUncertaintyState:
             (1e-170, 1e-200, r"packet Var\(Q1\) = 0 is not finite and positive"),
             (1e-160, 1.0, r"packet Var\(P1\) = inf "),
             (1e100, 1e-100, r"packet Var\(P1\) = 0 "),
+            (9.5e153, 1.0, r"packet Var\(Q1\) = 9.025e\+307 is too large: .*below 2\*\*1023"),
         ],
     )
     def test_unrepresentable_variance_is_named(self, sigma1, hbar, message):
@@ -298,12 +301,46 @@ class TestProbeState:
             (1e-170, 1e-200, r"probe Var\(Q2\) = 0 is not finite and positive"),
             (1e100, 1e-100, r"probe Var\(P2\) = 0 "),
             (1.0, 1e300, r"probe Var\(P2\) = inf .*hbar=1e\+300"),
+            (4e153, 1.0, r"probe Var\(Q3\) = 1.28e\+308 is too large: .*sigma1=4e\+153"),
         ],
     )
     def test_unrepresentable_variance_is_named(self, sigma1, hbar, message):
         psi = MinUncertaintyParams(sigma1=sigma1, hbar=hbar)
         with pytest.raises(ValueError, match=message):
             make_probe_state(0.5, 1.0, psi)
+
+
+class TestDiagonalStates:
+    """The packet, the tuned probe and the posterior states skip checked_covariance."""
+
+    @given(
+        log_nu=st.floats(-12.0, np.log10(0.5)),
+        upper=st.booleans(),
+        log_kappa=st.floats(-6.0, 6.0),
+        kappa_sign=st.sampled_from([-1.0, 1.0]),
+        log_sigma1=st.floats(-60.0, 60.0),
+        log_hbar=st.floats(-60.0, 60.0),
+        q1=finite,
+        p1=finite,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_each_passes_the_check_it_skips(
+        self, log_nu, upper, log_kappa, kappa_sign, log_sigma1, log_hbar, q1, p1
+    ):
+        nu = 1.0 - 10.0**log_nu if upper else 10.0**log_nu
+        psi = MinUncertaintyParams(q1, p1, 10.0**log_sigma1, 10.0**log_hbar)
+        states = (
+            make_min_uncertainty_state(psi),
+            make_probe_state(nu, kappa_sign * 10.0**log_kappa, psi),
+            posterior_state(PosteriorFamily(nu=nu, psi=psi), (q1, p1)),
+        )
+        for state in states:
+            assert not state.mean.flags.writeable
+            assert not state.cov.flags.writeable
+            np.testing.assert_array_equal(checked_covariance(state.cov, PSD_RTOL), state.cov)
+            checked = GaussianState(state.modes, state.mean, state.cov, state.hbar)
+            assert (checked.modes, checked.hbar) == (state.modes, state.hbar)
+            np.testing.assert_array_equal(checked.mean, state.mean)
 
 
 class TestGaussianState:

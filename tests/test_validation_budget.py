@@ -1,10 +1,13 @@
 """Each Gaussian state's covariance is eigen-checked once, where it is built.
 
-Counts ``numpy.linalg.eigvalsh`` calls (the eigenvalue step of
-``checked_covariance``) while each pipeline function runs on a prebuilt
-model and a cached packet.  The product state psi x probe is assembled by
-``tensor`` from two checked factors, so it adds no call; a count that
-grows means some path has started to validate a state a second time.
+Counts ``numpy.linalg`` calls (``eigvalsh``, the eigenvalue step of
+``checked_covariance``, plus ``det``, ``cholesky`` and ``solve``) while
+each pipeline function runs on a prebuilt model and a cached packet.  The
+product state psi x probe is assembled by ``tensor`` from two checked
+factors, and the packet, probe and posterior states are diagonal
+covariances of checked variances, so none of them adds an ``eigvalsh``
+call; a count that grows means some path has started to validate a state
+a second time or to factor a matrix twice.
 """
 
 import numpy as np
@@ -14,14 +17,18 @@ from conftest import FAMILIES, random_measurement
 from simqp import (
     MinUncertaintyParams,
     ModelFamily,
+    PosteriorFamily,
     arthurs_kelly_model,
     build_model,
     check_theorem_conditions,
+    conditional,
     make_min_uncertainty_state,
     make_probe_state,
     meter_joint,
     p_pair_joint,
     posterior_consistency,
+    posterior_state,
+    propagate,
     q_pair_joint,
     qrms_errors,
     tensor,
@@ -29,26 +36,42 @@ from simqp import (
 
 PSI = MinUncertaintyParams(q1=0.3, p1=-0.7, sigma1=1.3, hbar=0.9)
 
+COUNTED = ("eigvalsh", "det", "cholesky", "solve")
+
 
 @pytest.fixture
-def eigvalsh_shapes(monkeypatch):
-    """Shapes of the matrices passed to ``np.linalg.eigvalsh``, in call order."""
-    shapes = []
-    real = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return real(a, *args, **kwargs)
-
+def linalg_shapes(monkeypatch):
+    """Per counted ``np.linalg`` function, the shapes of its first argument, in call order."""
+    shapes = {name: [] for name in COUNTED}
     make_min_uncertainty_state(PSI)  # the cached packet
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for name, seen in shapes.items():
+        real = getattr(np.linalg, name)
+
+        def counting(a, *args, _real=real, _seen=seen, **kwargs):
+            _seen.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
     return shapes
+
+
+@pytest.fixture
+def eigvalsh_shapes(linalg_shapes):
+    return linalg_shapes["eigvalsh"]
 
 
 def measured(shapes, call):
     del shapes[:]
     call()
     return list(shapes)
+
+
+def call_counts(linalg_shapes, fn, *args, **kwargs) -> dict:
+    """Calls of each counted function while ``fn(*args, **kwargs)`` runs."""
+    for seen in linalg_shapes.values():
+        del seen[:]
+    fn(*args, **kwargs)
+    return {name: len(seen) for name, seen in linalg_shapes.items()}
 
 
 MODELS = {
@@ -70,6 +93,33 @@ def test_tensor_checks_nothing(eigvalsh_shapes):
     assert measured(eigvalsh_shapes, lambda: tensor(packet, probe)) == []
 
 
+NONE = dict.fromkeys(COUNTED, 0)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_model_building_factors_once(linalg_shapes, family):
+    # the probe is diagonal in checked variances; A and B share one det call
+    gen = MODELS[family.value].generator
+    assert call_counts(linalg_shapes, propagate, gen) == {**NONE, "det": 1}
+    assert linalg_shapes["det"] == [(2, 3, 3)]
+    assert call_counts(linalg_shapes, build_model, family, 0.37, PSI) == {**NONE, "det": 1}
+    assert call_counts(linalg_shapes, make_probe_state, 0.37, 2.0, PSI) == NONE
+
+
+def test_posterior_state_checks_nothing(linalg_shapes):
+    fam = PosteriorFamily(nu=0.37, psi=PSI)
+    assert call_counts(linalg_shapes, posterior_state, fam, (0.4, -1.2)) == NONE
+
+
+@pytest.mark.parametrize("builder", [meter_joint, q_pair_joint, p_pair_joint])
+def test_conditional_factors_once(linalg_shapes, builder):
+    # one Cholesky as the singularity test, one solve for the gain, and the
+    # check of the conditional law's covariance
+    joint = builder(MODELS["z"], PSI)
+    counts = call_counts(linalg_shapes, conditional, joint, given=(1,), values=(0.2,))
+    assert counts == {**NONE, "eigvalsh": 1, "cholesky": 1, "solve": 1}
+
+
 @pytest.mark.parametrize("builder", [meter_joint, q_pair_joint, p_pair_joint])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_joint_laws_check_only_the_joint(eigvalsh_shapes, builder, family):
@@ -80,6 +130,6 @@ def test_joint_laws_check_only_the_joint(eigvalsh_shapes, builder, family):
 @pytest.mark.parametrize("family", [ModelFamily.Y0, ModelFamily.Z])
 def test_posterior_consistency_checks_each_law_once(eigvalsh_shapes, family):
     shapes = measured(eigvalsh_shapes, lambda: posterior_consistency(family, 0.37, PSI))
-    # the build_model probe, the two triple joints and their two Schur
-    # complements; no (6, 6) product re-check
-    assert sorted(shapes) == [(1, 1), (1, 1), (3, 3), (3, 3), (4, 4)]
+    # the two triple joints and their two Schur complements; no (6, 6)
+    # product re-check and no eigen-check of the diagonal probe
+    assert sorted(shapes) == [(1, 1), (1, 1), (3, 3), (3, 3)]
