@@ -22,18 +22,17 @@ from .measurement import (
 )
 from .phase_space import (
     GaussianState,
-    LinearObservable,
+    TARGET_ROWS,
     MinUncertaintyParams,
     _diagonal_state,
     _square,
     checked_covariance,
     checked_variances,
-    commutator_coeff,
     linear_moments,
     make_min_uncertainty_state,
-    position,
-    momentum,
-    tensor,
+    product_moments,
+    row_moments,
+    symplectic_products,
 )
 
 # observables may enter a joint distribution only if they commute to here
@@ -78,29 +77,6 @@ class JointGaussian:
     def dim(self) -> int:
         return len(self.labels)
 
-    def marginal(self, indices) -> "JointGaussian":
-        """Marginal law of a subset of components."""
-        idx = list(indices)
-        return JointGaussian(
-            labels=tuple(self.labels[i] for i in idx),
-            mean=self.mean[idx],
-            cov=self.cov[np.ix_(idx, idx)],
-        )
-
-    def log_density(self, x) -> np.ndarray:
-        """Log of the density at point(s) ``x`` (shape (..., dim)).
-
-        Computed in log space so values far from the mean do not
-        underflow.  Requires a nonsingular covariance.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        diff = x - self.mean
-        chol = np.linalg.cholesky(self.cov)
-        z = np.linalg.solve(chol, diff.T)
-        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-        out = -0.5 * (self.dim * math.log(2.0 * math.pi) + log_det + (z**2).sum(axis=0))
-        return out if out.size > 1 else float(out[0])
-
 
 def joint_distribution(
     observables, state: GaussianState, labels=None
@@ -120,16 +96,21 @@ def joint_distribution(
     obs = list(observables)
     if labels is None:
         labels = tuple(f"f{i}" for i in range(len(obs)))
-    for i in range(len(obs)):
-        for j in range(i + 1, len(obs)):
-            c = commutator_coeff(obs[i], obs[j])
+    _check_commuting(symplectic_products(np.stack([f.row for f in obs])), labels)
+    mean, cov = linear_moments(state, obs)
+    return JointGaussian(labels=tuple(labels), mean=mean, cov=cov)
+
+
+def _check_commuting(products: np.ndarray, labels) -> None:
+    """Raise naming the first pair whose ``R Omega R^T`` entry exceeds the tolerance."""
+    for i in range(len(products)):
+        for j in range(i + 1, len(products)):
+            c = float(products[i, j])
             if abs(c) > JOINT_COMMUTATOR_ATOL:
                 raise NonCommutingObservablesError(
                     f"observables {labels[i]!r} and {labels[j]!r} do not "
                     f"commute: coefficient {c:g}"
                 )
-    mean, cov = linear_moments(state, obs)
-    return JointGaussian(labels=tuple(labels), mean=mean, cov=cov)
 
 
 def _conditioning(joint: JointGaussian, given: list) -> tuple:
@@ -214,31 +195,35 @@ def sample(joint: JointGaussian, n: int, seed: int) -> np.ndarray:
     return joint.mean + z @ root.T
 
 
-def _product_joint(m, psi, observables, labels) -> JointGaussian:
-    """Joint law of ``observables`` in the product state psi x probe."""
-    state = tensor(make_min_uncertainty_state(psi), m.probe)
-    return joint_distribution(observables, state, labels=labels)
+def _product_joint(m, psi, rows, offsets, labels) -> JointGaussian:
+    """Joint law of the global ``rows`` (plus ``offsets``) in psi x probe."""
+    _, mu, v = product_moments(make_min_uncertainty_state(psi), m.probe)
+    _check_commuting(symplectic_products(rows), labels)
+    mean, cov = row_moments(rows, offsets, mu, v)
+    return JointGaussian(labels=labels, mean=mean, cov=cov)
 
 
 def meter_joint(
     m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams
 ) -> JointGaussian:
     """Joint law of the two meters (Q2(tau), P3(tau)) in psi x probe."""
-    return _product_joint(m, psi, [m.meter_q, m.meter_p], ("Q2(tau)", "P3(tau)"))
+    return _product_joint(m, psi, m.rows, m.offsets, ("Q2(tau)", "P3(tau)"))
 
 
 def q_pair_joint(
     m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams
 ) -> JointGaussian:
     """Joint law of the target and its meter, (Q1(0), Q2(tau))."""
-    return _product_joint(m, psi, [position(1), m.meter_q], ("Q1(0)", "Q2(tau)"))
+    rows = np.array((TARGET_ROWS[0], m.rows[0]))
+    return _product_joint(m, psi, rows, (0.0, m.offsets[0]), ("Q1(0)", "Q2(tau)"))
 
 
 def p_pair_joint(
     m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams
 ) -> JointGaussian:
     """Joint law of the target and its meter, (P1(0), P3(tau))."""
-    return _product_joint(m, psi, [momentum(1), m.meter_p], ("P1(0)", "P3(tau)"))
+    rows = np.array((TARGET_ROWS[1], m.rows[1]))
+    return _product_joint(m, psi, rows, (0.0, m.offsets[1]), ("P1(0)", "P3(tau)"))
 
 
 def check_posterior_family(family: ModelFamily) -> None:
@@ -352,15 +337,20 @@ def posterior_consistency(
     """
     check_posterior_family(family)
     m = build_model(family, nu, psi)
-    zero = np.zeros(3)
-    targets = (  # Q1(tau) and P1(tau): row 1 of A and row 1 of B
-        LinearObservable(m.transform.a[0], zero, 0.0),
-        LinearObservable(zero, m.transform.b[0], 0.0),
-    )
-    state = tensor(make_min_uncertainty_state(psi), m.probe)
+    # the triples (Q1(tau), Mq, Mp) and (P1(tau), Mq, Mp): Q1(tau) and
+    # P1(tau) are row 1 of A and row 1 of B
+    rows = np.zeros((2, 3, 6))
+    rows[0, 0, :3] = m.transform.a[0]
+    rows[1, 0, 3:] = m.transform.b[0]
+    rows[:, 1:] = m.rows
+    _, mu, v = product_moments(make_min_uncertainty_state(psi), m.probe)
+    labels = ("f0", "f1", "f2")
+    for products in symplectic_products(rows):
+        _check_commuting(products, labels)
+    offsets = np.concatenate(([0.0], m.offsets))
     joints = [
-        joint_distribution([target, m.meter_q, m.meter_p], state)
-        for target in targets
+        JointGaussian(labels=labels, mean=mean, cov=cov)
+        for mean, cov in zip(*row_moments(rows, offsets, mu, v))
     ]
     if outcomes is None:
         outcomes = _default_outcome_grid(joints[0])
@@ -420,14 +410,16 @@ def _normal_mass(a: float, b: float) -> float:
 
     Each tail is taken with ``erfc`` on its own side, so a far-out
     interval keeps its relative accuracy instead of cancelling as a
-    difference of two CDF values near 1; mirrored intervals give
-    identical masses.
+    difference of two CDF values near 1.  An interval around 0 is the sum
+    ``erf(b/sqrt2) + erf(-a/sqrt2)`` of two same-sign terms, so a narrow
+    one keeps its mass instead of cancelling as ``1 - (tails)``.
+    Mirrored intervals give identical masses.
     """
     if a >= 0.0:
         return 0.5 * (math.erfc(a / _SQRT2) - math.erfc(b / _SQRT2))
     if b <= 0.0:
         return 0.5 * (math.erfc(-b / _SQRT2) - math.erfc(-a / _SQRT2))
-    return 1.0 - 0.5 * (math.erfc(-a / _SQRT2) + math.erfc(b / _SQRT2))
+    return 0.5 * (math.erf(b / _SQRT2) - math.erf(a / _SQRT2))
 
 
 def _truncated_moments(mean: float, sd: float, lo: float, hi: float) -> tuple:
@@ -481,6 +473,7 @@ def region_mixture_moments(
     if mass_z * mass_w <= 0.0:
         raise ValueError(f"region {region} has zero outcome probability")
     mean = fam.mean_map((mean_z, mean_w))
-    var_q = fam.var_q + var_z / nu**2
-    var_p = fam.var_p + var_w / (1.0 - nu) ** 2
+    # dividing twice, as nu**2 underflows to 0 below nu ~ 1.5e-162
+    var_q = fam.var_q + var_z / nu / nu
+    var_p = fam.var_p + var_w / (1.0 - nu) / (1.0 - nu)
     return mean, np.diag([var_q, var_p])

@@ -5,8 +5,7 @@ systems: the positions evolve with ``e^{tR}`` and the momenta with
 ``e^{-tR^T}`` for a traceless 3x3 generator ``R`` built from the coupling
 coefficients.  A constrained subclass of generators satisfies the cubic
 identity ``S^3 = -E S`` and admits a closed-form exponential with three
-branches keyed on the sign of the model constant ``E``; a
-scaling-and-squaring exponential serves as the independent numeric route.
+branches keyed on the sign of the model constant ``E``.
 """
 
 from __future__ import annotations
@@ -31,50 +30,8 @@ _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class InteractionParams:
-    """Coupling coefficients of the bilinear three-mode interaction.
-
-    ``alpha``, ``beta`` and ``gamma`` hold (a1, a2, a3), (b1, b2, b3) and
-    (g1, g2, g3).  The overall strength K is fixed at 1: a nonunit K only
-    rescales the measurement time (tau' = K tau), so it loses nothing.
-    """
-
-    alpha: tuple
-    beta: tuple
-    gamma: tuple
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            if len(vals) != 3:
-                raise ValueError(f"{name} must have 3 entries, got {len(vals)}")
-            object.__setattr__(self, name, vals)
-
-
-def build_generator(params: InteractionParams) -> np.ndarray:
-    """Generator matrix of the position sector, always traceless.
-
-    Row/column layout follows the quadrature order (1, 2, 3)::
-
-        [[g1 - g3, b1,      a3     ],
-         [a1,      g2 - g1, b2     ],
-         [b3,      a2,      g3 - g2]]
-    """
-    a1, a2, a3 = params.alpha
-    b1, b2, b3 = params.beta
-    g1, g2, g3 = params.gamma
-    return np.array(
-        [
-            [g1 - g3, b1, a3],
-            [a1, g2 - g1, b2],
-            [b3, a2, g3 - g2],
-        ]
-    )
-
-
 def _check_close(actual, expected, atol, message):
-    scale = max(1.0, np.abs(np.asarray(expected)).max(initial=0.0))
+    scale = max(1.0, np.maximum.reduce(np.abs(expected), None, initial=0.0))
     check_close(actual, expected, atol * scale, message)
 
 
@@ -129,11 +86,12 @@ class SolvableGenerator:
             )
         s2 = s @ s
         _check_close(s2 @ s, -e * s, IDENTITY_ATOL, "S^3 != -E S")
-        s = s.copy()
-        s.setflags(write=False)
-        s2.setflags(write=False)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "_s2", s2)  # S^2, reused by propagate
+        # [[S, -S^T], [S^2, (S^2)^T]]: the generators of A and B and their
+        # squares, stacked as propagate uses them
+        powers = np.array(((s, -s.T), (s2, s2.T)))
+        powers.setflags(write=False)
+        object.__setattr__(self, "s", powers[0, 0])
+        object.__setattr__(self, "_powers", powers)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "gamma2", g2)
         object.__setattr__(self, "tau", float(self.tau))
@@ -174,53 +132,19 @@ def expm_coefficients(e: float, t: float) -> tuple:
     root = np.sqrt(abs(e))
     x = t * root
     if e > 0.0:
-        return np.sin(x) / root, np.sin(x) * np.tan(x / 2.0) / e
-    return np.sinh(x) / root, np.sinh(x) * np.tanh(x / 2.0) / (-e)
-
-
-def _solvable_expm(m: np.ndarray, e: float, t: float) -> np.ndarray:
-    """Closed form of ``e^{tM}`` for ``M^3 = -E M``."""
-    c1, c2 = expm_coefficients(e, t)
-    return _EYE3 + c1 * m + c2 * (m @ m)
-
-
-def closed_form_propagator(gen: SolvableGenerator, t: float) -> np.ndarray:
-    """``e^{tS}`` evaluated by the three-branch closed form.
-
-    Branch selection keys on the stored model constant ``gen.e``; the
-    identity ``(-S^T)^3 = -E (-S^T)`` means the momentum-sector factor is
-    the same formula applied to ``-S^T``.
-    """
-    return _solvable_expm(gen.s, gen.e, t)
-
-
-def numeric_expm(m: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential ``e^{tM}`` by scaling and squaring.
-
-    Independent oracle for the closed form: the scaled matrix is pushed
-    below norm 1/2, a degree-18 Taylor polynomial is evaluated by Horner's
-    scheme, and the result is squared back up.
-    """
-    m = np.asarray(m, dtype=float) * float(t)
-    n = m.shape[0]
-    norm = np.abs(m).sum(axis=1).max() if m.size else 0.0
-    n_square = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
-    scaled = m / 2.0**n_square
-    eye = np.eye(n)
-    result = eye.copy()
-    for k in range(18, 0, -1):
-        result = eye + scaled @ result / k
-    for _ in range(n_square):
-        result = result @ result
-    return result
+        sin = np.sin(x)
+        return sin / root, sin * np.tan(x / 2.0) / e
+    sinh = np.sinh(x)
+    return sinh / root, sinh * np.tanh(x / 2.0) / (-e)
 
 
 @dataclass(frozen=True, eq=False)
 class PropagatedTransform:
     """The pair ``A = e^{tau S}``, ``B = e^{-tau S^T}`` at measurement time.
 
-    Construction checks that the pair preserves the canonical commutation
-    relations (``A B^T = I``) and stays in SL(3).
+    ``ab`` is the read-only ``(2, 3, 3)`` stack ``[A, B]``; ``a`` and ``b``
+    are views of it.  Construction checks that the pair preserves the
+    canonical commutation relations (``A B^T = I``) and stays in SL(3).
     """
 
     a: np.ndarray
@@ -232,32 +156,35 @@ class PropagatedTransform:
         b = np.asarray(self.b, dtype=float)
         if a.shape != (3, 3) or b.shape != (3, 3):
             raise ValueError("A and B must both be 3x3")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        check_close(a @ b.T, _EYE3, TRANSFORM_ATOL, "A B^T != I")  # I has scale 1
-        # one batched LU call; a cofactor expansion would cancel at large ||A||
-        for name, det in zip("AB", np.linalg.det(np.stack((a, b))).tolist()):
-            if abs(det - 1.0) > TRANSFORM_ATOL:
-                raise ValueError(f"det({name}) = {det:g} != 1")
-        a, b = a.copy(), b.copy()
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "tau", float(self.tau))
+        _check_pair(self, np.array((a, b)), self.tau)
+
+
+def _check_pair(transform: PropagatedTransform, ab: np.ndarray, tau: float) -> None:
+    """Check the stack ``ab = [A, B]`` and store it, with ``tau``, on ``transform``."""
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    check_close(ab[0] @ ab[1].T, _EYE3, TRANSFORM_ATOL, "A B^T != I")  # I has scale 1
+    # one batched LU call; a cofactor expansion would cancel at large ||A||
+    for name, det in zip("AB", np.linalg.det(ab).tolist()):
+        if abs(det - 1.0) > TRANSFORM_ATOL:
+            raise ValueError(f"det({name}) = {det:g} != 1")
+    ab.setflags(write=False)
+    vars(transform).update(ab=ab, a=ab[0], b=ab[1], tau=float(tau))
 
 
 def propagate(gen: SolvableGenerator) -> PropagatedTransform:
     """Evaluate both closed-form factors at the generator's own tau.
 
     ``B = e^{-tau S^T}`` is the closed form at ``-S^T``, whose square is
-    ``(S^2)^T``, so one ``S^2`` and one pair of coefficients serve both.
+    ``(S^2)^T``, so one ``S^2`` and one pair of coefficients build the
+    stack ``[A, B]`` in one expression.
     """
     c1, c2 = expm_coefficients(gen.e, gen.tau)
-    s, s2 = gen.s, gen._s2
-    a = _EYE3 + c1 * s + c2 * s2
-    b = _EYE3 - c1 * s.T + c2 * s2.T
-    return PropagatedTransform(a=a, b=b, tau=gen.tau)
+    first, second = gen._powers
+    ab = _EYE3 + c1 * first + c2 * second
+    transform = object.__new__(PropagatedTransform)  # the stack is checked as built
+    _check_pair(transform, ab, gen.tau)
+    return transform
 
 
 def heisenberg_observables(transform: PropagatedTransform) -> tuple:

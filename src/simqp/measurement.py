@@ -11,6 +11,7 @@ the trade-off bounds and the achievability conditions.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,19 +21,22 @@ from .dynamics import (
     PropagatedTransform,
     SolvableGenerator,
     expm_coefficients,
-    numeric_expm,
     propagate,
 )
 from .phase_space import (
+    PACKET_SLOTS,
+    PROBE_SLOTS,
+    TARGET_ROWS,
     GaussianState,
     LinearObservable,
     MinUncertaintyParams,
-    commutator_coeff,
     make_min_uncertainty_state,
     make_probe_state,
     position,
     momentum,
-    tensor,
+    product_moments,
+    quadratic_forms,
+    symplectic_products,
 )
 
 # meters must commute to this tolerance
@@ -98,31 +102,59 @@ class ErrorPair:
                 raise ValueError(f"{name} must be finite and nonnegative, got {val}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LinearSimultaneousMeasurement:
     """A probe state plus a commuting meter pair for (Q1, P1).
 
-    ``meter_q`` and ``meter_p`` are the evolved observables compared
-    against Q1 and P1.  For the linear models they are Q2(tau) and
-    P3(tau); the Arthurs-Kelly comparator supplies its own meter maps and
-    carries no generator/transform.
+    The meters ``Mq`` and ``Mp`` are compared against Q1 and P1.  For the
+    linear models they are Q2(tau) and P3(tau), the row block
+    ``[[A_2., 0], [0, B_3.]]``; the Arthurs-Kelly comparator supplies its
+    own meter maps and carries no generator/transform.  ``rows`` holds the
+    two meters as one read-only ``(2, 6)`` block of global rows and
+    ``offsets`` their constant terms; ``meter_q`` and ``meter_p`` give them
+    as :class:`LinearObservable`.
     """
 
     probe: GaussianState
-    meter_q: LinearObservable
-    meter_p: LinearObservable
+    rows: np.ndarray
+    offsets: np.ndarray
     tau: float
     generator: SolvableGenerator | None = None
     transform: PropagatedTransform | None = None
 
-    def __post_init__(self):
-        if self.probe.modes != (2, 3):
-            raise ValueError(f"probe must live on modes (2, 3), got {self.probe.modes}")
-        c = commutator_coeff(self.meter_q, self.meter_p)
-        if abs(c) > METER_COMMUTATOR_ATOL:
-            raise ValueError(f"meters do not commute: [Mq, Mp] = i*hbar*{c:g}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+    def __init__(self, probe, meter_q, meter_p, tau, generator=None, transform=None):
+        rows = np.array((meter_q.row, meter_p.row))
+        offsets = np.array([meter_q.offset, meter_p.offset])
+        _check_model(self, probe, rows, offsets, tau, generator, transform)
+
+    @functools.cached_property
+    def meter_q(self) -> LinearObservable:
+        return LinearObservable(self.rows[0, :3], self.rows[0, 3:], self.offsets[0])
+
+    @functools.cached_property
+    def meter_p(self) -> LinearObservable:
+        return LinearObservable(self.rows[1, :3], self.rows[1, 3:], self.offsets[1])
+
+
+def _check_model(m, probe, rows, offsets, tau, generator, transform) -> None:
+    """Check the probe modes, the meter commutator and tau; store them on ``m``."""
+    if probe.modes != (2, 3):
+        raise ValueError(f"probe must live on modes (2, 3), got {probe.modes}")
+    c = float(symplectic_products(rows)[0, 1])
+    if abs(c) > METER_COMMUTATOR_ATOL:
+        raise ValueError(f"meters do not commute: [Mq, Mp] = i*hbar*{c:g}")
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    rows.setflags(write=False)
+    offsets.setflags(write=False)
+    vars(m).update(
+        probe=probe,
+        rows=rows,
+        offsets=offsets,
+        tau=tau,
+        generator=generator,
+        transform=transform,
+    )
 
 
 def coupling_time_factor(tau: float, gamma2: float, e: float) -> float:
@@ -158,21 +190,22 @@ def solve_couplings(nu: float, tau: float, gamma2: float, e: float) -> tuple:
     return nu / factor, -(1.0 - nu) / factor
 
 
+_NO_OFFSETS = np.zeros(2)
+_NO_OFFSETS.setflags(write=False)
+
+
 def _wire(
     transform: PropagatedTransform,
     probe: GaussianState,
     generator: SolvableGenerator | None = None,
 ) -> LinearSimultaneousMeasurement:
     """Model reading ``Q2(tau)`` (row 2 of A) and ``P3(tau)`` (row 3 of B)."""
-    zero = np.zeros(3)
-    return LinearSimultaneousMeasurement(
-        probe=probe,
-        meter_q=LinearObservable(transform.a[1], zero, 0.0),
-        meter_p=LinearObservable(zero, transform.b[2], 0.0),
-        tau=transform.tau,
-        generator=generator,
-        transform=transform,
-    )
+    rows = np.zeros((2, 6))
+    rows[0, :3] = transform.a[1]
+    rows[1, 3:] = transform.b[2]
+    m = object.__new__(LinearSimultaneousMeasurement)
+    _check_model(m, probe, rows, _NO_OFFSETS, transform.tau, generator, transform)
+    return m
 
 
 def build_model(
@@ -214,21 +247,6 @@ def measurement_from_parts(
     return _wire(propagate(gen), probe, gen)
 
 
-def measurement_from_matrix(
-    r: np.ndarray, tau: float, probe: GaussianState
-) -> LinearSimultaneousMeasurement:
-    """Wire a general (not necessarily solvable) generator to a probe.
-
-    The transform pair comes from the numeric exponential; preservation of
-    the canonical commutation relations is still enforced on construction.
-    """
-    r = np.asarray(r, dtype=float)
-    transform = PropagatedTransform(
-        a=numeric_expm(r, tau), b=numeric_expm(-r.T, tau), tau=tau
-    )
-    return _wire(transform, probe)
-
-
 def arthurs_kelly_model(probe: GaussianState) -> LinearSimultaneousMeasurement:
     """The Arthurs-Kelly comparator with its explicit meter maps.
 
@@ -249,51 +267,42 @@ def noise_operators(m: LinearSimultaneousMeasurement) -> tuple:
     return m.meter_q - position(1), m.meter_p - momentum(1)
 
 
-def _quadratic_form(row: np.ndarray, cov: np.ndarray) -> float:
-    """``row @ cov @ row``; a contiguous ``row`` sums in the same order as a
-    single observable's ``c @ cov @ c``."""
-    return float(row @ cov @ row)
-
-
 def _noise_moments(
     m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams
 ) -> tuple:
     """Means, probe-part variances and second moments of both noise operators.
 
     The noise operators ``N_q = Mq - Q1`` and ``N_p = Mp - P1`` are the
-    meters' 6-vectors ``(coeff_q, coeff_p)`` minus the unit rows of Q1
-    and P1, evaluated in one joint state ``psi x probe``.  Each second
+    ``(2, 6)`` block of the meter rows minus the rows of Q1 and P1,
+    contracted against one ``(mu, V)`` of ``psi x probe``.  Each second
     moment is computed by two routes that must agree: route 1 splits it
-    over the product state (system-part variance + probe-part variance +
-    squared mean), route 2 is the direct second moment in the joint
-    state.  Route 1 (the explicit representation) is returned.
+    over the product state (system-part variance at the packet slots +
+    probe-part variance at the probe slots + squared mean), route 2 is the
+    direct second moment in the whole of ``V``.  Route 1 (the explicit
+    representation) is returned.
 
     Returns:
         ``(means, var_probe, second)``, each a list of two floats ordered
         ``(N_q, N_p)``.  The probe part of a noise operator is the probe
         part of its meter.
     """
-    system_state = make_min_uncertainty_state(psi)
-    joint = tensor(system_state, m.probe)
-    probe_idx, system_idx = m.probe.basis_index, system_state.basis_index
-    means, var_probe, explicit, direct = [], [], [], []
-    for meter, target in ((m.meter_q, 0), (m.meter_p, 3)):
-        row = np.concatenate((meter.coeff_q, meter.coeff_p))
-        row[target] -= 1.0  # minus the unit row of Q1 or P1
-        mean = float(row @ joint.mean) + meter.offset
-        probe_part = _quadratic_form(row[probe_idx], m.probe.cov)
-        system_part = _quadratic_form(row[system_idx], system_state.cov)
-        means.append(mean)
-        var_probe.append(probe_part)
-        explicit.append(system_part + probe_part + mean * mean)
-        direct.append(_quadratic_form(row, joint.cov) + mean * mean)
-    for rep, mom in zip(explicit, direct):
+    packet = make_min_uncertainty_state(psi)
+    _, mean, cov = product_moments(packet, m.probe)
+    noise = m.rows - TARGET_ROWS
+    means = (noise[:, None, :] @ mean)[:, 0] + m.offsets
+    squared = means * means
+    var_probe = quadratic_forms(noise.take(PROBE_SLOTS, axis=1), m.probe.cov)
+    system_part = quadratic_forms(noise.take(PACKET_SLOTS, axis=1), packet.cov)
+    explicit = system_part + var_probe + squared
+    direct = quadratic_forms(noise, cov) + squared
+    explicit = explicit.tolist()
+    for rep, mom in zip(explicit, direct.tolist()):
         if abs(rep - mom) > ERROR_ROUTE_ATOL * max(1.0, abs(rep)):
             raise RuntimeError(
                 f"error routes disagree: representation {rep!r} vs "
                 f"noise moment {mom!r}"
             )
-    return means, var_probe, explicit
+    return means.tolist(), var_probe.tolist(), explicit
 
 
 def _error_pair(second) -> ErrorPair:
@@ -421,8 +430,8 @@ def check_theorem_conditions(
     """
     (mean_q, mean_p), (var_probe_q, var_probe_p), second = _noise_moments(m, psi)
 
-    a21 = float(m.meter_q.coeff_q[0])
-    b31 = float(m.meter_p.coeff_p[0])
+    a21 = float(m.rows[0, 0])
+    b31 = float(m.rows[1, 3])
     weight = math.sqrt(abs(a21 * b31))
     res_ii_q = math.sqrt(var_probe_q) - weight * psi.sigma_q
     res_ii_p = math.sqrt(var_probe_p) - weight * psi.sigma_p

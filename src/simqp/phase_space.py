@@ -1,14 +1,16 @@
-"""Phase-space primitives: quadrature observables and Gaussian states.
+"""Phase-space primitives: global rows, Gaussian states and their kernels.
 
 The system is one particle (mode 1) coupled to a two-mode probe (modes 2
-and 3).  Everything downstream works with real linear combinations of the
-six quadratures Q1, Q2, Q3, P1, P2, P3 and with Gaussian states given by
-their mean vector and symmetrized covariance matrix.  The global ordering
-convention is (Q1, Q2, Q3, P1, P2, P3); states defined on a subset of
-modes order their mean/covariance as (all Q's, then all P's) with modes
-ascending; ``GaussianState.basis_index`` places them in the global order.
-The moments kernel :func:`linear_moments` and the covariance check
-:func:`checked_covariance` used across the package live here too.
+and 3).  The global coordinate order is (Q1, Q2, Q3, P1, P2, P3): an
+observable is a row of R^6 in that order (plus an offset), and the product
+state psi x probe is one mean ``mu`` in R^6 and one covariance ``V`` in
+R^{6x6}, with the packet at slots [0, 3] and the probe at [1, 2, 4, 5].
+States defined on a subset of modes order their mean/covariance as (all
+Q's, then all P's) with modes ascending; ``GaussianState.basis_index``
+places them in the global order.  The row kernels (:func:`row_moments`,
+:func:`quadratic_forms`, :func:`symplectic_products`) work on any leading
+axes, and the covariance check :func:`checked_covariance` used across the
+package lives here too.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ def check_close(actual, expected, tol: float, message: str) -> None:
     pass ``tol`` already multiplied by their natural scale.  NaN or
     infinite entries on either side always fail.
     """
-    worst = float(np.abs(np.subtract(actual, expected)).max(initial=0.0))
+    deviation = np.abs(np.subtract(actual, expected))
+    worst = float(np.maximum.reduce(deviation, None, initial=0.0))
     if not math.isfinite(worst):
         raise ValueError(f"{message}: non-finite entries")
     if worst > tol:
@@ -56,7 +59,7 @@ def check_close(actual, expected, tol: float, message: str) -> None:
 
 def checked_covariance(cov: np.ndarray, psd_rtol: float) -> np.ndarray:
     """Symmetrized read-only ``cov``, PSD to ``psd_rtol * max(1, top eigenvalue)``."""
-    largest = np.abs(cov).max()
+    largest = np.maximum.reduce(np.abs(cov), None)
     check_close(
         cov, cov.T, 1e-12 * max(1.0, largest), "covariance matrix is not symmetric"
     )
@@ -101,10 +104,9 @@ def _square(x: float) -> float:
 
 
 def _as_coeffs(values) -> np.ndarray:
-    out = np.array(values, dtype=float)
+    out = np.asarray(values, dtype=float)
     if out.shape != (3,):
         raise ValueError(f"expected 3 coefficients, got shape {out.shape}")
-    out.setflags(write=False)
     return out
 
 
@@ -113,8 +115,10 @@ class LinearObservable:
     """Real affine combination of the six quadratures.
 
     Represents ``sum_j coeff_q[j] Q_{j+1} + sum_j coeff_p[j] P_{j+1}
-    + offset``.  Supports addition, subtraction and scalar multiplication;
-    the zero observable has all coefficients and offset zero.
+    + offset``.  ``row`` is the global row ``(coeff_q, coeff_p)``, and the
+    two coefficient triples are read-only views of it.  Supports addition,
+    subtraction and scalar multiplication; the zero observable has all
+    coefficients and offset zero.
     """
 
     coeff_q: np.ndarray
@@ -122,8 +126,11 @@ class LinearObservable:
     offset: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff_q", _as_coeffs(self.coeff_q))
-        object.__setattr__(self, "coeff_p", _as_coeffs(self.coeff_p))
+        row = np.concatenate((_as_coeffs(self.coeff_q), _as_coeffs(self.coeff_p)))
+        row.setflags(write=False)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "coeff_q", row[:3])
+        object.__setattr__(self, "coeff_p", row[3:])
         object.__setattr__(self, "offset", float(self.offset))
 
     @staticmethod
@@ -254,11 +261,7 @@ class GaussianState:
     hbar: float = 1.0
 
     def __post_init__(self):
-        modes = tuple(int(j) for j in self.modes)
-        if len(set(modes)) != len(modes) or not set(modes) <= set(MODES):
-            raise ValueError(f"modes must be distinct members of {MODES}: {modes}")
-        if list(modes) != sorted(modes):
-            raise ValueError(f"modes must be ascending: {modes}")
+        modes = _checked_modes(tuple(self.modes))
         object.__setattr__(self, "modes", modes)
         m = len(modes)
         mean = np.array(self.mean, dtype=float)
@@ -278,14 +281,38 @@ class GaussianState:
     @property
     def basis_index(self) -> np.ndarray:
         """Positions of the (Q..., P...) coordinates in (Q1, Q2, Q3, P1, P2, P3)."""
-        return _basis_index(self.modes)
+        return _slots(self.modes)[0]
 
 
 @functools.lru_cache(maxsize=None)  # keyed by mode tuples, so at most a few entries
-def _basis_index(modes: tuple) -> np.ndarray:
+def _checked_modes(modes: tuple) -> tuple:
+    """``modes`` as ints, if they are distinct members of MODES in ascending order."""
+    modes = tuple(int(j) for j in modes)
+    if len(set(modes)) != len(modes) or not set(modes) <= set(MODES):
+        raise ValueError(f"modes must be distinct members of {MODES}: {modes}")
+    if list(modes) != sorted(modes):
+        raise ValueError(f"modes must be ascending: {modes}")
+    return modes
+
+
+@functools.lru_cache(maxsize=None)  # keyed by mode tuples, so at most a few entries
+def _slots(modes: tuple) -> tuple:
+    """Global slots of ascending ``modes``' (Q..., P...) coordinates, and the
+    flat indices of their covariance block in a 6x6 matrix."""
     idx = np.array([j - 1 for j in modes] + [j + 2 for j in modes])
+    flat = (6 * idx[:, None] + idx).ravel()
     idx.setflags(write=False)
-    return idx
+    flat.setflags(write=False)
+    return idx, flat
+
+
+#: global slots of the packet (Q1, P1) and of the probe (Q2, Q3, P2, P3)
+PACKET_SLOTS = _slots((1,))[0]
+PROBE_SLOTS = _slots((2, 3))[0]
+
+#: the global rows of Q1 and P1, the quadratures the meters estimate
+TARGET_ROWS = np.eye(6)[PACKET_SLOTS]
+TARGET_ROWS.setflags(write=False)
 
 
 def _valid_state(modes: tuple, mean: np.ndarray, cov: np.ndarray, hbar: float):
@@ -322,17 +349,57 @@ def _diagonal_state(modes: tuple, mean, variances, hbar: float, inputs: dict):
     return _valid_state(modes, np.array(mean, dtype=float), cov, hbar)
 
 
+def row_moments(rows: np.ndarray, offsets, mean: np.ndarray, cov: np.ndarray) -> tuple:
+    """Means ``C mu + offsets`` and covariance ``C V C^T`` of the rows ``C``.
+
+    ``rows`` has shape ``(..., k, n)`` on the ``n`` coordinates of
+    ``(mean, cov)``.  Each row is contracted on its own (``r @ V``, then
+    ``r . mu``) and the upper triangle is mirrored, so every entry has the
+    bits of a lone ``c @ mu`` or ``f @ V @ g``.
+    """
+    rows = np.ascontiguousarray(rows)  # strided rows are summed in another order
+    lone = rows[..., None, :]
+    means = (lone @ mean[..., None, :, None])[..., 0, 0] + offsets
+    cov = (lone @ cov[..., None, :, :])[..., 0, :] @ np.swapaxes(rows, -1, -2)
+    # ``+ 0.0`` turns a -0.0 into 0.0, as adding the zero triangle did
+    upper = _upper_triangle(rows.shape[-2])
+    return means, np.where(upper, cov, np.swapaxes(cov, -1, -2)) + 0.0
+
+
+def quadratic_forms(rows: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``r @ cov @ r`` for each row ``r`` of ``rows`` (shape ``(..., k, n)``)."""
+    rows = np.ascontiguousarray(rows)  # strided rows are summed in another order
+    return (rows[..., None, :] @ cov[..., None, :, :] @ rows[..., :, None])[..., 0, 0]
+
+
+def symplectic_products(rows: np.ndarray) -> np.ndarray:
+    """``R Omega R^T``: entry ``(i, j)`` is ``c`` in ``[r_i, r_j] = i hbar c``.
+
+    ``rows`` has shape ``(..., k, 2m)`` in a (Q..., P...) order, whose
+    symplectic form is ``Omega = [[0, I], [-I, 0]]``; offsets never enter
+    a commutator.
+    """
+    half = rows.shape[-1] // 2
+    qp = rows[..., :half] @ np.swapaxes(rows[..., half:], -1, -2)
+    return qp - np.swapaxes(qp, -1, -2)
+
+
+@functools.lru_cache(maxsize=None)  # keyed by observable count, a few entries
+def _upper_triangle(n: int) -> np.ndarray:
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.setflags(write=False)
+    return mask
+
+
 def linear_moments(state: GaussianState, observables) -> tuple:
     """Means ``C mu + offsets`` and covariance ``C V C^T`` of observables.
 
-    Row i of ``C`` holds observable i on the state's coordinates.  Rows
-    are contracted one at a time and the upper triangle is mirrored, so
-    each entry has the bits of a lone ``c @ mu`` or ``f @ V @ g``.  Raises
-    :class:`ModeMismatchError` if an observable leaves the state's modes.
+    Row i of ``C`` holds observable i on the state's coordinates (see
+    :func:`row_moments`).  Raises :class:`ModeMismatchError` if an
+    observable leaves the state's modes.
     """
     obs = tuple(observables)
-    rows = np.concatenate([c for f in obs for c in (f.coeff_q, f.coeff_p)])
-    rows = rows.reshape(len(obs), 6)
+    rows = np.stack([f.row for f in obs])
     idx = state.basis_index
     if len(idx) < 6 and np.delete(rows, idx, axis=1).any():
         for f in obs:
@@ -342,18 +409,7 @@ def linear_moments(state: GaussianState, observables) -> tuple:
                     f"observable touches mode(s) {sorted(missing)} "
                     f"but the state is defined on modes {state.modes}"
                 )
-    c = np.ascontiguousarray(rows[:, idx])  # strided rows are summed in another order
-    mean = np.array([r @ state.mean for r in c]) + [f.offset for f in obs]
-    cov = np.array([r @ state.cov for r in c]) @ c.T
-    # ``+ 0.0`` turns a -0.0 into 0.0, as adding the zero triangle did
-    return mean, np.where(_upper_triangle(len(obs)), cov, cov.T) + 0.0
-
-
-@functools.lru_cache(maxsize=None)  # keyed by observable count, a few entries
-def _upper_triangle(n: int) -> np.ndarray:
-    mask = np.triu(np.ones((n, n), dtype=bool))
-    mask.setflags(write=False)
-    return mask
+    return row_moments(rows[:, idx], [f.offset for f in obs], state.mean, state.cov)
 
 
 def moments(state: GaussianState, f: LinearObservable) -> tuple:
@@ -443,42 +499,41 @@ def make_probe_state(
     return _diagonal_state((2, 3), mean, positions + momenta, psi.hbar, inputs)
 
 
-@functools.lru_cache(maxsize=None)  # keyed by mode tuples, so at most a few entries
-def _tensor_layout(first_modes: tuple, second_modes: tuple) -> tuple:
-    """Merged modes, and for each factor its target indices in the merged
-    (Q..., P...) order plus the matching covariance block index."""
-    modes = tuple(sorted(first_modes + second_modes))
-    merged = _basis_index(modes)  # ascending modes give a sorted index
-    targets = []
-    for factor in (first_modes, second_modes):
-        idx = np.searchsorted(merged, _basis_index(factor))
-        targets.append((idx, np.ix_(idx, idx)))
-    return modes, targets
+def product_moments(first: GaussianState, second: GaussianState) -> tuple:
+    """Modes, mean and covariance of the product of two states on disjoint modes.
+
+    The product's covariance is the direct sum of the factors' (Weedbrook
+    et al., Rev. Mod. Phys. 84, 621 (2012), sec. II): each factor is placed
+    at its global slots, so the packet and a probe on modes (2, 3) give
+    psi x probe as one ``(mu, V)`` in the global order.  A product on fewer
+    than three modes keeps the merged (Q..., P...) coordinates.
+    """
+    overlap = set(first.modes) & set(second.modes)
+    if overlap:
+        raise ValueError(f"states overlap on modes {overlap}")
+    if first.hbar != second.hbar:
+        raise ValueError("states carry different values of hbar")
+    mean = np.zeros(6)
+    cov = np.zeros((6, 6))
+    for state in (first, second):
+        idx, flat = _slots(state.modes)
+        mean[idx] = state.mean
+        cov.put(flat, state.cov)
+    modes = tuple(sorted(first.modes + second.modes))
+    if len(modes) < 3:
+        idx, flat = _slots(modes)
+        mean, cov = mean[idx], cov.take(flat).reshape(len(idx), len(idx))
+    return modes, mean, cov
 
 
 def tensor(first: GaussianState, second: GaussianState) -> GaussianState:
     """Product state of two Gaussian states on disjoint modes.
 
-    The product's covariance is the direct sum of the factors' (Weedbrook
-    et al., Rev. Mod. Phys. 84, 621 (2012), sec. II), placed in the merged
-    (Q..., P...) order.  Its eigenvalues are the union of the factors'
-    eigenvalues, and the PSD scale ``max(1, top eigenvalue)`` of the sum is
-    at least each factor's, so the product passes :func:`checked_covariance`
-    whenever both factors did: it is assembled without checking again.  The
-    assembled matrix is exactly symmetric, so symmetrising would not change
-    a bit of it.
+    The eigenvalues of the direct sum built by :func:`product_moments` are
+    the union of the factors' eigenvalues, and the PSD scale ``max(1, top
+    eigenvalue)`` of the sum is at least each factor's, so the product
+    passes :func:`checked_covariance` whenever both factors did: it is
+    assembled without checking again.  The assembled matrix is exactly
+    symmetric, so symmetrising would not change a bit of it.
     """
-    if set(first.modes) & set(second.modes):
-        raise ValueError(
-            f"states overlap on modes {set(first.modes) & set(second.modes)}"
-        )
-    if first.hbar != second.hbar:
-        raise ValueError("states carry different values of hbar")
-    modes, targets = _tensor_layout(first.modes, second.modes)
-    m = len(modes)
-    mean = np.zeros(2 * m)
-    cov = np.zeros((2 * m, 2 * m))
-    for state, (idx, block) in zip((first, second), targets):
-        mean[idx] = state.mean
-        cov[block] = state.cov
-    return _valid_state(modes, mean, cov, first.hbar)
+    return _valid_state(*product_moments(first, second), first.hbar)

@@ -1,18 +1,28 @@
-"""Shared helpers: random model generators and frozen closed-form matrices."""
+"""Shared helpers: random model generators, frozen closed-form matrices,
+and the test-only oracles (numeric exponential, general generators, the
+marginal and log-density of a joint law)."""
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm as scipy_expm
 
 from simqp import (
     GaussianState,
+    JointGaussian,
+    LinearObservable,
+    LinearSimultaneousMeasurement,
     MinUncertaintyParams,
     ModelFamily,
+    PropagatedTransform,
     SolvableGenerator,
     make_probe_state,
     measurement_from_parts,
     propagate,
     solve_couplings,
 )
+from simqp.dynamics import expm_coefficients
 
 FAMILIES = (ModelFamily.X, ModelFamily.Y2, ModelFamily.Y0, ModelFamily.Z)
 
@@ -192,3 +202,120 @@ def frozen_generator(family: ModelFamily, nu: float) -> np.ndarray:
 
 def nu_grid_99():
     return [0.01 * k for k in range(1, 100)]
+
+
+@dataclass(frozen=True, eq=False)
+class InteractionParams:
+    """Coupling coefficients of the bilinear three-mode interaction.
+
+    ``alpha``, ``beta`` and ``gamma`` hold (a1, a2, a3), (b1, b2, b3) and
+    (g1, g2, g3).  The overall strength K is fixed at 1: a nonunit K only
+    rescales the measurement time (tau' = K tau), so it loses nothing.
+    """
+
+    alpha: tuple
+    beta: tuple
+    gamma: tuple
+
+    def __post_init__(self):
+        for name in ("alpha", "beta", "gamma"):
+            vals = tuple(float(v) for v in getattr(self, name))
+            if len(vals) != 3:
+                raise ValueError(f"{name} must have 3 entries, got {len(vals)}")
+            object.__setattr__(self, name, vals)
+
+
+def build_generator(params: InteractionParams) -> np.ndarray:
+    """Generator matrix of the position sector, always traceless.
+
+    Row/column layout follows the quadrature order (1, 2, 3)::
+
+        [[g1 - g3, b1,      a3     ],
+         [a1,      g2 - g1, b2     ],
+         [b3,      a2,      g3 - g2]]
+    """
+    a1, a2, a3 = params.alpha
+    b1, b2, b3 = params.beta
+    g1, g2, g3 = params.gamma
+    return np.array(
+        [
+            [g1 - g3, b1, a3],
+            [a1, g2 - g1, b2],
+            [b3, a2, g3 - g2],
+        ]
+    )
+
+
+def closed_form_propagator(gen: SolvableGenerator, t: float) -> np.ndarray:
+    """``e^{tS}`` by the three-branch closed form ``I + c1 S + c2 S^2``.
+
+    Branch selection keys on the stored model constant ``gen.e``.
+    """
+    c1, c2 = expm_coefficients(gen.e, t)
+    return np.eye(3) + c1 * gen.s + c2 * (gen.s @ gen.s)
+
+
+def numeric_expm(m: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """Matrix exponential ``e^{tM}`` by scaling and squaring.
+
+    Independent oracle for the closed form: the scaled matrix is pushed
+    below norm 1/2, a degree-18 Taylor polynomial is evaluated by Horner's
+    scheme, and the result is squared back up.
+    """
+    m = np.asarray(m, dtype=float) * float(t)
+    n = m.shape[0]
+    norm = np.abs(m).sum(axis=1).max() if m.size else 0.0
+    n_square = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
+    scaled = m / 2.0**n_square
+    eye = np.eye(n)
+    result = eye.copy()
+    for k in range(18, 0, -1):
+        result = eye + scaled @ result / k
+    for _ in range(n_square):
+        result = result @ result
+    return result
+
+
+def measurement_from_matrix(r: np.ndarray, tau: float, probe: GaussianState):
+    """Wire a general (not necessarily solvable) generator to a probe.
+
+    The transform pair comes from the numeric exponential; preservation of
+    the canonical commutation relations is still enforced on construction.
+    """
+    r = np.asarray(r, dtype=float)
+    transform = PropagatedTransform(
+        a=numeric_expm(r, tau), b=numeric_expm(-r.T, tau), tau=tau
+    )
+    zero = np.zeros(3)
+    return LinearSimultaneousMeasurement(
+        probe=probe,
+        meter_q=LinearObservable(transform.a[1], zero, 0.0),
+        meter_p=LinearObservable(zero, transform.b[2], 0.0),
+        tau=transform.tau,
+        transform=transform,
+    )
+
+
+def marginal(joint: JointGaussian, indices) -> JointGaussian:
+    """Marginal law of a subset of components."""
+    idx = list(indices)
+    return JointGaussian(
+        labels=tuple(joint.labels[i] for i in idx),
+        mean=joint.mean[idx],
+        cov=joint.cov[np.ix_(idx, idx)],
+    )
+
+
+def log_density(joint: JointGaussian, x) -> np.ndarray:
+    """Log of the density at point(s) ``x`` (shape (..., dim)).
+
+    Computed in log space so values far from the mean do not underflow.
+    Requires a nonsingular covariance.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    diff = x - joint.mean
+    chol = np.linalg.cholesky(joint.cov)
+    z = np.linalg.solve(chol, diff.T)
+    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    out = -0.5 * (joint.dim * math.log(2.0 * math.pi) + log_det + (z**2).sum(axis=0))
+    return out if out.size > 1 else float(out[0])

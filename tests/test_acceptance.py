@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    closed_form_propagator,
+    marginal,
+    numeric_expm,
     FAMILIES,
     nu_grid_99,
     random_measurement,
@@ -30,7 +33,6 @@ from simqp import (
     branciard_ozawa_residual,
     build_model,
     check_theorem_conditions,
-    closed_form_propagator,
     commutator_coeff,
     conditional,
     gauss_error,
@@ -40,7 +42,6 @@ from simqp import (
     make_min_uncertainty_state,
     meter_joint,
     moments,
-    numeric_expm,
     ozawa_inequality_residual,
     p_pair_joint,
     posterior_consistency,
@@ -238,7 +239,7 @@ def test_criterion_6_distribution_identities():
                     np.abs(triple_p.cov - expect_p_cov).max(),
                 )
                 meters = meter_joint(m, psi)
-                marg = triple_q.marginal((1, 2))
+                marg = marginal(triple_q, (1, 2))
                 worst_marg = max(
                     worst_marg,
                     np.abs(marg.mean - meters.mean).max(),

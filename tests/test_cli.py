@@ -640,6 +640,26 @@ def test_posterior_variance_past_2_1023_is_named():
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ("--nu", "1e-300"),
+        ("--nu", "1e-170"),
+        ("--nu", "0.5", "--sigma1", "1e154"),
+    ],
+)
+def test_extreme_central_regions_exit_zero(flags):
+    done = subprocess.run(
+        [sys.executable, "-m", "simqp.cli", "posterior", "--family", "z", *flags,
+         "--region=-1,1,-1,1"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    cov = json.loads(done.stdout)["cov"]
+    assert all(math.isfinite(v) and v > 0.0 for v in (cov[0][0], cov[1][1]))
+
+
+@pytest.mark.parametrize(
     "argv, names",
     [
         (

@@ -7,8 +7,9 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from conftest import FAMILIES
+from conftest import FAMILIES, log_density, marginal
 
+from simqp.distributions import _normal_mass
 from simqp import (
     JointGaussian,
     MinUncertaintyParams,
@@ -164,7 +165,7 @@ class TestConditional:
         pts = np.column_stack(
             [gx.ravel(), gy.ravel(), np.full(gx.size, value)]
         )
-        w = np.exp(joint.log_density(pts))
+        w = np.exp(log_density(joint, pts))
         w /= w.sum()
         mean_x = float(w @ pts[:, 0])
         mean_y = float(w @ pts[:, 1])
@@ -307,7 +308,7 @@ class TestLogDensity:
         joint = JointGaussian(("x", "y", "z"), mean, cov)
         pts = rng.normal(size=(20, 3), scale=3.0)
         np.testing.assert_allclose(
-            joint.log_density(pts),
+            log_density(joint, pts),
             stats.multivariate_normal(mean=mean, cov=cov).logpdf(pts),
             rtol=1e-10,
         )
@@ -325,7 +326,7 @@ class TestMarginalization:
             labels=("Q1(tau)", "Q2(tau)", "P3(tau)"),
         )
         meters = meter_joint(m, PSI_OFF)
-        marg = triple.marginal((1, 2))
+        marg = marginal(triple, (1, 2))
         np.testing.assert_allclose(marg.mean, meters.mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(marg.cov, meters.cov, rtol=0, atol=1e-12)
 
@@ -543,6 +544,26 @@ class TestRegionMixture:
         with pytest.raises(ValueError, match=r"posterior Var\(Q1\) = inf is not finite"):
             region_mixture_moments(ModelFamily.Z, 0.5, psi, OutcomeRegion(-1, 1, -1, 1))
 
+    @pytest.mark.parametrize("nu", [1e-170, 1e-300])
+    def test_tiny_nu_keeps_the_region_variance(self, nu):
+        # nu**2 underflows to 0 here; dividing twice keeps Var(Q1) finite
+        psi = MinUncertaintyParams()
+        mean, cov = region_mixture_moments(
+            ModelFamily.Z, nu, psi, OutcomeRegion(-1.0, 1.0, -1.0, 1.0)
+        )
+        assert mean.tolist() == [0.0, 0.0]
+        assert cov[0, 0] == pytest.approx(2.0 / nu, rel=1e-15)
+        assert math.isfinite(cov[1, 1]) and cov[1, 1] > 0.0
+
+    def test_central_region_keeps_its_mass_at_huge_sigma1(self):
+        # the outcome spread is 7e153, so (-1, 1) has mass ~1e-154, not 0
+        psi = MinUncertaintyParams(sigma1=1e154)
+        _, cov = region_mixture_moments(
+            ModelFamily.Z, 0.5, psi, OutcomeRegion(-1.0, 1.0, -1.0, 1.0)
+        )
+        assert cov[0, 0] == pytest.approx(1e308, rel=1e-15)
+        assert cov[1, 1] == pytest.approx(7.5e-309, rel=1e-12, abs=0.0)
+
     def test_zero_measure_region_rejected(self):
         region = OutcomeRegion(60.0, 70.0, -1.0, 1.0)
         with pytest.raises(ValueError, match="zero"):
@@ -557,3 +578,21 @@ class TestRegionMixture:
     def test_empty_interior_rejected(self):
         with pytest.raises(ValueError, match="interior"):
             OutcomeRegion(1.0, 1.0, 0.0, 1.0)
+
+
+class TestNormalMass:
+    @pytest.mark.parametrize("log_eps", np.linspace(-300.0, -3.0, 45))
+    def test_narrow_central_interval(self, log_eps):
+        # P(-eps < Z < eps) = 2 eps phi(0) (1 - eps^2/6 + eps^4/40 - ...)
+        eps = 10.0**log_eps
+        series = 1.0 - eps * eps / 6.0 + eps**4 / 40.0
+        want = 2.0 * eps / math.sqrt(2.0 * math.pi) * series
+        assert _normal_mass(-eps, eps) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(-1e-200, 3e-200), (-0.5, 2.0), (-8.0, 1e-9), (0.3, 4.0), (2.0, math.inf),
+         (-math.inf, -5.0), (-math.inf, 0.7), (-3.0, math.inf), (0.0, 1.0)],
+    )
+    def test_mirrored_intervals_have_identical_masses(self, a, b):
+        assert _normal_mass(a, b) == _normal_mass(-b, -a)

@@ -8,18 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
-from conftest import FAMILIES, random_solvable_generator, frozen_generator, frozen_transform_a, frozen_transform_b
+from conftest import (
+    FAMILIES,
+    InteractionParams,
+    build_generator,
+    closed_form_propagator,
+    frozen_generator,
+    frozen_transform_a,
+    frozen_transform_b,
+    numeric_expm,
+    random_solvable_generator,
+)
 
 from simqp import (
-    InteractionParams,
     ModelFamily,
     PropagatedTransform,
     SolvableGenerator,
-    build_generator,
-    closed_form_propagator,
     commutator_coeff,
     heisenberg_observables,
-    numeric_expm,
     propagate,
     solve_couplings,
 )

@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    InteractionParams,
+    build_generator,
+    measurement_from_matrix,
     FAMILIES,
     random_matched_measurement,
     random_measurement,
@@ -22,20 +25,17 @@ from simqp import (
     moments,
     tensor,
     GaussianState,
-    InteractionParams,
     LinearSimultaneousMeasurement,
     MinUncertaintyParams,
     ModelFamily,
     arthurs_kelly_errors,
     arthurs_kelly_model,
     branciard_ozawa_residual,
-    build_generator,
     build_model,
     check_theorem_conditions,
     commutator_coeff,
     heisenberg_product,
     lower_bound_l,
-    measurement_from_matrix,
     measurement_from_parts,
     momentum,
     noise_operators,

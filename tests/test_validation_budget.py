@@ -2,12 +2,12 @@
 
 Counts ``numpy.linalg`` calls (``eigvalsh``, the eigenvalue step of
 ``checked_covariance``, plus ``det``, ``cholesky`` and ``solve``) while
-each pipeline function runs on a prebuilt model and a cached packet.  The
-product state psi x probe is assembled by ``tensor`` from two checked
-factors, and the packet, probe and posterior states are diagonal
-covariances of checked variances, so none of them adds an ``eigvalsh``
-call; a count that grows means some path has started to validate a state
-a second time or to factor a matrix twice.
+each pipeline function runs on a prebuilt model and a cached packet, and
+along two whole pipelines.  The product state psi x probe is assembled by
+``product_moments`` from two checked factors, and the packet, probe and
+posterior states are diagonal covariances of checked variances, so none of
+them adds an ``eigvalsh`` call; a count that grows means some path has
+started to validate a state a second time or to factor a matrix twice.
 """
 
 import numpy as np
@@ -15,7 +15,9 @@ import pytest
 
 from conftest import FAMILIES, random_measurement
 from simqp import (
+    GaussianState,
     MinUncertaintyParams,
+    SolvableGenerator,
     ModelFamily,
     PosteriorFamily,
     arthurs_kelly_model,
@@ -24,6 +26,7 @@ from simqp import (
     conditional,
     make_min_uncertainty_state,
     make_probe_state,
+    measurement_from_parts,
     meter_joint,
     p_pair_joint,
     posterior_consistency,
@@ -133,3 +136,26 @@ def test_posterior_consistency_checks_each_law_once(eigvalsh_shapes, family):
     # the two triple joints and their two Schur complements; no (6, 6)
     # product re-check and no eigen-check of the diagonal probe
     assert sorted(shapes) == [(1, 1), (1, 1), (3, 3), (3, 3)]
+
+
+def test_fuzz_pipeline_checks_the_probe_and_factors_once(linalg_shapes):
+    # probe PSD check, then one batched det of [A, B]; the product state,
+    # the meters and both error routes add no factorisation
+    def pipeline():
+        probe = GaussianState(modes=(2, 3), mean=np.zeros(4), cov=0.5 * np.eye(4), hbar=PSI.hbar)
+        gen = SolvableGenerator.from_couplings(0.7, -1.1, 0.4, 0.9, 1.2)
+        qrms_errors(measurement_from_parts(gen, probe), PSI)
+
+    assert call_counts(linalg_shapes, pipeline) == {**NONE, "eigvalsh": 1, "det": 1}
+    assert linalg_shapes["eigvalsh"] == [(4, 4)]
+    assert linalg_shapes["det"] == [(2, 3, 3)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_pipeline_factors_once(linalg_shapes, family):
+    def pipeline():
+        model = build_model(family, 0.37, PSI)
+        qrms_errors(model, PSI)
+        check_theorem_conditions(model, PSI)
+
+    assert call_counts(linalg_shapes, pipeline) == {**NONE, "det": 1}
