@@ -384,6 +384,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number (``json`` reads ``true`` and ``false`` as bools)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_config_types(path: str, values: dict) -> None:
+    """Refuse, by key, a config value whose JSON type cannot be meant."""
+    for key in ("hbar", "sigma1", "q1", "p1", "nu"):
+        if key in values and not _is_number(values[key]):
+            raise ValueError(
+                f"config file {path}: {key!r} must hold a JSON number, "
+                f"got {json.dumps(values[key])}"
+            )
+    grid = values.get("nu_grid", [])
+    if not isinstance(grid, list) or not all(_is_number(v) for v in grid):
+        raise ValueError(
+            f"config file {path}: 'nu_grid' must hold a list of JSON numbers, "
+            f"got {json.dumps(grid)}"
+        )
+    seed = values.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(
+            f"config file {path}: 'seed' must hold a JSON integer, "
+            f"got {json.dumps(seed)}"
+        )
+
+
 def _resolve_config(args) -> RunConfig:
     """Merge config-file values under explicit flags."""
     file_values = {}
@@ -395,6 +422,7 @@ def _resolve_config(args) -> RunConfig:
                 f"config file {args.config} must hold a JSON object, "
                 f"got {type(file_values).__name__}"
             )
+        _check_config_types(args.config, file_values)
 
     def pick(flag_value, key, default):
         if flag_value is not None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import evolved_rows
 from .measurement import (
     POSTERIOR_FAMILIES,
     LinearSimultaneousMeasurement,
@@ -28,7 +29,6 @@ from .phase_space import (
     _square,
     checked_covariance,
     checked_variances,
-    linear_moments,
     make_min_uncertainty_state,
     product_moments,
     row_moments,
@@ -79,26 +79,32 @@ class JointGaussian:
 
 
 def joint_distribution(
-    observables, state: GaussianState, labels=None
+    rows: np.ndarray, mean: np.ndarray, cov: np.ndarray, labels=None
 ) -> JointGaussian:
-    """Joint Gaussian law of mutually commuting observables in a state.
+    """Joint Gaussian law of mutually commuting rows in a state ``(mean, cov)``.
 
     Args:
-        observables: sequence of :class:`LinearObservable`, pairwise
-            commuting (checked to ``1e-12``).
-        state: Gaussian state supporting every observable's modes.
+        rows: ``(k, n)`` block, one observable per row on the state's ``n``
+            coordinates in (Q..., P...) order, pairwise commuting (checked
+            to ``1e-12``).
+        mean, cov: the state's mean and covariance.
         labels: optional component names; defaults to f0, f1, ...
 
     Raises:
         NonCommutingObservablesError: naming the offending pair and its
             commutator coefficient.
+        ValueError: if ``labels`` does not name each row once.
     """
-    obs = list(observables)
     if labels is None:
-        labels = tuple(f"f{i}" for i in range(len(obs)))
-    _check_commuting(symplectic_products(np.stack([f.row for f in obs])), labels)
-    mean, cov = linear_moments(state, obs)
-    return JointGaussian(labels=tuple(labels), mean=mean, cov=cov)
+        labels = [f"f{i}" for i in range(len(rows))]
+    labels = tuple(labels)
+    if len(labels) != len(rows):
+        raise ValueError(
+            f"dimension mismatch: {len(labels)} labels for {len(rows)} rows"
+        )
+    _check_commuting(symplectic_products(rows), labels)
+    mean, cov = row_moments(rows, mean, cov)
+    return JointGaussian(labels=labels, mean=mean, cov=cov)
 
 
 def _check_commuting(products: np.ndarray, labels) -> None:
@@ -118,8 +124,17 @@ def _conditioning(joint: JointGaussian, given: list) -> tuple:
 
     At values ``y`` of the given components, the ``rest`` have mean
     ``mean[rest] + gain @ (y - mean[given])`` and covariance ``schur_cov``.
+    ``given`` must hold distinct integers in ``range(joint.dim)``.
     """
-    rest = [i for i in range(joint.dim) if i not in given]
+    seen = set()
+    for i in given:
+        integer = isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+        if not integer or not 0 <= i < joint.dim or i in seen:
+            raise ValueError(
+                f"given index {i!r} is not a distinct integer in range({joint.dim})"
+            )
+        seen.add(i)
+    rest = [i for i in range(joint.dim) if i not in seen]
     if not rest:
         raise ValueError("conditioning on every component leaves nothing")
     v_gg = joint.cov[given][:, given]
@@ -145,7 +160,8 @@ def conditional(joint: JointGaussian, given, values) -> JointGaussian:
         values: observed values, one per index.
 
     Raises:
-        ValueError: if the conditioned block is singular.
+        ValueError: if an index is repeated or not an integer in
+            ``range(joint.dim)``, or if the conditioned block is singular.
     """
     given = list(given)
     values = np.asarray(values, dtype=float)
@@ -195,19 +211,17 @@ def sample(joint: JointGaussian, n: int, seed: int) -> np.ndarray:
     return joint.mean + z @ root.T
 
 
-def _product_joint(m, psi, rows, offsets, labels) -> JointGaussian:
-    """Joint law of the global ``rows`` (plus ``offsets``) in psi x probe."""
+def _product_state(m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams):
+    """Mean and covariance of psi x probe in the global order."""
     _, mu, v = product_moments(make_min_uncertainty_state(psi), m.probe)
-    _check_commuting(symplectic_products(rows), labels)
-    mean, cov = row_moments(rows, offsets, mu, v)
-    return JointGaussian(labels=labels, mean=mean, cov=cov)
+    return mu, v
 
 
 def meter_joint(
     m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams
 ) -> JointGaussian:
     """Joint law of the two meters (Q2(tau), P3(tau)) in psi x probe."""
-    return _product_joint(m, psi, m.rows, m.offsets, ("Q2(tau)", "P3(tau)"))
+    return joint_distribution(m.rows, *_product_state(m, psi), ("Q2(tau)", "P3(tau)"))
 
 
 def q_pair_joint(
@@ -215,7 +229,7 @@ def q_pair_joint(
 ) -> JointGaussian:
     """Joint law of the target and its meter, (Q1(0), Q2(tau))."""
     rows = np.array((TARGET_ROWS[0], m.rows[0]))
-    return _product_joint(m, psi, rows, (0.0, m.offsets[0]), ("Q1(0)", "Q2(tau)"))
+    return joint_distribution(rows, *_product_state(m, psi), ("Q1(0)", "Q2(tau)"))
 
 
 def p_pair_joint(
@@ -223,7 +237,7 @@ def p_pair_joint(
 ) -> JointGaussian:
     """Joint law of the target and its meter, (P1(0), P3(tau))."""
     rows = np.array((TARGET_ROWS[1], m.rows[1]))
-    return _product_joint(m, psi, rows, (0.0, m.offsets[1]), ("P1(0)", "P3(tau)"))
+    return joint_distribution(rows, *_product_state(m, psi), ("P1(0)", "P3(tau)"))
 
 
 def check_posterior_family(family: ModelFamily) -> None:
@@ -317,6 +331,11 @@ def _default_outcome_grid(joint: JointGaussian) -> list:
     ]
 
 
+#: evolved rows of (Q1(tau), Q2(tau), P3(tau)) and (P1(tau), Q2(tau), P3(tau))
+_POSTERIOR_TRIPLES = np.array([[0, 1, 5], [3, 1, 5]])
+_POSTERIOR_TRIPLES.setflags(write=False)
+
+
 def posterior_consistency(
     family: ModelFamily,
     nu: float,
@@ -337,21 +356,9 @@ def posterior_consistency(
     """
     check_posterior_family(family)
     m = build_model(family, nu, psi)
-    # the triples (Q1(tau), Mq, Mp) and (P1(tau), Mq, Mp): Q1(tau) and
-    # P1(tau) are row 1 of A and row 1 of B
-    rows = np.zeros((2, 3, 6))
-    rows[0, 0, :3] = m.transform.a[0]
-    rows[1, 0, 3:] = m.transform.b[0]
-    rows[:, 1:] = m.rows
-    _, mu, v = product_moments(make_min_uncertainty_state(psi), m.probe)
-    labels = ("f0", "f1", "f2")
-    for products in symplectic_products(rows):
-        _check_commuting(products, labels)
-    offsets = np.concatenate(([0.0], m.offsets))
-    joints = [
-        JointGaussian(labels=labels, mean=mean, cov=cov)
-        for mean, cov in zip(*row_moments(rows, offsets, mu, v))
-    ]
+    rows = evolved_rows(m.transform).take(_POSTERIOR_TRIPLES, axis=0)
+    mu, v = _product_state(m, psi)
+    joints = [joint_distribution(triple, mu, v) for triple in rows]
     if outcomes is None:
         outcomes = _default_outcome_grid(joints[0])
     y = np.array([(z, w) for z, w in outcomes], dtype=float).reshape(-1, 2)

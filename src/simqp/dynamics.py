@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import LinearObservable, check_close
+from .phase_space import check_close
 
 # matrix identities (S^3 = -E S, consistency of E with the couplings) are
 # enforced on construction at this absolute scale
@@ -187,15 +187,14 @@ def propagate(gen: SolvableGenerator) -> PropagatedTransform:
     return transform
 
 
-def heisenberg_observables(transform: PropagatedTransform) -> tuple:
-    """Evolved quadratures as linear observables.
+def evolved_rows(transform: PropagatedTransform) -> np.ndarray:
+    """The 6x6 block ``[[A, 0], [0, B]]`` of the evolved quadratures.
 
-    Returns:
-        ``(q_out, p_out)`` where ``q_out[i]`` is ``Q_{i+1}(tau)`` (row i of
-        A applied to the position basis) and ``p_out[i]`` is
-        ``P_{i+1}(tau)`` (row i of B applied to the momentum basis).
+    Row i is the global row of the i-th of (Q1(tau), Q2(tau), Q3(tau),
+    P1(tau), P2(tau), P3(tau)): row i of A on the positions, or row i of B
+    on the momenta.
     """
-    zero = np.zeros(3)
-    q_out = tuple(LinearObservable(transform.a[i], zero, 0.0) for i in range(3))
-    p_out = tuple(LinearObservable(zero, transform.b[i], 0.0) for i in range(3))
-    return q_out, p_out
+    rows = np.zeros((6, 6))
+    rows[:3, :3] = transform.a
+    rows[3:, 3:] = transform.b
+    return rows

@@ -11,7 +11,6 @@ the trade-off bounds and the achievability conditions.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ import numpy as np
 from .dynamics import (
     PropagatedTransform,
     SolvableGenerator,
+    evolved_rows,
     expm_coefficients,
     propagate,
 )
@@ -28,12 +28,9 @@ from .phase_space import (
     PROBE_SLOTS,
     TARGET_ROWS,
     GaussianState,
-    LinearObservable,
     MinUncertaintyParams,
     make_min_uncertainty_state,
     make_probe_state,
-    position,
-    momentum,
     product_moments,
     quadratic_forms,
     symplectic_products,
@@ -106,55 +103,38 @@ class ErrorPair:
 class LinearSimultaneousMeasurement:
     """A probe state plus a commuting meter pair for (Q1, P1).
 
-    The meters ``Mq`` and ``Mp`` are compared against Q1 and P1.  For the
-    linear models they are Q2(tau) and P3(tau), the row block
-    ``[[A_2., 0], [0, B_3.]]``; the Arthurs-Kelly comparator supplies its
-    own meter maps and carries no generator/transform.  ``rows`` holds the
-    two meters as one read-only ``(2, 6)`` block of global rows and
-    ``offsets`` their constant terms; ``meter_q`` and ``meter_p`` give them
-    as :class:`LinearObservable`.
+    The meters ``Mq`` and ``Mp`` are compared against Q1 and P1.  ``rows``
+    holds them as one read-only ``(2, 6)`` block of global rows.  For the
+    linear models they are Q2(tau) and P3(tau), rows 1 and 5 of
+    :func:`evolved_rows`; the Arthurs-Kelly comparator supplies its own
+    block and carries no generator/transform.  Construction checks the
+    probe modes, the block's shape, the meter commutator and tau.
     """
 
     probe: GaussianState
     rows: np.ndarray
-    offsets: np.ndarray
     tau: float
     generator: SolvableGenerator | None = None
     transform: PropagatedTransform | None = None
 
-    def __init__(self, probe, meter_q, meter_p, tau, generator=None, transform=None):
-        rows = np.array((meter_q.row, meter_p.row))
-        offsets = np.array([meter_q.offset, meter_p.offset])
-        _check_model(self, probe, rows, offsets, tau, generator, transform)
-
-    @functools.cached_property
-    def meter_q(self) -> LinearObservable:
-        return LinearObservable(self.rows[0, :3], self.rows[0, 3:], self.offsets[0])
-
-    @functools.cached_property
-    def meter_p(self) -> LinearObservable:
-        return LinearObservable(self.rows[1, :3], self.rows[1, 3:], self.offsets[1])
-
-
-def _check_model(m, probe, rows, offsets, tau, generator, transform) -> None:
-    """Check the probe modes, the meter commutator and tau; store them on ``m``."""
-    if probe.modes != (2, 3):
-        raise ValueError(f"probe must live on modes (2, 3), got {probe.modes}")
-    c = float(symplectic_products(rows)[0, 1])
-    if abs(c) > METER_COMMUTATOR_ATOL:
-        raise ValueError(f"meters do not commute: [Mq, Mp] = i*hbar*{c:g}")
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    rows.setflags(write=False)
-    offsets.setflags(write=False)
-    vars(m).update(
-        probe=probe,
-        rows=rows,
-        offsets=offsets,
-        tau=tau,
-        generator=generator,
-        transform=transform,
-    )
+    def __init__(self, probe, rows, tau, generator=None, transform=None):
+        if probe.modes != (2, 3):
+            raise ValueError(f"probe must live on modes (2, 3), got {probe.modes}")
+        rows = np.array(rows, dtype=float)
+        if rows.shape != (2, 6):
+            raise ValueError(f"meter rows must have shape (2, 6), got {rows.shape}")
+        c = float(symplectic_products(rows)[0, 1])
+        if abs(c) > METER_COMMUTATOR_ATOL:
+            raise ValueError(f"meters do not commute: [Mq, Mp] = i*hbar*{c:g}")
+        if not tau > 0:
+            raise ValueError(f"tau must be positive, got {tau}")
+        rows.setflags(write=False)
+        # the class is frozen, so the fields go in through the instance dict:
+        # a generated __init__ would pay one object.__setattr__ per field,
+        # on every model built
+        vars(self).update(
+            probe=probe, rows=rows, tau=tau, generator=generator, transform=transform
+        )
 
 
 def coupling_time_factor(tau: float, gamma2: float, e: float) -> float:
@@ -190,22 +170,18 @@ def solve_couplings(nu: float, tau: float, gamma2: float, e: float) -> tuple:
     return nu / factor, -(1.0 - nu) / factor
 
 
-_NO_OFFSETS = np.zeros(2)
-_NO_OFFSETS.setflags(write=False)
-
-
 def _wire(
     transform: PropagatedTransform,
     probe: GaussianState,
     generator: SolvableGenerator | None = None,
 ) -> LinearSimultaneousMeasurement:
-    """Model reading ``Q2(tau)`` (row 2 of A) and ``P3(tau)`` (row 3 of B)."""
-    rows = np.zeros((2, 6))
-    rows[0, :3] = transform.a[1]
-    rows[1, 3:] = transform.b[2]
-    m = object.__new__(LinearSimultaneousMeasurement)
-    _check_model(m, probe, rows, _NO_OFFSETS, transform.tau, generator, transform)
-    return m
+    """Model reading ``Q2(tau)`` and ``P3(tau)``, rows 1 and 5 of the evolved block."""
+    # a strided view of rows 1 and 5, which the constructor copies: a fancy
+    # index would copy twice and cost more than the rest of this function
+    rows = evolved_rows(transform)[1::4]
+    return LinearSimultaneousMeasurement(
+        probe, rows, transform.tau, generator, transform
+    )
 
 
 def build_model(
@@ -247,6 +223,13 @@ def measurement_from_parts(
     return _wire(propagate(gen), probe, gen)
 
 
+#: the Arthurs-Kelly meters ``Q1 + Q2 + P3/2`` and ``P1 - P2/2 + Q3`` as global rows
+_ARTHURS_KELLY_ROWS = np.array(
+    [[1.0, 1.0, 0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 1.0, 1.0, -0.5, 0.0]]
+)
+_ARTHURS_KELLY_ROWS.setflags(write=False)
+
+
 def arthurs_kelly_model(probe: GaussianState) -> LinearSimultaneousMeasurement:
     """The Arthurs-Kelly comparator with its explicit meter maps.
 
@@ -255,16 +238,7 @@ def arthurs_kelly_model(probe: GaussianState) -> LinearSimultaneousMeasurement:
     independent of the system state and always satisfy the multiplicative
     error bound eps_q * eps_p >= hbar/2.
     """
-    meter_q = position(1) + position(2) + 0.5 * momentum(3)
-    meter_p = momentum(1) - 0.5 * momentum(2) + position(3)
-    return LinearSimultaneousMeasurement(
-        probe=probe, meter_q=meter_q, meter_p=meter_p, tau=1.0
-    )
-
-
-def noise_operators(m: LinearSimultaneousMeasurement) -> tuple:
-    """Noise operators ``N_q = Mq - Q1`` and ``N_p = Mp - P1``."""
-    return m.meter_q - position(1), m.meter_p - momentum(1)
+    return LinearSimultaneousMeasurement(probe, _ARTHURS_KELLY_ROWS, tau=1.0)
 
 
 def _noise_moments(
@@ -289,7 +263,9 @@ def _noise_moments(
     packet = make_min_uncertainty_state(psi)
     _, mean, cov = product_moments(packet, m.probe)
     noise = m.rows - TARGET_ROWS
-    means = (noise[:, None, :] @ mean)[:, 0] + m.offsets
+    # ``+ 0.0`` turns a -0.0 into 0.0, so a zero residual prints as 0.0, as
+    # it did when a zero constant term was added to each mean
+    means = (noise[:, None, :] @ mean)[:, 0] + 0.0
     squared = means * means
     var_probe = quadratic_forms(noise.take(PROBE_SLOTS, axis=1), m.probe.cov)
     system_part = quadratic_forms(noise.take(PACKET_SLOTS, axis=1), packet.cov)

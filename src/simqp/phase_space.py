@@ -2,12 +2,12 @@
 
 The system is one particle (mode 1) coupled to a two-mode probe (modes 2
 and 3).  The global coordinate order is (Q1, Q2, Q3, P1, P2, P3): an
-observable is a row of R^6 in that order (plus an offset), and the product
-state psi x probe is one mean ``mu`` in R^6 and one covariance ``V`` in
+observable is a row of R^6 in that order, and the product state
+psi x probe is one mean ``mu`` in R^6 and one covariance ``V`` in
 R^{6x6}, with the packet at slots [0, 3] and the probe at [1, 2, 4, 5].
 States defined on a subset of modes order their mean/covariance as (all
-Q's, then all P's) with modes ascending; ``GaussianState.basis_index``
-places them in the global order.  The row kernels (:func:`row_moments`,
+Q's, then all P's) with modes ascending; :func:`product_moments` places
+them in the global order.  The row kernels (:func:`row_moments`,
 :func:`quadratic_forms`, :func:`symplectic_products`) work on any leading
 axes, and the covariance check :func:`checked_covariance` used across the
 package lives here too.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: modes a :class:`LinearObservable` may touch
+#: modes a :class:`GaussianState` may live on
 MODES = (1, 2, 3)
 
 # covariance matrices are accepted when their smallest eigenvalue is no
@@ -36,10 +36,6 @@ _SYMMETRISE_LIMIT = 2.0**1023
 # packet states kept by make_min_uncertainty_state; about 0.75 kB each with
 # its key, so a full cache holds under 1 MB
 PACKET_CACHE_SIZE = 1024
-
-
-class ModeMismatchError(ValueError):
-    """An observable touches a mode the state is not defined on."""
 
 
 def check_close(actual, expected, tol: float, message: str) -> None:
@@ -101,109 +97,6 @@ def _square(x: float) -> float:
         return x**2
     except OverflowError:
         return math.inf
-
-
-def _as_coeffs(values) -> np.ndarray:
-    out = np.asarray(values, dtype=float)
-    if out.shape != (3,):
-        raise ValueError(f"expected 3 coefficients, got shape {out.shape}")
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class LinearObservable:
-    """Real affine combination of the six quadratures.
-
-    Represents ``sum_j coeff_q[j] Q_{j+1} + sum_j coeff_p[j] P_{j+1}
-    + offset``.  ``row`` is the global row ``(coeff_q, coeff_p)``, and the
-    two coefficient triples are read-only views of it.  Supports addition,
-    subtraction and scalar multiplication; the zero observable has all
-    coefficients and offset zero.
-    """
-
-    coeff_q: np.ndarray
-    coeff_p: np.ndarray
-    offset: float = 0.0
-
-    def __post_init__(self):
-        row = np.concatenate((_as_coeffs(self.coeff_q), _as_coeffs(self.coeff_p)))
-        row.setflags(write=False)
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "coeff_q", row[:3])
-        object.__setattr__(self, "coeff_p", row[3:])
-        object.__setattr__(self, "offset", float(self.offset))
-
-    @staticmethod
-    def zero() -> "LinearObservable":
-        return LinearObservable(np.zeros(3), np.zeros(3), 0.0)
-
-    @property
-    def modes(self) -> frozenset:
-        """Modes carrying a nonzero coefficient."""
-        return frozenset(
-            j for j in MODES if self.coeff_q[j - 1] != 0.0 or self.coeff_p[j - 1] != 0.0
-        )
-
-    def restrict(self, modes) -> "LinearObservable":
-        """Keep only the coefficients of the given modes (offset dropped)."""
-        keep = set(modes)
-        mask = np.array([1.0 if j in keep else 0.0 for j in MODES])
-        return LinearObservable(self.coeff_q * mask, self.coeff_p * mask, 0.0)
-
-    def __add__(self, other: "LinearObservable") -> "LinearObservable":
-        return LinearObservable(
-            self.coeff_q + other.coeff_q,
-            self.coeff_p + other.coeff_p,
-            self.offset + other.offset,
-        )
-
-    def __sub__(self, other: "LinearObservable") -> "LinearObservable":
-        return self + (-other)
-
-    def __neg__(self) -> "LinearObservable":
-        return (-1.0) * self
-
-    def __mul__(self, scalar: float) -> "LinearObservable":
-        scalar = float(scalar)
-        return LinearObservable(
-            scalar * self.coeff_q, scalar * self.coeff_p, scalar * self.offset
-        )
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        terms = []
-        for j in MODES:
-            if self.coeff_q[j - 1]:
-                terms.append(f"{self.coeff_q[j - 1]:+g}*Q{j}")
-            if self.coeff_p[j - 1]:
-                terms.append(f"{self.coeff_p[j - 1]:+g}*P{j}")
-        if self.offset or not terms:
-            terms.append(f"{self.offset:+g}")
-        return f"LinearObservable({' '.join(terms)})"
-
-
-def position(mode: int) -> LinearObservable:
-    """The quadrature ``Q_mode``."""
-    e = np.zeros(3)
-    e[mode - 1] = 1.0
-    return LinearObservable(e, np.zeros(3), 0.0)
-
-
-def momentum(mode: int) -> LinearObservable:
-    """The quadrature ``P_mode``."""
-    e = np.zeros(3)
-    e[mode - 1] = 1.0
-    return LinearObservable(np.zeros(3), e, 0.0)
-
-
-def commutator_coeff(f: LinearObservable, g: LinearObservable) -> float:
-    """Coefficient ``c`` in ``[f, g] = i*hbar*c*1``.
-
-    Follows from the canonical relations: same-mode Q/P pairs contribute,
-    everything else commutes.  Offsets never enter a commutator.
-    """
-    return float(f.coeff_q @ g.coeff_p - f.coeff_p @ g.coeff_q)
 
 
 @dataclass(frozen=True)
@@ -278,11 +171,6 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "hbar", float(self.hbar))
 
-    @property
-    def basis_index(self) -> np.ndarray:
-        """Positions of the (Q..., P...) coordinates in (Q1, Q2, Q3, P1, P2, P3)."""
-        return _slots(self.modes)[0]
-
 
 @functools.lru_cache(maxsize=None)  # keyed by mode tuples, so at most a few entries
 def _checked_modes(modes: tuple) -> tuple:
@@ -349,19 +237,20 @@ def _diagonal_state(modes: tuple, mean, variances, hbar: float, inputs: dict):
     return _valid_state(modes, np.array(mean, dtype=float), cov, hbar)
 
 
-def row_moments(rows: np.ndarray, offsets, mean: np.ndarray, cov: np.ndarray) -> tuple:
-    """Means ``C mu + offsets`` and covariance ``C V C^T`` of the rows ``C``.
+def row_moments(rows: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> tuple:
+    """Means ``C mu`` and covariance ``C V C^T`` of the rows ``C``.
 
     ``rows`` has shape ``(..., k, n)`` on the ``n`` coordinates of
     ``(mean, cov)``.  Each row is contracted on its own (``r @ V``, then
     ``r . mu``) and the upper triangle is mirrored, so every entry has the
-    bits of a lone ``c @ mu`` or ``f @ V @ g``.
+    bits of a lone ``c @ mu`` or ``f @ V @ g``.  Each ``+ 0.0`` turns a
+    -0.0 into 0.0, so a zero mean or covariance entry prints as ``0.0``,
+    as it did when a zero constant term was added to each mean.
     """
     rows = np.ascontiguousarray(rows)  # strided rows are summed in another order
     lone = rows[..., None, :]
-    means = (lone @ mean[..., None, :, None])[..., 0, 0] + offsets
+    means = (lone @ mean[..., None, :, None])[..., 0, 0] + 0.0
     cov = (lone @ cov[..., None, :, :])[..., 0, :] @ np.swapaxes(rows, -1, -2)
-    # ``+ 0.0`` turns a -0.0 into 0.0, as adding the zero triangle did
     upper = _upper_triangle(rows.shape[-2])
     return means, np.where(upper, cov, np.swapaxes(cov, -1, -2)) + 0.0
 
@@ -376,59 +265,18 @@ def symplectic_products(rows: np.ndarray) -> np.ndarray:
     """``R Omega R^T``: entry ``(i, j)`` is ``c`` in ``[r_i, r_j] = i hbar c``.
 
     ``rows`` has shape ``(..., k, 2m)`` in a (Q..., P...) order, whose
-    symplectic form is ``Omega = [[0, I], [-I, 0]]``; offsets never enter
-    a commutator.
+    symplectic form is ``Omega = [[0, I], [-I, 0]]``.
     """
     half = rows.shape[-1] // 2
     qp = rows[..., :half] @ np.swapaxes(rows[..., half:], -1, -2)
     return qp - np.swapaxes(qp, -1, -2)
 
 
-@functools.lru_cache(maxsize=None)  # keyed by observable count, a few entries
+@functools.lru_cache(maxsize=None)  # keyed by row count, a few entries
 def _upper_triangle(n: int) -> np.ndarray:
     mask = np.triu(np.ones((n, n), dtype=bool))
     mask.setflags(write=False)
     return mask
-
-
-def linear_moments(state: GaussianState, observables) -> tuple:
-    """Means ``C mu + offsets`` and covariance ``C V C^T`` of observables.
-
-    Row i of ``C`` holds observable i on the state's coordinates (see
-    :func:`row_moments`).  Raises :class:`ModeMismatchError` if an
-    observable leaves the state's modes.
-    """
-    obs = tuple(observables)
-    rows = np.stack([f.row for f in obs])
-    idx = state.basis_index
-    if len(idx) < 6 and np.delete(rows, idx, axis=1).any():
-        for f in obs:
-            missing = f.modes - set(state.modes)
-            if missing:
-                raise ModeMismatchError(
-                    f"observable touches mode(s) {sorted(missing)} "
-                    f"but the state is defined on modes {state.modes}"
-                )
-    return row_moments(rows[:, idx], [f.offset for f in obs], state.mean, state.cov)
-
-
-def moments(state: GaussianState, f: LinearObservable) -> tuple:
-    """Mean and variance of ``f`` in ``state``.
-
-    Returns:
-        tuple ``(mean, variance)`` with ``mean = <f>`` and
-        ``variance = <f^2> - <f>^2`` (symmetrized second moment).
-
-    Raises:
-        ModeMismatchError: if ``f`` touches a mode outside ``state.modes``.
-    """
-    mean, cov = linear_moments(state, (f,))
-    return float(mean[0]), float(cov[0, 0])
-
-
-def covariance(state: GaussianState, f: LinearObservable, g: LinearObservable) -> float:
-    """Symmetrized covariance ``<fg + gf>/2 - <f><g>`` in ``state``."""
-    return float(linear_moments(state, (f, g))[1][0, 1])
 
 
 @functools.lru_cache(maxsize=PACKET_CACHE_SIZE)

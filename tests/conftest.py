@@ -11,7 +11,6 @@ from scipy.linalg import expm as scipy_expm
 from simqp import (
     GaussianState,
     JointGaussian,
-    LinearObservable,
     LinearSimultaneousMeasurement,
     MinUncertaintyParams,
     ModelFamily,
@@ -22,7 +21,7 @@ from simqp import (
     propagate,
     solve_couplings,
 )
-from simqp.dynamics import expm_coefficients
+from simqp.dynamics import evolved_rows, expm_coefficients
 
 FAMILIES = (ModelFamily.X, ModelFamily.Y2, ModelFamily.Y0, ModelFamily.Z)
 
@@ -286,11 +285,9 @@ def measurement_from_matrix(r: np.ndarray, tau: float, probe: GaussianState):
     transform = PropagatedTransform(
         a=numeric_expm(r, tau), b=numeric_expm(-r.T, tau), tau=tau
     )
-    zero = np.zeros(3)
     return LinearSimultaneousMeasurement(
         probe=probe,
-        meter_q=LinearObservable(transform.a[1], zero, 0.0),
-        meter_p=LinearObservable(zero, transform.b[2], 0.0),
+        rows=evolved_rows(transform)[[1, 5]],
         tau=transform.tau,
         transform=transform,
     )

@@ -33,15 +33,13 @@ from simqp import (
     branciard_ozawa_residual,
     build_model,
     check_theorem_conditions,
-    commutator_coeff,
     conditional,
+    evolved_rows,
     gauss_error,
-    heisenberg_observables,
     heisenberg_product,
     joint_distribution,
     make_min_uncertainty_state,
     meter_joint,
-    moments,
     ozawa_inequality_residual,
     p_pair_joint,
     posterior_consistency,
@@ -52,6 +50,7 @@ from simqp import (
     sample,
     tensor,
 )
+from simqp.phase_space import PACKET_SLOTS, row_moments
 
 NU_GRID = nu_grid_99()
 PSI = MinUncertaintyParams()
@@ -154,6 +153,9 @@ def test_criterion_5_structural_identities():
         for nu in NU_GRID:
             m = build_model(family, nu, PSI)
             a, b = m.transform.a, m.transform.b
+            # probe parts of the meters: [Mq, Mp] restricted to modes 2 and 3
+            probe_q, probe_p = m.rows.copy()
+            probe_q[PACKET_SLOTS] = probe_p[PACKET_SLOTS] = 0.0
             worst = max(
                 worst,
                 np.abs(a @ b.T - np.eye(3)).max(),
@@ -163,9 +165,8 @@ def test_criterion_5_structural_identities():
                 abs(a[1, 2] - b[2, 1]),
                 abs(a[1, 0] * b[2, 0] + 2.0 * a[1, 1] * a[1, 2]),
                 abs(
-                    commutator_coeff(
-                        m.meter_q.restrict({2, 3}), m.meter_p.restrict({2, 3})
-                    )
+                    probe_q[:3] @ probe_p[3:]
+                    - probe_q[3:] @ probe_p[:3]
                     + a[1, 0] * b[2, 0]
                 ),
             )
@@ -209,14 +210,10 @@ def test_criterion_6_distribution_identities():
         for family in (ModelFamily.Y0, ModelFamily.Z):
             for nu in (0.1, 0.3, 0.5, 0.7, 0.9):
                 m = build_model(family, nu, psi)
-                q_out, p_out = heisenberg_observables(m.transform)
+                rows = evolved_rows(m.transform)
                 state = tensor(make_min_uncertainty_state(psi), m.probe)
-                triple_q = joint_distribution(
-                    [q_out[0], m.meter_q, m.meter_p], state
-                )
-                triple_p = joint_distribution(
-                    [p_out[0], m.meter_q, m.meter_p], state
-                )
+                triple_q = joint_distribution(rows[[0, 1, 5]], state.mean, state.cov)
+                triple_p = joint_distribution(rows[[3, 1, 5]], state.mean, state.cov)
                 expect_q_cov = np.array(
                     [
                         [(2 - nu) / nu * s2, s2, 0.0],
@@ -313,12 +310,12 @@ def test_criterion_8_posterior_consistency():
         for nu in (0.3, 0.5, 0.7):
             m = build_model(family, nu, PSI_OFF)
             state = tensor(make_min_uncertainty_state(PSI_OFF), m.probe)
-            q_out, p_out = heisenberg_observables(m.transform)
+            targets = evolved_rows(m.transform)[[0, 3]]  # Q1(tau), P1(tau)
             mean, cov = region_mixture_moments(
                 family, nu, PSI_OFF, OutcomeRegion.full_plane()
             )
-            mq, vq = moments(state, q_out[0])
-            mp, vp = moments(state, p_out[0])
+            (mq, mp), evolved_cov = row_moments(targets, state.mean, state.cov)
+            vq, vp = np.diag(evolved_cov)
             mixture_dev = max(
                 mixture_dev,
                 abs(mean[0] - mq),

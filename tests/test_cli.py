@@ -364,7 +364,17 @@ class TestConfigFile:
         assert "JSON object" in err
 
     @pytest.mark.parametrize(
-        "values", [{"hbar": [1.0]}, {"family": 3}, {"nu_grid": 0.5}, {"out": 7}]
+        "values",
+        [
+            {"hbar": [1.0]},
+            {"family": 3},
+            {"nu_grid": 0.5},
+            {"out": 7},
+            {"seed": 1.5},
+            {"hbar": True},
+            {"sigma1": "2"},
+            {"nu_grid": [0.5, True]},
+        ],
     )
     def test_wrongly_typed_config_value_is_usage_error(self, capsys, tmp_path, values):
         cfg = tmp_path / "run.json"
@@ -373,6 +383,32 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "values, key",
+        [
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"hbar": True}, "hbar"),
+            ({"sigma1": "2"}, "sigma1"),
+            ({"nu": False}, "nu"),
+            ({"nu_grid": [0.5, True]}, "nu_grid"),
+        ],
+    )
+    def test_wrongly_typed_config_value_names_its_key(self, capsys, tmp_path, values, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run(capsys, "sample", "--n", "5", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"{key!r} must hold" in err
+
+    def test_integral_json_numbers_are_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 7, "hbar": 2, "nu_grid": [0.5]}))
+        code, out, _ = run(capsys, "sample", "--n", "5", "--format", "json", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["seed"] == 7
 
     def test_non_finite_config_value_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"

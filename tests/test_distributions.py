@@ -1,6 +1,7 @@
 """Joint outcome laws, conditioning, sampling, posteriors, region mixtures."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 from conftest import FAMILIES, log_density, marginal
 
 from simqp.distributions import _normal_mass
+from simqp.phase_space import row_moments
 from simqp import (
     JointGaussian,
     MinUncertaintyParams,
@@ -19,16 +21,12 @@ from simqp import (
     PosteriorFamily,
     build_model,
     conditional,
-    covariance,
+    evolved_rows,
     gauss_error,
-    heisenberg_observables,
     joint_distribution,
     make_min_uncertainty_state,
     meter_joint,
-    moments,
-    momentum,
     p_pair_joint,
-    position,
     posterior_consistency,
     posterior_state,
     q_pair_joint,
@@ -44,6 +42,13 @@ PSI_OFF = MinUncertaintyParams(q1=1.5, p1=-2.0, sigma1=0.8, hbar=2.0)
 
 def joint_state(m, psi):
     return tensor(make_min_uncertainty_state(psi), m.probe)
+
+
+def triple_joint(m, psi, target=0, labels=None):
+    """Joint law of an evolved target (row 0 = Q1(tau), 3 = P1(tau)) and the meters."""
+    state = joint_state(m, psi)
+    rows = evolved_rows(m.transform)[[target, 1, 5]]
+    return joint_distribution(rows, state.mean, state.cov, labels)
 
 
 class TestJointDistribution:
@@ -65,17 +70,14 @@ class TestJointDistribution:
         )
 
     def test_canonical_pair_rejected(self):
-        state = make_min_uncertainty_state(PSI)
+        state = make_min_uncertainty_state(PSI)  # rows on its (Q1, P1)
         with pytest.raises(NonCommutingObservablesError, match="1"):
-            joint_distribution([position(1), momentum(1)], state)
+            joint_distribution(np.eye(2), state.mean, state.cov)
 
     def test_triple_joint_block_structure(self):
         nu = 0.5
         m = build_model(ModelFamily.Y0, nu, PSI)
-        q_out, p_out = heisenberg_observables(m.transform)
-        joint = joint_distribution(
-            [q_out[0], m.meter_q, m.meter_p], joint_state(m, PSI)
-        )
+        joint = triple_joint(m, PSI)
         z_block = np.array([[(2.0 - nu) / nu, 1.0], [1.0, nu]])
         np.testing.assert_allclose(joint.cov[:2, :2], z_block, rtol=0, atol=1e-12)
         np.testing.assert_allclose(joint.cov[2, :2], 0.0, atol=1e-13)
@@ -118,18 +120,23 @@ class TestJointDistribution:
 
     def test_accepts_commuting_evolved_sets(self):
         m = build_model(ModelFamily.Z, 0.4, PSI)
-        q_out, p_out = heisenberg_observables(m.transform)
+        rows = evolved_rows(m.transform)  # Q1(tau), Q2(tau), Q3(tau), P1(tau), ...
         state = joint_state(m, PSI)
-        joint_distribution(list(q_out), state)
-        joint_distribution([q_out[0], p_out[1]], state)
-        joint_distribution([q_out[2], p_out[0]], state)
+        joint_distribution(rows[:3], state.mean, state.cov)
+        joint_distribution(rows[[0, 4]], state.mean, state.cov)
+        joint_distribution(rows[[2, 3]], state.mean, state.cov)
         with pytest.raises(NonCommutingObservablesError):
-            joint_distribution([q_out[1], p_out[1]], state)
+            joint_distribution(rows[[1, 4]], state.mean, state.cov)
 
     def test_label_mismatch_rejected(self):
         state = make_min_uncertainty_state(PSI)
         with pytest.raises(ValueError):
-            joint_distribution([position(1)], state, labels=("a", "b"))
+            joint_distribution(np.eye(2)[:1], state.mean, state.cov, labels=("a", "b"))
+
+    def test_label_mismatch_named_before_the_commutator_check(self):
+        state = make_min_uncertainty_state(PSI)  # Q1 and P1 do not commute
+        with pytest.raises(ValueError, match="^dimension mismatch: 1 labels for 2 rows$"):
+            joint_distribution(np.eye(2), state.mean, state.cov, labels=("a",))
 
 
 class TestConditional:
@@ -180,6 +187,26 @@ class TestConditional:
         joint = JointGaussian(("a", "b"), [0.0, 0.0], np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="singular"):
             conditional(joint, given=(1,), values=(0.0,))
+
+    @pytest.mark.parametrize(
+        "given, values",
+        [([-1], [0.3]), ([2], [0.3]), ([0.5], [0.3]), ([True], [0.3]), ([1, 1], [0.3, 0.3])],
+        ids=["negative", "past-the-end", "float", "bool", "repeated"],
+    )
+    def test_bad_index_is_named(self, given, values):
+        joint = q_pair_joint(build_model(ModelFamily.Y0, 0.5, PSI), PSI)
+        index = re.escape(repr(given[-1]))
+        message = rf"given index {index} is not a distinct integer in range\(2\)"
+        with pytest.raises(ValueError, match=message):
+            conditional(joint, given=given, values=values)
+
+    def test_numpy_integer_index_accepted(self):
+        joint = q_pair_joint(build_model(ModelFamily.Y0, 0.5, PSI), PSI)
+        cond = conditional(joint, given=np.array([1]), values=(0.3,))
+        want = conditional(joint, given=(1,), values=(0.3,))
+        assert cond.labels == want.labels == ("Q1(0)",)
+        np.testing.assert_array_equal(cond.mean, want.mean)
+        np.testing.assert_array_equal(cond.cov, want.cov)
 
     def test_cannot_condition_everything(self):
         joint = JointGaussian(("a",), [0.0], [[1.0]])
@@ -319,12 +346,7 @@ class TestMarginalization:
     def test_triple_marginal_reproduces_meter_joint(self, family):
         nu = 0.3
         m = build_model(family, nu, PSI_OFF)
-        q_out, _ = heisenberg_observables(m.transform)
-        triple = joint_distribution(
-            [q_out[0], m.meter_q, m.meter_p],
-            joint_state(m, PSI_OFF),
-            labels=("Q1(tau)", "Q2(tau)", "P3(tau)"),
-        )
+        triple = triple_joint(m, PSI_OFF, labels=("Q1(tau)", "Q2(tau)", "P3(tau)"))
         meters = meter_joint(m, PSI_OFF)
         marg = marginal(triple, (1, 2))
         np.testing.assert_allclose(marg.mean, meters.mean, rtol=0, atol=1e-12)
@@ -380,20 +402,14 @@ class TestPosteriorConsistency:
         assert report.max_deviation < 1e-12
         # the conditional itself: mean 0, variance (1-nu)/nu = 1
         m = build_model(ModelFamily.Y0, 0.5, PSI)
-        q_out, _ = heisenberg_observables(m.transform)
-        triple = joint_distribution(
-            [q_out[0], m.meter_q, m.meter_p], joint_state(m, PSI)
-        )
+        triple = triple_joint(m, PSI)
         cond = conditional(triple, given=(1, 2), values=(0.0, 0.0))
         assert cond.mean[0] == pytest.approx(0.0, abs=1e-13)
         assert cond.cov[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_shifted_outcome_affine_map(self):
         m = build_model(ModelFamily.Y0, 0.5, PSI)
-        q_out, _ = heisenberg_observables(m.transform)
-        triple = joint_distribution(
-            [q_out[0], m.meter_q, m.meter_p], joint_state(m, PSI)
-        )
+        triple = triple_joint(m, PSI)
         cond = conditional(triple, given=(1, 2), values=(1.0, 0.0))
         assert cond.mean[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -413,10 +429,8 @@ class TestPosteriorConsistency:
 
         def per_outcome_report(family, nu, psi, outcomes):
             m = build_model(family, nu, psi)
-            q_out, p_out = heisenberg_observables(m.transform)
-            meters = [m.meter_q, m.meter_p]
-            joint_q = joint_distribution([q_out[0], *meters], joint_state(m, psi))
-            joint_p = joint_distribution([p_out[0], *meters], joint_state(m, psi))
+            joint_q = triple_joint(m, psi, target=0)
+            joint_p = triple_joint(m, psi, target=3)
             if outcomes is None:
                 mean = joint_q.mean[-2:]
                 sd = np.sqrt(np.diag(joint_q.cov)[-2:])
@@ -470,21 +484,19 @@ class TestRegionMixture:
             for nu in (0.3, 0.5, 0.7):
                 m = build_model(family, nu, PSI_OFF)
                 state = joint_state(m, PSI_OFF)
-                q_out, p_out = heisenberg_observables(m.transform)
+                targets = evolved_rows(m.transform)[[0, 3]]  # Q1(tau), P1(tau)
                 mean, cov = region_mixture_moments(
                     family, nu, PSI_OFF, OutcomeRegion.full_plane()
                 )
-                mq, vq = moments(state, q_out[0])
-                mp, vp = moments(state, p_out[0])
+                (mq, mp), evolved_cov = row_moments(targets, state.mean, state.cov)
+                vq, vp = np.diag(evolved_cov)
                 assert mean[0] == pytest.approx(mq, abs=1e-10)
                 assert mean[1] == pytest.approx(mp, abs=1e-10)
                 assert cov[0, 0] == pytest.approx(vq, rel=1e-10)
                 assert cov[1, 1] == pytest.approx(vp, rel=1e-10)
                 # symmetrized cross moment vanishes on both sides
                 assert cov[0, 1] == 0.0
-                assert covariance(state, q_out[0], p_out[0]) == pytest.approx(
-                    0.0, abs=1e-12
-                )
+                assert evolved_cov[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_tiny_region_collapses_to_posterior(self):
         psi = MinUncertaintyParams(q1=0.7, p1=-0.4)

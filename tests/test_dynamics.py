@@ -24,12 +24,12 @@ from simqp import (
     ModelFamily,
     PropagatedTransform,
     SolvableGenerator,
-    commutator_coeff,
-    heisenberg_observables,
+    evolved_rows,
     propagate,
     solve_couplings,
 )
 from simqp.dynamics import expm_coefficients
+from simqp.phase_space import symplectic_products
 
 FAMILY_TAUS = {
     ModelFamily.X: math.pi / 2.0,
@@ -358,30 +358,28 @@ class TestPropagatedTransform:
             PropagatedTransform(a=a, b=b, tau=1.0)
 
 
-class TestHeisenbergObservables:
+class TestEvolvedRows:
     def test_y0_meter_row(self):
         tr = propagate(family_generator(ModelFamily.Y0, 0.5))
-        q_out, _ = heisenberg_observables(tr)
-        np.testing.assert_allclose(q_out[1].coeff_q, [0.5, 1.0, -0.125])
-        np.testing.assert_allclose(q_out[1].coeff_p, 0.0)
+        q2 = evolved_rows(tr)[1]
+        np.testing.assert_allclose(q2[:3], [0.5, 1.0, -0.125])
+        np.testing.assert_allclose(q2[3:], 0.0)
 
     def test_identity_transform_fixes_quadratures(self):
         tr = PropagatedTransform(a=np.eye(3), b=np.eye(3), tau=1.0)
-        q_out, p_out = heisenberg_observables(tr)
+        rows = evolved_rows(tr)
         for i in range(3):
-            np.testing.assert_array_equal(q_out[i].coeff_q, np.eye(3)[i])
-            np.testing.assert_array_equal(p_out[i].coeff_p, np.eye(3)[i])
+            np.testing.assert_array_equal(rows[i, :3], np.eye(3)[i])
+            np.testing.assert_array_equal(rows[3 + i, 3:], np.eye(3)[i])
 
     def test_evolved_commutators_are_canonical(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             tr = propagate(random_solvable_generator(rng))
-            q_out, p_out = heisenberg_observables(tr)
+            products = symplectic_products(evolved_rows(tr))
             for i in range(3):
                 for j in range(3):
                     expected = 1.0 if i == j else 0.0
-                    assert commutator_coeff(q_out[i], p_out[j]) == pytest.approx(
-                        expected, abs=1e-10
-                    )
-                    assert commutator_coeff(q_out[i], q_out[j]) == 0.0
-                    assert commutator_coeff(p_out[i], p_out[j]) == 0.0
+                    assert products[i, 3 + j] == pytest.approx(expected, abs=1e-10)
+                    assert products[i, j] == 0.0
+                    assert products[3 + i, 3 + j] == 0.0

@@ -112,7 +112,8 @@ def oracle_tensor(first, second):
     mean = np.zeros(len(merged))
     cov = np.zeros((len(merged), len(merged)))
     for state in (first, second):
-        idx = np.searchsorted(merged, state.basis_index)
+        slots = [j - 1 for j in state.modes] + [j + 2 for j in state.modes]
+        idx = np.searchsorted(merged, slots)
         mean[idx] = state.mean
         cov[np.ix_(idx, idx)] = state.cov
     return SimpleNamespace(mean=mean, cov=cov)

@@ -21,9 +21,6 @@ from conftest import (
 
 from simqp import (
     ErrorPair,
-    make_min_uncertainty_state,
-    moments,
-    tensor,
     GaussianState,
     LinearSimultaneousMeasurement,
     MinUncertaintyParams,
@@ -33,20 +30,24 @@ from simqp import (
     branciard_ozawa_residual,
     build_model,
     check_theorem_conditions,
-    commutator_coeff,
     heisenberg_product,
     lower_bound_l,
     measurement_from_parts,
-    momentum,
-    noise_operators,
     ozawa_inequality_residual,
-    position,
     qrms_errors,
     solve_couplings,
 )
 from simqp import measurement
+from simqp.phase_space import TARGET_ROWS
+from test_engine_oracle import oracle_model, oracle_noise_moments
 
 PSI = MinUncertaintyParams()
+
+
+def meter_commutator(m) -> float:
+    """``c`` in ``[Mq, Mp] = i hbar c``, from the canonical relations."""
+    mq, mp = m.rows
+    return float(mq[:3] @ mp[3:] - mq[3:] @ mp[:3])
 
 
 def shifted_probe(probe: GaussianState, index: int, delta: float) -> GaussianState:
@@ -56,49 +57,59 @@ def shifted_probe(probe: GaussianState, index: int, delta: float) -> GaussianSta
 
 
 class TestNoiseOperators:
+    """The noise operators ``N_q = Mq - Q1`` and ``N_p = Mp - P1`` as global rows."""
+
     def test_y0_position_noise(self):
         m = build_model(ModelFamily.Y0, 0.5, PSI)
-        n_q, _ = noise_operators(m)
-        np.testing.assert_allclose(n_q.coeff_q, [-0.5, 1.0, -0.125])
-        np.testing.assert_allclose(n_q.coeff_p, 0.0)
+        n_q, _ = m.rows - TARGET_ROWS
+        np.testing.assert_allclose(n_q[:3], [-0.5, 1.0, -0.125])
+        np.testing.assert_allclose(n_q[3:], 0.0)
 
     def test_y0_momentum_noise(self):
         m = build_model(ModelFamily.Y0, 0.5, PSI)
-        _, n_p = noise_operators(m)
-        np.testing.assert_allclose(n_p.coeff_p, [-0.5, -0.125, 1.0])
-        np.testing.assert_allclose(n_p.coeff_q, 0.0)
+        _, n_p = m.rows - TARGET_ROWS
+        np.testing.assert_allclose(n_p[3:], [-0.5, -0.125, 1.0])
+        np.testing.assert_allclose(n_p[:3], 0.0)
 
     def test_identity_dynamics(self):
-        # meters frozen at the bare probe quadratures
+        # meters frozen at the bare probe quadratures Q2 and P3
         m = LinearSimultaneousMeasurement(
             probe=random_pure_probe(np.random.default_rng(0)),
-            meter_q=position(2),
-            meter_p=momentum(3),
+            rows=np.eye(6)[[1, 5]],
             tau=1.0,
         )
-        n_q, n_p = noise_operators(m)
-        np.testing.assert_allclose(n_q.coeff_q, [-1.0, 1.0, 0.0])
-        np.testing.assert_allclose(n_p.coeff_p, [-1.0, 0.0, 1.0])
+        n_q, n_p = m.rows - TARGET_ROWS
+        np.testing.assert_allclose(n_q[:3], [-1.0, 1.0, 0.0])
+        np.testing.assert_allclose(n_p[3:], [-1.0, 0.0, 1.0])
 
 
-def old_route_second_moments(m, psi):
-    """The q-rms squares as the observable-by-observable route computed them.
+class TestMeasurementConstructor:
+    def test_rows_are_a_read_only_copy(self):
+        rows = np.eye(6)[[1, 5]]
+        probe = random_pure_probe(np.random.default_rng(0))
+        m = LinearSimultaneousMeasurement(probe=probe, rows=rows, tau=1.0)
+        assert not m.rows.flags.writeable
+        assert rows.flags.writeable
+        np.testing.assert_array_equal(m.rows, rows)
 
-    Each noise operator is split with ``restrict`` into its system and
-    probe parts, and both routes are taken through ``moments``.  Kept here
-    as the oracle of the 6-vector computation in :func:`qrms_errors`.
-    """
-    system_state = make_min_uncertainty_state(psi)
-    joint = tensor(system_state, m.probe)
-    out = []
-    for noise in noise_operators(m):
-        _, var_sys = moments(system_state, noise.restrict({1}))
-        _, var_probe = moments(m.probe, noise.restrict({2, 3}))
-        mean_joint, var_joint = moments(joint, noise)
-        explicit = var_sys + var_probe + mean_joint**2
-        assert abs(explicit - (var_joint + mean_joint**2)) <= 1e-12 * max(1.0, explicit)
-        out.append(explicit)
-    return out
+    @pytest.mark.parametrize("shape", [(6,), (1, 6), (3, 6), (2, 4)])
+    def test_rejects_a_block_of_the_wrong_shape(self, shape):
+        probe = random_pure_probe(np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"meter rows must have shape \(2, 6\)"):
+            LinearSimultaneousMeasurement(probe=probe, rows=np.zeros(shape), tau=1.0)
+
+    def test_rejects_non_commuting_meters(self):
+        probe = random_pure_probe(np.random.default_rng(0))
+        # Q2 and P2 are a canonical pair
+        with pytest.raises(ValueError, match=r"do not commute: \[Mq, Mp\] = i\*hbar\*1$"):
+            LinearSimultaneousMeasurement(probe=probe, rows=np.eye(6)[[1, 4]], tau=1.0)
+
+
+def random_measurement_and_oracle(rng, psi):
+    """``random_measurement``'s draw, with the same parts wired by the inline oracle."""
+    gen = random_solvable_generator(rng)
+    probe = random_pure_probe(rng, psi.hbar)
+    return measurement_from_parts(gen, probe), oracle_model(gen, probe)
 
 
 class TestQrmsErrors:
@@ -112,9 +123,9 @@ class TestQrmsErrors:
                 sigma1=10.0 ** rng.uniform(-1.0, 1.0),
                 hbar=10.0 ** rng.uniform(-1.0, 1.0),
             )
-            m = random_measurement(rng, psi)
+            m, om = random_measurement_and_oracle(rng, psi)
             errs = qrms_errors(m, psi)
-            want_q, want_p = old_route_second_moments(m, psi)
+            _, _, (want_q, want_p) = oracle_noise_moments(om, psi)
             for got, want in ((errs.eps_q**2, want_q), (errs.eps_p**2, want_p)):
                 worst = max(worst, abs(got - want) / want)
         assert worst <= 1e-14
@@ -123,15 +134,14 @@ class TestQrmsErrors:
         rng = np.random.default_rng(7)
         psi = MinUncertaintyParams(q1=0.4, p1=-1.1, sigma1=1.3, hbar=0.8)
         for _ in range(50):
-            m = random_measurement(rng, psi)
-            joint_state = tensor(make_min_uncertainty_state(psi), m.probe)
+            m, om = random_measurement_and_oracle(rng, psi)
             report = check_theorem_conditions(m, psi)
-            means = [moments(joint_state, n)[0] for n in noise_operators(m)]
+            means, var_probe, _ = oracle_noise_moments(om, psi)
             assert report.cond_i_residuals == pytest.approx(means, rel=1e-14, abs=1e-15)
-            weight = math.sqrt(abs(m.meter_q.coeff_q[0] * m.meter_p.coeff_p[0]))
+            weight = math.sqrt(abs(om.a[1, 0] * om.b[2, 0]))
             spreads = [
-                math.sqrt(moments(m.probe, meter.restrict({2, 3}))[1]) - weight * sigma
-                for meter, sigma in ((m.meter_q, psi.sigma_q), (m.meter_p, psi.sigma_p))
+                math.sqrt(var) - weight * sigma
+                for var, sigma in zip(var_probe, (psi.sigma_q, psi.sigma_p))
             ]
             assert report.cond_ii_residuals == pytest.approx(spreads, rel=1e-14, abs=1e-15)
             bo = branciard_ozawa_residual(qrms_errors(m, psi), psi)
@@ -166,8 +176,7 @@ class TestQrmsErrors:
         a22 = m.transform.a[1, 1]
         perturbed = LinearSimultaneousMeasurement(
             probe=shifted_probe(m.probe, 0, delta),
-            meter_q=m.meter_q,
-            meter_p=m.meter_p,
+            rows=m.rows,
             tau=m.tau,
             generator=m.generator,
             transform=m.transform,
@@ -313,7 +322,7 @@ class TestBuildModel:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_meters_commute(self, family):
         m = build_model(family, 0.37, PSI)
-        assert abs(commutator_coeff(m.meter_q, m.meter_p)) <= 1e-12
+        assert abs(meter_commutator(m)) <= 1e-12
 
     def test_recipe_kappa_drift_is_caught(self, monkeypatch):
         recipe = measurement.FAMILY_PARAMETERS[ModelFamily.X]
@@ -333,7 +342,7 @@ class TestGeneralGenerator:
         r = build_generator(params)
         probe = random_pure_probe(np.random.default_rng(55))
         m = measurement_from_matrix(r, 0.9, probe)
-        assert abs(commutator_coeff(m.meter_q, m.meter_p)) <= 1e-12
+        assert abs(meter_commutator(m)) <= 1e-12
         errs = qrms_errors(m, PSI)
         assert branciard_ozawa_residual(errs, PSI) >= -1e-9
         assert ozawa_inequality_residual(errs, PSI) >= -1e-9
@@ -347,12 +356,7 @@ class TestGeneralGenerator:
             by_matrix = measurement_from_matrix(gen.s, gen.tau, probe)
             assert by_matrix.generator is None
             assert by_matrix.tau == by_parts.tau
-            for got, want in (
-                (by_matrix.meter_q, by_parts.meter_q),
-                (by_matrix.meter_p, by_parts.meter_p),
-            ):
-                np.testing.assert_allclose(got.coeff_q, want.coeff_q, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(got.coeff_p, want.coeff_p, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(by_matrix.rows, by_parts.rows, rtol=0, atol=1e-12)
 
     def test_fuzz_bounds_hold(self):
         rng = np.random.default_rng(606)
@@ -398,6 +402,14 @@ class TestArthursKelly:
         assert big.eps_q**2 == pytest.approx(lam * base.eps_q**2, rel=1e-12)
         assert big.eps_p**2 == pytest.approx(lam * base.eps_p**2, rel=1e-12)
 
+    def test_meter_rows(self):
+        # Q1 + Q2 + P3/2 and P1 - P2/2 + Q3
+        m = arthurs_kelly_model(random_pure_probe(np.random.default_rng(3)))
+        np.testing.assert_array_equal(
+            m.rows, [[1.0, 1.0, 0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 1.0, 1.0, -0.5, 0.0]]
+        )
+        assert m.generator is None and m.transform is None
+
     def test_model_errors_match_direct_formula(self):
         probe = random_pure_probe(np.random.default_rng(3))
         m = arthurs_kelly_model(probe)
@@ -442,8 +454,7 @@ class TestTheoremConditions:
         m = build_model(ModelFamily.Y0, 0.5, PSI)
         perturbed = LinearSimultaneousMeasurement(
             probe=shifted_probe(m.probe, 0, 1.0),
-            meter_q=m.meter_q,
-            meter_p=m.meter_p,
+            rows=m.rows,
             tau=m.tau,
             generator=m.generator,
             transform=m.transform,

@@ -1,4 +1,4 @@
-"""Quadrature observables, commutators, and Gaussian state constructors."""
+"""Global rows, their commutators and moments, and Gaussian state constructors."""
 
 import itertools
 
@@ -9,21 +9,21 @@ from hypothesis import strategies as st
 
 from simqp import (
     GaussianState,
-    LinearObservable,
     MinUncertaintyParams,
-    ModeMismatchError,
     PosteriorFamily,
-    commutator_coeff,
-    covariance,
     make_min_uncertainty_state,
     make_probe_state,
-    moments,
-    momentum,
-    position,
     posterior_state,
     tensor,
 )
-from simqp.phase_space import PSD_RTOL, checked_covariance, linear_moments
+from simqp.phase_space import (
+    PACKET_SLOTS,
+    PROBE_SLOTS,
+    PSD_RTOL,
+    checked_covariance,
+    row_moments,
+    symplectic_products,
+)
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -65,50 +65,71 @@ def factor_covariance(rng, kind: str, dim: int) -> np.ndarray:
     return basis @ np.diag(eigvals) @ basis.T
 
 
-def random_observable(rng):
-    return LinearObservable(rng.normal(size=3), rng.normal(size=3), rng.normal())
+# the global rows of the six quadratures
+Q1, Q2, Q3, P1, P2, P3 = np.eye(6)
+
+
+def commutator(f, g) -> float:
+    """``c`` in ``[f, g] = i hbar c``, the off-diagonal entry of ``R Omega R^T``."""
+    return float(symplectic_products(np.array((f, g)))[0, 1])
+
+
+def quadrature_moments(state) -> tuple:
+    """Means and variances of the state's own (Q..., P...) coordinates."""
+    means, cov = row_moments(np.eye(len(state.mean)), state.mean, state.cov)
+    return means, np.diag(cov)
+
+
+def unit_rows(modes, j) -> np.ndarray:
+    """Rows of ``(Q_j, P_j)`` on the (Q..., P...) coordinates of a ``modes`` state."""
+    k = modes.index(j)
+    return np.eye(2 * len(modes))[[k, len(modes) + k]]
+
+
+def mean_and_variance(state, row) -> tuple:
+    """Mean and variance of one row on the state's coordinates."""
+    means, cov = row_moments(np.array([row]), state.mean, state.cov)
+    return float(means[0]), float(cov[0, 0])
+
+
+def random_row(rng):
+    return rng.normal(size=6)
 
 
 class TestCommutator:
     def test_canonical_pair(self):
-        assert commutator_coeff(position(1), momentum(1)) == 1.0
+        assert commutator(Q1, P1) == 1.0
 
     def test_probe_positions_commute(self):
-        assert commutator_coeff(position(2), position(3)) == 0.0
-        assert commutator_coeff(momentum(2), momentum(3)) == 0.0
+        assert commutator(Q2, Q3) == 0.0
+        assert commutator(P2, P3) == 0.0
 
     def test_cross_mode_pairs_commute(self):
-        assert commutator_coeff(position(1), momentum(2)) == 0.0
-        assert commutator_coeff(momentum(3), position(1)) == 0.0
+        assert commutator(Q1, P2) == 0.0
+        assert commutator(P3, Q1) == 0.0
 
     def test_probe_noise_combination(self):
         # Y0 at nu = 1/2: a22 = 1, a23 = -1/8, b32 = -1/8, b33 = 1;
         # the combination pair has coefficient -a21*b31 = -1/4
-        f = 1.0 * position(2) + (-0.125) * position(3)
-        g = (-0.125) * momentum(2) + 1.0 * momentum(3)
-        assert commutator_coeff(f, g) == pytest.approx(-0.25, abs=1e-15)
-
-    def test_offsets_ignored(self):
-        f = position(1) + 3.0 * LinearObservable(np.zeros(3), np.zeros(3), 1.0)
-        assert commutator_coeff(f, momentum(1)) == 1.0
+        f = 1.0 * Q2 + (-0.125) * Q3
+        g = (-0.125) * P2 + 1.0 * P3
+        assert commutator(f, g) == pytest.approx(-0.25, abs=1e-15)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_antisymmetric(self, seed):
         rng = np.random.default_rng(seed)
-        f, g = random_observable(rng), random_observable(rng)
-        assert commutator_coeff(f, g) == pytest.approx(
-            -commutator_coeff(g, f), abs=1e-12
-        )
+        f, g = random_row(rng), random_row(rng)
+        assert commutator(f, g) == pytest.approx(-commutator(g, f), abs=1e-12)
 
     @given(seed=st.integers(0, 2**31 - 1), a=finite, b=finite)
     @settings(max_examples=30, deadline=None)
     def test_bilinear(self, seed, a, b):
         rng = np.random.default_rng(seed)
-        f, g, h = (random_observable(rng) for _ in range(3))
-        left = commutator_coeff(a * f + b * g, h)
+        f, g, h = (random_row(rng) for _ in range(3))
+        left = commutator(a * f + b * g, h)
         assert left == pytest.approx(
-            a * commutator_coeff(f, h) + b * commutator_coeff(g, h),
+            a * commutator(f, h) + b * commutator(g, h),
             abs=1e-9,
         )
 
@@ -129,8 +150,7 @@ class TestMinUncertaintyState:
     def test_uncertainty_product_saturated(self, q1, p1, sigma1, hbar):
         psi = MinUncertaintyParams(q1, p1, sigma1, hbar)
         state = make_min_uncertainty_state(psi)
-        _, var_q = moments(state, position(1))
-        _, var_p = moments(state, momentum(1))
+        _, (var_q, var_p) = quadrature_moments(state)
         assert np.sqrt(var_q * var_p) == pytest.approx(hbar / 2.0, rel=1e-12)
 
     def test_translation_only_moves_mean(self):
@@ -192,17 +212,13 @@ class TestMinUncertaintyState:
 class TestMoments:
     def test_packet_position(self):
         state = make_min_uncertainty_state(MinUncertaintyParams(2.0, 3.0, 1.0, 1.0))
-        assert moments(state, position(1)) == pytest.approx((2.0, 1.0))
-        assert moments(state, momentum(1)) == pytest.approx((3.0, 0.25))
+        q_row, p_row = unit_rows(state.modes, 1)
+        assert mean_and_variance(state, q_row) == pytest.approx((2.0, 1.0))
+        assert mean_and_variance(state, p_row) == pytest.approx((3.0, 0.25))
 
-    def test_zero_observable(self):
+    def test_zero_row(self):
         state = make_min_uncertainty_state(MinUncertaintyParams(2.0, 3.0, 1.0, 1.0))
-        assert moments(state, LinearObservable.zero()) == (0.0, 0.0)
-
-    def test_offset_shifts_mean_only(self):
-        state = make_min_uncertainty_state(MinUncertaintyParams(2.0, 3.0, 1.0, 1.0))
-        f = position(1) + LinearObservable(np.zeros(3), np.zeros(3), 10.0)
-        assert moments(state, f) == pytest.approx((12.0, 1.0))
+        assert mean_and_variance(state, np.zeros(2)) == (0.0, 0.0)
 
     def test_evolved_meter_variance(self):
         # Q2(tau) for Y0 at nu=1/2 has rows (1/2, 1, -1/8) on (Q1, Q2, Q3);
@@ -210,40 +226,38 @@ class TestMoments:
         # 1/4*1 + 1*1/8 + 1/64*8 = 1/2
         psi = MinUncertaintyParams(0.0, 0.0, 1.0, 1.0)
         joint = tensor(make_min_uncertainty_state(psi), make_probe_state(0.5, 1.0, psi))
-        meter = 0.5 * position(1) + position(2) + (-0.125) * position(3)
-        mean, var = moments(joint, meter)
+        meter = 0.5 * Q1 + Q2 + (-0.125) * Q3
+        mean, var = mean_and_variance(joint, meter)
         assert mean == pytest.approx(0.0, abs=1e-15)
         assert var == pytest.approx(0.5, rel=1e-14)
-
-    def test_mode_mismatch_rejected(self):
-        state = make_min_uncertainty_state(MinUncertaintyParams())
-        with pytest.raises(ModeMismatchError):
-            moments(state, position(2))
 
     def test_variance_nonnegative(self):
         psi = MinUncertaintyParams(1.0, -1.0, 0.7, 2.0)
         joint = tensor(make_min_uncertainty_state(psi), make_probe_state(0.3, -1.5, psi))
         rng = np.random.default_rng(7)
         for _ in range(200):
-            _, var = moments(joint, random_observable(rng))
+            _, var = mean_and_variance(joint, random_row(rng))
             assert var >= 0.0
 
     def test_covariance_is_symmetric_bilinear_form(self):
         psi = MinUncertaintyParams(0.5, 0.5, 1.2, 1.0)
         state = tensor(make_min_uncertainty_state(psi), make_probe_state(0.4, 2.0, psi))
         rng = np.random.default_rng(3)
-        f, g = random_observable(rng), random_observable(rng)
-        assert covariance(state, f, g) == pytest.approx(covariance(state, g, f))
-        _, var = moments(state, f)
-        assert covariance(state, f, f) == pytest.approx(var)
+        f, g = random_row(rng), random_row(rng)
+
+        def covariance(f, g):
+            return row_moments(np.array((f, g)), state.mean, state.cov)[1][0, 1]
+
+        assert covariance(f, g) == pytest.approx(covariance(g, f))
+        _, var = mean_and_variance(state, f)
+        assert covariance(f, f) == pytest.approx(var)
 
 
 class TestProbeState:
     def test_balanced_point_variances(self):
         psi = MinUncertaintyParams(0.0, 0.0, 1.0, 1.0)
         probe = make_probe_state(0.5, 1.0, psi)
-        _, var_q2 = moments(probe, position(2))
-        _, var_q3 = moments(probe, position(3))
+        _, (var_q2, var_q3, _, _) = quadrature_moments(probe)
         assert var_q2 == pytest.approx(0.125, rel=1e-14)
         assert var_q3 == pytest.approx(8.0, rel=1e-14)
         np.testing.assert_allclose(probe.mean, 0.0)
@@ -251,13 +265,13 @@ class TestProbeState:
     def test_position_mean_tracks_packet(self):
         psi = MinUncertaintyParams(q1=4.0)
         probe = make_probe_state(0.5, 1.0, psi)
-        mean_q2, _ = moments(probe, position(2))
+        (mean_q2, _, _, _), _ = quadrature_moments(probe)
         assert mean_q2 == pytest.approx(2.0)
 
     def test_momentum_mean_tracks_packet(self):
         psi = MinUncertaintyParams(p1=-3.0)
         probe = make_probe_state(0.25, 2.0, psi)
-        mean_p3, _ = moments(probe, momentum(3))
+        (_, _, _, mean_p3), _ = quadrature_moments(probe)
         assert mean_p3 == pytest.approx(0.25 * -3.0 / 2.0)
 
     @given(
@@ -271,8 +285,8 @@ class TestProbeState:
         psi = MinUncertaintyParams(0.0, 0.0, sigma1, hbar)
         probe = make_probe_state(nu, kappa, psi)
         for mode in (2, 3):
-            _, var_q = moments(probe, position(mode))
-            _, var_p = moments(probe, momentum(mode))
+            _, var_q = mean_and_variance(probe, unit_rows(probe.modes, mode)[0])
+            _, var_p = mean_and_variance(probe, unit_rows(probe.modes, mode)[1])
             assert var_q * var_p == pytest.approx((hbar / 2.0) ** 2, rel=1e-12)
 
     @given(nu=st.floats(0.01, 0.99), kappa=st.floats(0.1, 5.0))
@@ -280,8 +294,7 @@ class TestProbeState:
     def test_variance_product_independent_of_kappa(self, nu, kappa):
         psi = MinUncertaintyParams(0.0, 0.0, 1.3, 1.0)
         probe = make_probe_state(nu, kappa, psi)
-        _, var_q2 = moments(probe, position(2))
-        _, var_q3 = moments(probe, position(3))
+        _, (var_q2, var_q3, _, _) = quadrature_moments(probe)
         assert var_q2 * var_q3 == pytest.approx(1.3**4, rel=1e-12)
 
     @pytest.mark.parametrize("nu", [0.0, 1.0, -0.2, 1.5])
@@ -384,12 +397,15 @@ class TestGaussianState:
         probe = make_probe_state(0.3, 1.5, psi)
         joint = tensor(system, probe)
         assert joint.modes == (1, 2, 3)
-        for f in (position(1), momentum(1)):
-            assert moments(joint, f) == pytest.approx(moments(system, f))
-        for f in (position(2), momentum(3)):
-            assert moments(joint, f) == pytest.approx(moments(probe, f))
+        for f, g in zip((Q1, P1), unit_rows(system.modes, 1)):
+            want = mean_and_variance(system, g)
+            assert mean_and_variance(joint, f) == pytest.approx(want)
+        probe_q2, probe_p3 = unit_rows(probe.modes, 2)[0], unit_rows(probe.modes, 3)[1]
+        for f, g in ((Q2, probe_q2), (P3, probe_p3)):
+            want = mean_and_variance(probe, g)
+            assert mean_and_variance(joint, f) == pytest.approx(want)
         # no cross-subsystem correlations
-        assert covariance(joint, position(1), position(2)) == 0.0
+        assert row_moments(np.array((Q1, Q2)), joint.mean, joint.cov)[1][0, 1] == 0.0
 
     @pytest.mark.parametrize("first_modes, second_modes", MODE_SPLITS)
     def test_tensor_keeps_marginals_for_every_mode_split(self, first_modes, second_modes):
@@ -406,19 +422,26 @@ class TestGaussianState:
             )
         joint = tensor(*factors)
         assert joint.modes == tuple(sorted(first_modes + second_modes))
+
+        def covariance(state, f, g):
+            return row_moments(np.array((f, g)), state.mean, state.cov)[1][0, 1]
+
+        def q_and_p(modes, j, k):
+            return unit_rows(modes, j)[0], unit_rows(modes, k)[1]
+
         for state in factors:
             for j in state.modes:
-                for f in (position(j), momentum(j)):
-                    assert moments(joint, f) == moments(state, f)
+                for f, g in zip(unit_rows(joint.modes, j), unit_rows(state.modes, j)):
+                    assert mean_and_variance(joint, f) == mean_and_variance(state, g)
                 for k in state.modes:
-                    assert covariance(joint, position(j), momentum(k)) == covariance(
-                        state, position(j), momentum(k)
+                    assert covariance(joint, *q_and_p(joint.modes, j, k)) == covariance(
+                        state, *q_and_p(state.modes, j, k)
                     )
         # no cross-factor correlations
         for j in first_modes:
             for k in second_modes:
                 for f, g in itertools.product(
-                    (position(j), momentum(j)), (position(k), momentum(k))
+                    unit_rows(joint.modes, j), unit_rows(joint.modes, k)
                 ):
                     assert covariance(joint, f, g) == 0.0
 
@@ -463,43 +486,25 @@ class TestGaussianState:
             tensor(system, probe)
 
 
-class TestLinearObservableAlgebra:
-    def test_componentwise_sum_and_scale(self):
-        f = 2.0 * position(1) - 3.0 * momentum(2)
-        np.testing.assert_allclose(f.coeff_q, [2.0, 0.0, 0.0])
-        np.testing.assert_allclose(f.coeff_p, [0.0, -3.0, 0.0])
-        g = f + f
-        np.testing.assert_allclose(g.coeff_q, [4.0, 0.0, 0.0])
-
-    def test_zero_identity(self):
-        f = position(3) + LinearObservable.zero()
-        np.testing.assert_allclose(f.coeff_q, position(3).coeff_q)
-        assert f.offset == 0.0
-
-    def test_modes_and_restrict(self):
-        f = position(1) + 0.5 * momentum(3)
-        assert f.modes == frozenset({1, 3})
-        g = f.restrict({3})
-        np.testing.assert_allclose(g.coeff_q, 0.0)
-        np.testing.assert_allclose(g.coeff_p, [0.0, 0.0, 0.5])
-
-
-class TestLinearMoments:
-    def test_basis_index(self):
-        psi = MinUncertaintyParams()
-        assert make_min_uncertainty_state(psi).basis_index.tolist() == [0, 3]
-        assert make_probe_state(0.5, 1.0, psi).basis_index.tolist() == [1, 2, 4, 5]
-        joint = tensor(make_min_uncertainty_state(psi), make_probe_state(0.5, 1.0, psi))
-        assert joint.basis_index.tolist() == list(range(6))
+class TestRowMoments:
+    def test_global_slots(self):
+        psi = MinUncertaintyParams(0.3, -0.2, 1.5, 0.7)
+        packet = make_min_uncertainty_state(psi)
+        probe = make_probe_state(0.4, 2.0, psi)
+        assert PACKET_SLOTS.tolist() == [0, 3]
+        assert PROBE_SLOTS.tolist() == [1, 2, 4, 5]
+        joint = tensor(packet, probe)
+        np.testing.assert_array_equal(joint.mean[PACKET_SLOTS], packet.mean)
+        np.testing.assert_array_equal(joint.mean[PROBE_SLOTS], probe.mean)
 
     @staticmethod
     def loop_coefficients(state, f):
-        """Reference: ``f`` on the state's (Q..., P...) basis, one mode at a time."""
+        """Reference: global row ``f`` on the state's (Q..., P...) basis, mode by mode."""
         m = len(state.modes)
         c = np.zeros(2 * m)
         for k, j in enumerate(state.modes):
-            c[k] = f.coeff_q[j - 1]
-            c[m + k] = f.coeff_p[j - 1]
+            c[k] = f[j - 1]
+            c[m + k] = f[j + 2]
         return c
 
     @pytest.mark.parametrize("seed", range(20))
@@ -510,19 +515,11 @@ class TestLinearMoments:
         state = make_probe_state(0.4, 2.0, psi)
         if modes == (1, 2, 3):
             state = tensor(make_min_uncertainty_state(psi), state)
-        mask = np.array([j in modes for j in (1, 2, 3)], dtype=float)
-        obs = [
-            LinearObservable(rng.normal(size=3) * mask, rng.normal(size=3) * mask, rng.normal())
-            for _ in range(3)
-        ]
-        mean, cov = linear_moments(state, obs)
+        mask = np.tile([j in modes for j in (1, 2, 3)], 2)
+        obs = [rng.normal(size=6) * mask for _ in range(3)]
         c = [self.loop_coefficients(state, f) for f in obs]
-        for i, f in enumerate(obs):
-            assert mean[i] == float(c[i] @ state.mean) + f.offset
+        mean, cov = row_moments(np.array(c), state.mean, state.cov)
+        for i in range(3):
+            assert mean[i] == float(c[i] @ state.mean)
             for j in range(i, 3):
                 assert cov[i, j] == cov[j, i] == c[i] @ state.cov @ c[j]
-
-    def test_mode_mismatch_names_the_first_offending_observable(self):
-        probe = make_probe_state(0.5, 1.0, MinUncertaintyParams())
-        with pytest.raises(ModeMismatchError, match=r"mode\(s\) \[1\]"):
-            linear_moments(probe, [position(2), momentum(1), position(1) + momentum(3)])
