@@ -68,6 +68,7 @@ class JointGaussian:
                 f"dimension mismatch: {d} labels, mean {mean.shape}, cov {cov.shape}"
             )
         cov = checked_covariance(cov, CLIP_ATOL)
+        _check_finite_mean(mean.tolist(), labels)
         mean.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "mean", mean)
@@ -76,6 +77,12 @@ class JointGaussian:
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+
+def _check_finite_mean(mean: list, labels) -> None:
+    for label, value in zip(labels, mean):
+        if not math.isfinite(value):
+            raise ValueError(f"mean of {label!r} is {value}: it must be finite")
 
 
 def joint_distribution(
@@ -93,8 +100,14 @@ def joint_distribution(
     Raises:
         NonCommutingObservablesError: naming the offending pair and its
             commutator coefficient.
-        ValueError: if ``labels`` does not name each row once.
+        ValueError: if ``labels`` does not name each row once, or if the
+            rows' width is not the state's coordinate count.
     """
+    if rows.shape[-1:] != mean.shape:
+        raise ValueError(
+            f"rows of shape {rows.shape} do not act on a state with mean of "
+            f"shape {mean.shape}"
+        )
     if labels is None:
         labels = [f"f{i}" for i in range(len(rows))]
     labels = tuple(labels)
@@ -119,33 +132,39 @@ def _check_commuting(products: np.ndarray, labels) -> None:
                 )
 
 
-def _conditioning(joint: JointGaussian, given: list) -> tuple:
-    """Conditioning on ``given``: returns ``(rest, gain, schur_cov)``.
+def _conditioning(cov: np.ndarray, given: list) -> tuple:
+    """Condition a stack of laws on ``given``: returns ``(rest, gain, schur_cov)``.
 
-    At values ``y`` of the given components, the ``rest`` have mean
+    ``cov`` has shape ``(..., d, d)``, one covariance per law.  At values
+    ``y`` of the given components, a law's ``rest`` have mean
     ``mean[rest] + gain @ (y - mean[given])`` and covariance ``schur_cov``.
-    ``given`` must hold distinct integers in ``range(joint.dim)``.
+    One gather reorders each covariance as ``[[V_rr, V_rg], [V_gr, V_gg]]``
+    and the blocks are views of it.  ``given`` must hold distinct integers
+    in ``range(d)``.
     """
+    dim = cov.shape[-1]
     seen = set()
     for i in given:
         integer = isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-        if not integer or not 0 <= i < joint.dim or i in seen:
+        if not integer or not 0 <= i < dim or i in seen:
             raise ValueError(
-                f"given index {i!r} is not a distinct integer in range({joint.dim})"
+                f"given index {i!r} is not a distinct integer in range({dim})"
             )
         seen.add(i)
-    rest = [i for i in range(joint.dim) if i not in seen]
+    rest = [i for i in range(dim) if i not in seen]
     if not rest:
         raise ValueError("conditioning on every component leaves nothing")
-    v_gg = joint.cov[given][:, given]
-    v_r = joint.cov[rest]
-    v_rg = v_r[:, given]
+    order = np.array(rest + given)
+    block = cov[..., order[:, None], order]
+    r = len(rest)
+    v_gg = block[..., r:, r:]
+    v_gr = block[..., :r, r:].swapaxes(-1, -2)  # V_rg^T: unit stride along the contraction
     try:
         np.linalg.cholesky(v_gg)  # succeeds exactly when v_gg is positive definite
     except np.linalg.LinAlgError:
         raise ValueError("conditioned block is singular; cannot condition on it")
-    gain = np.linalg.solve(v_gg, v_rg.T).T
-    return rest, gain, v_r[:, rest] - gain @ v_rg.T
+    gain = np.linalg.solve(v_gg, v_gr).swapaxes(-1, -2)
+    return rest, gain, block[..., :r, :r] - gain @ v_gr
 
 
 def conditional(joint: JointGaussian, given, values) -> JointGaussian:
@@ -161,13 +180,19 @@ def conditional(joint: JointGaussian, given, values) -> JointGaussian:
 
     Raises:
         ValueError: if an index is repeated or not an integer in
-            ``range(joint.dim)``, or if the conditioned block is singular.
+            ``range(joint.dim)``, if a value is not finite, or if the
+            conditioned block is singular.
     """
     given = list(given)
     values = np.asarray(values, dtype=float)
     if values.shape != (len(given),):
         raise ValueError(f"expected {len(given)} values, got shape {values.shape}")
-    rest, gain, cov = _conditioning(joint, given)
+    rest, gain, cov = _conditioning(joint.cov, given)
+    for i, value in zip(given, values.tolist()):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"value {value} given for {joint.labels[i]!r} is not finite"
+            )
     mean = joint.mean[rest] + gain @ (values - joint.mean[given])
     return JointGaussian(
         labels=tuple(joint.labels[i] for i in rest), mean=mean, cov=cov
@@ -320,10 +345,10 @@ class PosteriorConsistencyReport:
         return max(self.max_mean_deviation, self.max_var_deviation)
 
 
-def _default_outcome_grid(joint: JointGaussian) -> list:
-    """3x3 grid at the means +/- one spread of the meters, ``joint``'s last two."""
-    mean = joint.mean[-2:]
-    sd = np.sqrt(np.diag(joint.cov)[-2:])
+def _default_outcome_grid(mean: np.ndarray, cov: np.ndarray) -> list:
+    """3x3 grid at the means +/- one spread of the meters, the law's last two."""
+    mean = mean[-2:]
+    sd = np.sqrt(np.diag(cov)[-2:])
     return [
         (mean[0] + dz * sd[0], mean[1] + dw * sd[1])
         for dz in (-1.0, 0.0, 1.0)
@@ -335,6 +360,8 @@ def _default_outcome_grid(joint: JointGaussian) -> list:
 _POSTERIOR_TRIPLES = np.array([[0, 1, 5], [3, 1, 5]])
 _POSTERIOR_TRIPLES.setflags(write=False)
 
+_TRIPLE_LABELS = ("f0", "f1", "f2")
+
 
 def posterior_consistency(
     family: ModelFamily,
@@ -344,41 +371,56 @@ def posterior_consistency(
 ) -> PosteriorConsistencyReport:
     """Check the posterior family against conditional evolved moments.
 
-    Builds the triple joints (Q1(tau), Q2(tau), P3(tau)) and
-    (P1(tau), Q2(tau), P3(tau)), conditions each once on the meters (one
-    Schur complement serves every outcome), and compares the conditional
-    mean/variance at each outcome y = (z, w) with the posterior family.
+    Builds the laws of the triples (Q1(tau), Q2(tau), P3(tau)) and
+    (P1(tau), Q2(tau), P3(tau)) as one ``(2, 3)`` / ``(2, 3, 3)`` stack,
+    checks and conditions both on the meters in one pass (one Schur
+    complement per triple serves every outcome), and compares the
+    conditional mean/variance at each outcome y = (z, w) with the
+    posterior family.  Each triple gets every check a
+    :func:`joint_distribution` law gets.
 
     Args:
         family: one of the families with a known posterior family.
         outcomes: iterable of (z, w) meter outcomes; defaults to a 3x3
             grid around the meter means.
+
+    Raises:
+        ValueError: for a family without a posterior family, naming an
+            outcome that is not finite, or from the checks of the laws.
     """
     check_posterior_family(family)
     m = build_model(family, nu, psi)
     rows = evolved_rows(m.transform).take(_POSTERIOR_TRIPLES, axis=0)
-    mu, v = _product_state(m, psi)
-    joints = [joint_distribution(triple, mu, v) for triple in rows]
+    for products in symplectic_products(rows):
+        _check_commuting(products, _TRIPLE_LABELS)
+    means, covs = row_moments(rows, *_product_state(m, psi))
+    covs = checked_covariance(covs, CLIP_ATOL)
+    for mean in means.tolist():
+        _check_finite_mean(mean, _TRIPLE_LABELS)
     if outcomes is None:
-        outcomes = _default_outcome_grid(joints[0])
+        outcomes = _default_outcome_grid(means[0], covs[0])
     y = np.array([(z, w) for z, w in outcomes], dtype=float).reshape(-1, 2)
+    for z, w in y.tolist():
+        if not (math.isfinite(z) and math.isfinite(w)):
+            raise ValueError(
+                f"outcome (z, w) = ({z}, {w}) is not finite "
+                f"(family {family.value}, nu={nu:g})"
+            )
     fam = PosteriorFamily(nu=nu, psi=psi)
 
-    max_mean_dev = 0.0
+    _, gain, schur_cov = _conditioning(covs, [1, 2])
+    var = checked_covariance(schur_cov, CLIP_ATOL)[:, 0, 0]
+    # each triple's conditional target mean at every outcome, shape (2, len(y))
+    mean = means[:, :1] + ((y - means[:, None, 1:]) @ gain[:, 0, :, None])[..., 0]
+    max_mean_dev = np.maximum.reduce(abs(mean - fam.mean_map(y.T)), None, initial=0.0)
     max_var_dev = 0.0
-    expected = zip(fam.mean_map(y.T), (fam.var_q, fam.var_p))
-    for joint, (expected_mean, expected_var) in zip(joints, expected):
-        _, gain, schur_cov = _conditioning(joint, [1, 2])
-        var = checked_covariance(schur_cov, CLIP_ATOL)[0, 0]
-        mean = joint.mean[0] + (y - joint.mean[1:]) @ gain[0]
-        max_mean_dev = max([max_mean_dev, *abs(mean - expected_mean)])
-        if len(y):
-            max_var_dev = max(max_var_dev, abs(var - expected_var))
+    if len(y):
+        max_var_dev = max(abs(var - (fam.var_q, fam.var_p)).tolist())
     return PosteriorConsistencyReport(
         family=family,
         nu=nu,
         n_outcomes=len(y),
-        max_mean_deviation=max_mean_dev,
+        max_mean_deviation=float(max_mean_dev),
         max_var_deviation=max_var_dev,
     )
 

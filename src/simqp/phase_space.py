@@ -8,9 +8,9 @@ R^{6x6}, with the packet at slots [0, 3] and the probe at [1, 2, 4, 5].
 States defined on a subset of modes order their mean/covariance as (all
 Q's, then all P's) with modes ascending; :func:`product_moments` places
 them in the global order.  The row kernels (:func:`row_moments`,
-:func:`quadratic_forms`, :func:`symplectic_products`) work on any leading
-axes, and the covariance check :func:`checked_covariance` used across the
-package lives here too.
+:func:`quadratic_forms`, :func:`symplectic_products`) and the covariance
+check :func:`checked_covariance` used across the package work on any
+leading axes.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ PACKET_CACHE_SIZE = 1024
 def check_close(actual, expected, tol: float, message: str) -> None:
     """Raise ``ValueError(message)`` unless ``max |actual - expected| <= tol``.
 
-    The one closeness test behind every matrix identity check; callers
-    pass ``tol`` already multiplied by their natural scale.  NaN or
-    infinite entries on either side always fail.
+    The closeness test behind the transform identity checks; callers pass
+    ``tol`` already multiplied by their natural scale.  NaN or infinite
+    entries on either side always fail.
     """
     deviation = np.abs(np.subtract(actual, expected))
     worst = float(np.maximum.reduce(deviation, None, initial=0.0))
@@ -54,23 +54,41 @@ def check_close(actual, expected, tol: float, message: str) -> None:
 
 
 def checked_covariance(cov: np.ndarray, psd_rtol: float) -> np.ndarray:
-    """Symmetrized read-only ``cov``, PSD to ``psd_rtol * max(1, top eigenvalue)``."""
-    largest = np.maximum.reduce(np.abs(cov), None)
-    check_close(
-        cov, cov.T, 1e-12 * max(1.0, largest), "covariance matrix is not symmetric"
-    )
-    if largest >= _SYMMETRISE_LIMIT:
-        raise ValueError(
-            f"covariance matrix entry {largest:g} is too large: "
-            "symmetrising it overflows float64"
-        )
-    cov = 0.5 * (cov + cov.T)
-    eigvals = np.linalg.eigvalsh(cov)
-    if eigvals[0] < -psd_rtol * max(1.0, eigvals[-1]):
-        raise ValueError(
-            f"covariance matrix is not positive semidefinite "
-            f"(smallest eigenvalue {eigvals[0]:g})"
-        )
+    """Symmetrized read-only ``cov``, PSD to ``psd_rtol * max(1, top eigenvalue)``.
+
+    ``cov`` has shape ``(..., n, n)``, and each matrix of the stack is held
+    to its own scale: symmetric to ``1e-12 * max(1, largest |entry|)``,
+    every entry below 2**1023, and PSD to its own top eigenvalue.  The
+    per-matrix decisions run on Python floats, which for the few entries
+    of a state's covariance is cheaper than a numpy reduction per matrix.
+    """
+    n = cov.shape[-1]
+    transposed = cov.swapaxes(-1, -2)
+    magnitudes = np.abs(cov).reshape(-1, n * n).tolist()
+    deviations = (cov - transposed).reshape(-1, n * n).tolist()
+    for entries, deviation in zip(magnitudes, deviations):
+        largest = max(entries)
+        if any(deviation):  # an exactly symmetric matrix passes as it stands
+            # a non-finite entry leaves a non-finite deviation at its own place
+            if not all(map(math.isfinite, deviation)):
+                raise ValueError("covariance matrix is not symmetric: non-finite entries")
+            worst = max(deviation)  # cov - cov^T is exactly antisymmetric
+            if worst > 1e-12 * max(1.0, largest):
+                raise ValueError(
+                    f"covariance matrix is not symmetric (max deviation {worst:g})"
+                )
+        if largest >= _SYMMETRISE_LIMIT:
+            raise ValueError(
+                f"covariance matrix entry {largest:g} is too large: "
+                "symmetrising it overflows float64"
+            )
+    cov = 0.5 * (cov + transposed)
+    for eigvals in np.linalg.eigvalsh(cov).reshape(-1, n).tolist():  # ascending
+        if eigvals[0] < -psd_rtol * max(1.0, eigvals[-1]):
+            raise ValueError(
+                f"covariance matrix is not positive semidefinite "
+                f"(smallest eigenvalue {eigvals[0]:g})"
+            )
     cov.setflags(write=False)
     return cov
 

@@ -10,8 +10,8 @@ from scipy.integrate import quad
 
 from conftest import FAMILIES, log_density, marginal
 
-from simqp.distributions import _normal_mass
-from simqp.phase_space import row_moments
+from simqp.distributions import CLIP_ATOL, _conditioning, _normal_mass
+from simqp.phase_space import checked_covariance, row_moments
 from simqp import (
     JointGaussian,
     MinUncertaintyParams,
@@ -138,6 +138,17 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="^dimension mismatch: 1 labels for 2 rows$"):
             joint_distribution(np.eye(2), state.mean, state.cov, labels=("a",))
 
+    def test_row_width_mismatch_names_both_shapes(self):
+        state = make_min_uncertainty_state(PSI)  # on the packet's 2 coordinates
+        message = r"^rows of shape \(1, 6\) do not act on a state with mean of shape \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            joint_distribution(np.eye(6)[:1], state.mean, state.cov)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_is_named(self, bad):
+        with pytest.raises(ValueError, match=rf"^mean of 'b' is {bad}: it must be finite$"):
+            JointGaussian(("a", "b"), [0.0, bad], np.eye(2))
+
 
 class TestConditional:
     def test_conditioning_meter_recovers_error_spread(self):
@@ -212,6 +223,25 @@ class TestConditional:
         joint = JointGaussian(("a",), [0.0], [[1.0]])
         with pytest.raises(ValueError):
             conditional(joint, given=(0,), values=(0.0,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_named(self, bad):
+        joint = q_pair_joint(build_model(ModelFamily.Y0, 0.5, PSI), PSI)
+        message = rf"^value {bad} given for 'Q2\(tau\)' is not finite$"
+        with pytest.raises(ValueError, match=message):
+            conditional(joint, given=(1,), values=(bad,))
+
+    @pytest.mark.parametrize("given", [(0,), (2,), (1, 2), (2, 0)])
+    def test_a_stack_conditions_like_each_law_alone(self, given):
+        rng = np.random.default_rng(sum(given) + 10 * len(given))
+        roots = rng.normal(size=(4, 3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(4, 1, 1))
+        covs = checked_covariance(roots @ roots.swapaxes(-1, -2), CLIP_ATOL)
+        rest, gain, schur = _conditioning(covs, list(given))
+        for k, cov in enumerate(covs):
+            want = _conditioning(cov, list(given))
+            assert rest == want[0]
+            np.testing.assert_array_equal(gain[k], want[1])
+            np.testing.assert_array_equal(schur[k], want[2])
 
 
 class TestGaussError:
@@ -423,6 +453,15 @@ class TestPosteriorConsistency:
     def test_unsupported_family(self):
         with pytest.raises(ValueError, match="posterior"):
             posterior_consistency(ModelFamily.X, 0.5, PSI)
+
+    @pytest.mark.parametrize(
+        "outcome", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)]
+    )
+    def test_non_finite_outcome_is_named(self, outcome):
+        z, w = outcome
+        message = rf"^outcome \(z, w\) = \({z}, {w}\) is not finite \(family z, nu=0.37\)$"
+        with pytest.raises(ValueError, match=message):
+            posterior_consistency(ModelFamily.Z, 0.37, PSI, outcomes=[(0.1, 0.2), outcome])
 
     def test_matches_per_outcome_conditionals(self):
         """Reference: one full ``conditional`` law per outcome and joint."""

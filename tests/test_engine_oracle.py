@@ -3,10 +3,11 @@
 The oracle below is the earlier computation, kept inline: the transform
 pair evaluated as two separate closed forms, meters as coefficient
 triples, ``psi x probe`` assembled by a mode-layout ``tensor``, the noise
-moments contracted one meter at a time, and joint moments one observable
-row at a time.  Over seeded models (criterion-10 generators and probes,
-the four families over nu in (0.01, 0.99), and model-fuzz-style edge
-nu / sigma1 / hbar) the engine must give the same q-rms errors,
+moments contracted one meter at a time, joint moments one observable
+row at a time, and posterior consistency one triple law at a time, each
+built, checked and conditioned on its own.  Over seeded models
+(criterion-10 generators and probes, the four families over nu in
+(0.01, 0.99), and model-fuzz-style edge nu / sigma1 / hbar) the engine must give the same q-rms errors,
 ``TheoremReport`` fields, joint means and covariances and posterior
 consistency reports, and reject the same inputs with the same exception
 type and message.  Every contraction keeps its order, so no ulp bound is
@@ -44,8 +45,6 @@ from simqp.distributions import (
     CLIP_ATOL,
     JOINT_COMMUTATOR_ATOL,
     PosteriorConsistencyReport,
-    _conditioning,
-    _default_outcome_grid,
     check_posterior_family,
 )
 from simqp.dynamics import TRANSFORM_ATOL, expm_coefficients
@@ -214,6 +213,30 @@ def oracle_joint_builders(m):
     ]
 
 
+def oracle_conditioning(joint, given):
+    """One law at a time, each block by its own fancy index."""
+    rest = [i for i in range(joint.dim) if i not in given]
+    v_gg = joint.cov[given][:, given]
+    v_r = joint.cov[rest]
+    v_rg = v_r[:, given]
+    try:
+        np.linalg.cholesky(v_gg)
+    except np.linalg.LinAlgError:
+        raise ValueError("conditioned block is singular; cannot condition on it")
+    gain = np.linalg.solve(v_gg, v_rg.T).T
+    return rest, gain, v_r[:, rest] - gain @ v_rg.T
+
+
+def oracle_outcome_grid(joint):
+    mean = joint.mean[-2:]
+    sd = np.sqrt(np.diag(joint.cov)[-2:])
+    return [
+        (mean[0] + dz * sd[0], mean[1] + dw * sd[1])
+        for dz in (-1.0, 0.0, 1.0)
+        for dw in (-1.0, 0.0, 1.0)
+    ]
+
+
 def oracle_posterior_consistency(family, nu, psi):
     check_posterior_family(family)
     m = oracle_build(family, nu, psi)
@@ -222,12 +245,12 @@ def oracle_posterior_consistency(family, nu, psi):
     joints = [
         oracle_joint([target, *m.meters], state, ("f0", "f1", "f2")) for target in targets
     ]
-    y = np.array(_default_outcome_grid(joints[0]), dtype=float).reshape(-1, 2)
+    y = np.array(oracle_outcome_grid(joints[0]), dtype=float).reshape(-1, 2)
     fam = PosteriorFamily(nu=nu, psi=psi)
     max_mean_dev = max_var_dev = 0.0
     expected = zip(fam.mean_map(y.T), (fam.var_q, fam.var_p))
     for joint, (expected_mean, expected_var) in zip(joints, expected):
-        _, gain, schur_cov = _conditioning(joint, [1, 2])
+        _, gain, schur_cov = oracle_conditioning(joint, [1, 2])
         var = checked_covariance(schur_cov, CLIP_ATOL)[0, 0]
         mean = joint.mean[0] + (y - joint.mean[1:]) @ gain[0]
         max_mean_dev = max([max_mean_dev, *abs(mean - expected_mean)])

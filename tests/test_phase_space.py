@@ -1,6 +1,7 @@
 """Global rows, their commutators and moments, and Gaussian state constructors."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -390,6 +391,56 @@ class TestGaussianState:
             GaussianState((1, 1), np.zeros(4), np.eye(4))
         with pytest.raises(ValueError):
             GaussianState((2, 1), np.zeros(4), np.eye(4))
+
+
+def single_matrix_error(cov) -> str:
+    with pytest.raises(ValueError) as raised:
+        checked_covariance(cov, PSD_RTOL)
+    return str(raised.value)
+
+
+class TestCheckedCovarianceStack:
+    """A ``(..., n, n)`` stack: each matrix checked as if it stood alone."""
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 2)])
+    @pytest.mark.parametrize("kind", FACTOR_KINDS)
+    def test_each_matrix_as_if_alone(self, lead, kind):
+        rng = np.random.default_rng([len(lead), FACTOR_KINDS.index(kind)])
+        count = int(np.prod(lead))
+        scales = 10.0 ** rng.uniform(-6.0, 6.0, size=count)
+        stack = np.stack([scale * factor_covariance(rng, kind, 4) for scale in scales])
+        stack += 1e-14 * scales[:, None, None] * rng.normal(size=stack.shape)  # asymmetric
+        stack = stack.reshape(lead + (4, 4))
+        checked = checked_covariance(stack, PSD_RTOL)
+        assert checked.shape == stack.shape and not checked.flags.writeable
+        for matrix, alone in zip(checked.reshape(-1, 4, 4), stack.reshape(-1, 4, 4)):
+            np.testing.assert_array_equal(matrix, checked_covariance(alone, PSD_RTOL))
+
+    def test_asymmetry_is_held_to_its_own_scale(self):
+        big = np.diag([1e6, 1e6])  # its tolerance is 1e-6
+        small = np.array([[1.0, 1e-9], [0.0, 1.0]])  # 1e-9 fails its own 1e-12
+        checked_covariance(np.stack([big, small + 1e6 * np.eye(2)]), PSD_RTOL)
+        message = single_matrix_error(small)
+        assert message == "covariance matrix is not symmetric (max deviation 1e-09)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            checked_covariance(np.stack([big, small]), PSD_RTOL)
+
+    def test_psd_violation_is_held_to_its_own_scale(self):
+        big = np.diag([1e6, 1e6])  # its PSD tolerance is 1e-4
+        small = np.diag([1.0, -1e-6])  # -1e-6 fails its own 1e-10
+        checked_covariance(np.stack([big, np.diag([1e6, -1e-6])]), PSD_RTOL)
+        message = single_matrix_error(small)
+        assert "not positive semidefinite (smallest eigenvalue -1e-06)" in message
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            checked_covariance(np.stack([big, small]), PSD_RTOL)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0**1023])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_entry_refused_in_one_matrix_only(self, bad):
+        small = np.diag([bad, 1.0])
+        message = single_matrix_error(small)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            checked_covariance(np.stack([np.eye(2), small]), PSD_RTOL)
 
     def test_tensor_keeps_marginals(self):
         psi = MinUncertaintyParams(1.0, 2.0, 0.8, 1.0)
