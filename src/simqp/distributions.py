@@ -25,12 +25,14 @@ from .phase_space import (
     GaussianState,
     TARGET_ROWS,
     MinUncertaintyParams,
+    _check_finite_mean,
+    _checked_moments,
     _diagonal_state,
     _square,
     checked_covariance,
     checked_variances,
     make_min_uncertainty_state,
-    product_moments,
+    packet_probe_moments,
     row_moments,
     symplectic_products,
 )
@@ -60,29 +62,12 @@ class JointGaussian:
 
     def __post_init__(self):
         labels = tuple(str(name) for name in self.labels)
-        mean = np.array(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        d = len(labels)
-        if mean.shape != (d,) or cov.shape != (d, d):
-            raise ValueError(
-                f"dimension mismatch: {d} labels, mean {mean.shape}, cov {cov.shape}"
-            )
-        cov = checked_covariance(cov, CLIP_ATOL)
-        _check_finite_mean(mean.tolist(), labels)
-        mean.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        mean, cov = _checked_moments(self.mean, self.cov, labels, CLIP_ATOL)
+        vars(self).update(labels=labels, mean=mean, cov=cov)
 
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-
-def _check_finite_mean(mean: list, labels) -> None:
-    for label, value in zip(labels, mean):
-        if not math.isfinite(value):
-            raise ValueError(f"mean of {label!r} is {value}: it must be finite")
 
 
 def joint_distribution(
@@ -236,17 +221,12 @@ def sample(joint: JointGaussian, n: int, seed: int) -> np.ndarray:
     return joint.mean + z @ root.T
 
 
-def _product_state(m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams):
-    """Mean and covariance of psi x probe in the global order."""
-    _, mu, v = product_moments(make_min_uncertainty_state(psi), m.probe)
-    return mu, v
-
-
 def meter_joint(
     m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams
 ) -> JointGaussian:
     """Joint law of the two meters (Q2(tau), P3(tau)) in psi x probe."""
-    return joint_distribution(m.rows, *_product_state(m, psi), ("Q2(tau)", "P3(tau)"))
+    mu, v = packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
+    return joint_distribution(m.rows, mu, v, ("Q2(tau)", "P3(tau)"))
 
 
 def q_pair_joint(
@@ -254,7 +234,8 @@ def q_pair_joint(
 ) -> JointGaussian:
     """Joint law of the target and its meter, (Q1(0), Q2(tau))."""
     rows = np.array((TARGET_ROWS[0], m.rows[0]))
-    return joint_distribution(rows, *_product_state(m, psi), ("Q1(0)", "Q2(tau)"))
+    mu, v = packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
+    return joint_distribution(rows, mu, v, ("Q1(0)", "Q2(tau)"))
 
 
 def p_pair_joint(
@@ -262,7 +243,8 @@ def p_pair_joint(
 ) -> JointGaussian:
     """Joint law of the target and its meter, (P1(0), P3(tau))."""
     rows = np.array((TARGET_ROWS[1], m.rows[1]))
-    return joint_distribution(rows, *_product_state(m, psi), ("P1(0)", "P3(tau)"))
+    mu, v = packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
+    return joint_distribution(rows, mu, v, ("P1(0)", "P3(tau)"))
 
 
 def check_posterior_family(family: ModelFamily) -> None:
@@ -319,14 +301,26 @@ def posterior_state(fam: PosteriorFamily, y) -> GaussianState:
     Its variances are the family's, which ``PosteriorFamily`` has checked.
 
     Raises:
-        ValueError: if ``y`` is not one pair, or naming a posterior
-            variance from 2**1023 on.
+        ValueError: if ``y`` is not one pair, naming an outcome that is
+            not finite or whose posterior mean overflows float64, or
+            naming a posterior variance from 2**1023 on.
     """
-    mean = fam.mean_map(y)
-    if mean.shape != (2,):
-        raise ValueError(f"mean must have shape (2,), got {mean.shape}")
-    variances = (("posterior Var(Q1)", fam.var_q), ("posterior Var(P1)", fam.var_p))
+    y = np.asarray(y, dtype=float)
+    if y.shape != (2,):
+        raise ValueError(f"outcome must be one pair (y1, y2), got shape {y.shape}")
+    with np.errstate(over="ignore"):  # an overflow is refused below, by name
+        mean = fam.mean_map(y)
     inputs = dict(nu=fam.nu, sigma1=fam.psi.sigma1, hbar=fam.psi.hbar)
+    if not all(map(math.isfinite, mean.tolist())):
+        given = ", ".join(f"{key}={val:g}" for key, val in inputs.items())
+        y1, y2 = y.tolist()
+        if not (math.isfinite(y1) and math.isfinite(y2)):
+            raise ValueError(f"outcome (y1, y2) = ({y1}, {y2}) is not finite ({given})")
+        raise ValueError(
+            f"outcome (y1, y2) = ({y1:g}, {y2:g}) gives a posterior mean that "
+            f"overflows float64 ({given})"
+        )
+    variances = (("posterior Var(Q1)", fam.var_q), ("posterior Var(P1)", fam.var_p))
     return _diagonal_state((1,), mean, variances, fam.psi.hbar, inputs)
 
 
@@ -386,14 +380,16 @@ def posterior_consistency(
 
     Raises:
         ValueError: for a family without a posterior family, naming an
-            outcome that is not finite, or from the checks of the laws.
+            outcome that is not finite or whose conditional mean overflows,
+            or from the checks of the laws.
     """
     check_posterior_family(family)
     m = build_model(family, nu, psi)
     rows = evolved_rows(m.transform).take(_POSTERIOR_TRIPLES, axis=0)
     for products in symplectic_products(rows):
         _check_commuting(products, _TRIPLE_LABELS)
-    means, covs = row_moments(rows, *_product_state(m, psi))
+    mu, v = packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
+    means, covs = row_moments(rows, mu, v)
     covs = checked_covariance(covs, CLIP_ATOL)
     for mean in means.tolist():
         _check_finite_mean(mean, _TRIPLE_LABELS)
@@ -410,9 +406,18 @@ def posterior_consistency(
 
     _, gain, schur_cov = _conditioning(covs, [1, 2])
     var = checked_covariance(schur_cov, CLIP_ATOL)[:, 0, 0]
-    # each triple's conditional target mean at every outcome, shape (2, len(y))
-    mean = means[:, :1] + ((y - means[:, None, 1:]) @ gain[:, 0, :, None])[..., 0]
-    max_mean_dev = np.maximum.reduce(abs(mean - fam.mean_map(y.T)), None, initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each triple's conditional target mean at every outcome, shape (2, len(y))
+        mean = means[:, :1] + ((y - means[:, None, 1:]) @ gain[:, 0, :, None])[..., 0]
+        deviation = abs(mean - fam.mean_map(y.T))
+    max_mean_dev = np.maximum.reduce(deviation, None, initial=0.0)
+    if not math.isfinite(max_mean_dev):
+        z, w = y[~np.isfinite(deviation).all(axis=0)][0].tolist()
+        raise ValueError(
+            f"outcome (z, w) = ({z:g}, {w:g}) is too large: its conditional mean, "
+            f"or that mean's gap to the posterior family's, overflows float64 "
+            f"(family {family.value}, nu={nu:g})"
+        )
     max_var_dev = 0.0
     if len(y):
         max_var_dev = max(abs(var - (fam.var_q, fam.var_p)).tolist())

@@ -30,11 +30,6 @@ _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 
 
-def _check_close(actual, expected, atol, message):
-    scale = max(1.0, np.maximum.reduce(np.abs(expected), None, initial=0.0))
-    check_close(actual, expected, atol * scale, message)
-
-
 @dataclass(frozen=True, eq=False)
 class SolvableGenerator:
     """Generator in the closed-form-solvable class.
@@ -85,7 +80,9 @@ class SolvableGenerator:
                 f"E={e:g} is inconsistent with a1*b1={prod:g} and gamma2={g2:g}"
             )
         s2 = s @ s
-        _check_close(s2 @ s, -e * s, IDENTITY_ATOL, "S^3 != -E S")
+        es = e * s
+        scale = max(1.0, np.maximum.reduce(np.abs(es), None, initial=0.0))
+        check_close(s2 @ s, -es, IDENTITY_ATOL * scale, "S^3 != -E S")
         # [[S, -S^T], [S^2, (S^2)^T]]: the generators of A and B and their
         # squares, stacked as propagate uses them
         powers = np.array(((s, -s.T), (s2, s2.T)))

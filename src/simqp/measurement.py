@@ -31,7 +31,7 @@ from .phase_space import (
     MinUncertaintyParams,
     make_min_uncertainty_state,
     make_probe_state,
-    product_moments,
+    packet_probe_moments,
     quadratic_forms,
     symplectic_products,
 )
@@ -170,20 +170,6 @@ def solve_couplings(nu: float, tau: float, gamma2: float, e: float) -> tuple:
     return nu / factor, -(1.0 - nu) / factor
 
 
-def _wire(
-    transform: PropagatedTransform,
-    probe: GaussianState,
-    generator: SolvableGenerator | None = None,
-) -> LinearSimultaneousMeasurement:
-    """Model reading ``Q2(tau)`` and ``P3(tau)``, rows 1 and 5 of the evolved block."""
-    # a strided view of rows 1 and 5, which the constructor copies: a fancy
-    # index would copy twice and cost more than the rest of this function
-    rows = evolved_rows(transform)[1::4]
-    return LinearSimultaneousMeasurement(
-        probe, rows, transform.tau, generator, transform
-    )
-
-
 def build_model(
     family: ModelFamily, nu: float, psi: MinUncertaintyParams
 ) -> LinearSimultaneousMeasurement:
@@ -219,8 +205,16 @@ def build_model(
 def measurement_from_parts(
     gen: SolvableGenerator, probe: GaussianState
 ) -> LinearSimultaneousMeasurement:
-    """Wire an arbitrary solvable generator to an arbitrary probe state."""
-    return _wire(propagate(gen), probe, gen)
+    """Wire an arbitrary solvable generator to an arbitrary probe state.
+
+    The model reads ``Q2(tau)`` and ``P3(tau)``, rows 1 and 5 of the
+    evolved block.
+    """
+    transform = propagate(gen)
+    # a strided view of rows 1 and 5, which the constructor copies: a fancy
+    # index would copy twice and cost more than the rest of this function
+    rows = evolved_rows(transform)[1::4]
+    return LinearSimultaneousMeasurement(probe, rows, transform.tau, gen, transform)
 
 
 #: the Arthurs-Kelly meters ``Q1 + Q2 + P3/2`` and ``P1 - P2/2 + Q3`` as global rows
@@ -261,7 +255,7 @@ def _noise_moments(
         part of its meter.
     """
     packet = make_min_uncertainty_state(psi)
-    _, mean, cov = product_moments(packet, m.probe)
+    mean, cov = packet_probe_moments(packet, m.probe)
     noise = m.rows - TARGET_ROWS
     # ``+ 0.0`` turns a -0.0 into 0.0, so a zero residual prints as 0.0, as
     # it did when a zero constant term was added to each mean
@@ -314,16 +308,6 @@ def heisenberg_product(errs: ErrorPair) -> float:
     return errs.eps_q * errs.eps_p
 
 
-def lower_bound_l(a21: float, b31: float) -> float:
-    """Meter-weight lower-bound function for the trade-off proof.
-
-    ``l(a21, b31) = ((a21-1)^2 + (b31-1)^2)/4 + |a21 b31|/2``; its global
-    minimum 1/4 is attained exactly on the segment a21, b31 >= 0 with
-    a21 + b31 = 1.
-    """
-    return ((a21 - 1.0) ** 2 + (b31 - 1.0) ** 2) / 4.0 + abs(a21 * b31) / 2.0
-
-
 def ozawa_inequality_residual(errs: ErrorPair, psi: MinUncertaintyParams) -> float:
     """Slack of the additive error-spread inequality.
 
@@ -337,16 +321,6 @@ def ozawa_inequality_residual(errs: ErrorPair, psi: MinUncertaintyParams) -> flo
         + psi.sigma_q * errs.eps_p
     )
     return lhs - psi.hbar / 2.0
-
-
-def arthurs_kelly_errors(probe: GaussianState) -> ErrorPair:
-    """Errors of the Arthurs-Kelly comparator for a given probe.
-
-    Its noise operators ``Q2 + P3/2`` and ``-P2/2 + Q3`` have no system
-    part, so the errors are the same in every packet; the default one
-    with the probe's hbar is used.
-    """
-    return qrms_errors(arthurs_kelly_model(probe), MinUncertaintyParams(hbar=probe.hbar))
 
 
 @dataclass(frozen=True)

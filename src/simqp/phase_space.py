@@ -5,9 +5,10 @@ and 3).  The global coordinate order is (Q1, Q2, Q3, P1, P2, P3): an
 observable is a row of R^6 in that order, and the product state
 psi x probe is one mean ``mu`` in R^6 and one covariance ``V`` in
 R^{6x6}, with the packet at slots [0, 3] and the probe at [1, 2, 4, 5].
-States defined on a subset of modes order their mean/covariance as (all
-Q's, then all P's) with modes ascending; :func:`product_moments` places
-them in the global order.  The row kernels (:func:`row_moments`,
+The packet (mode 1) and the probe (modes 2, 3) order their mean and
+covariance as (all Q's, then all P's) with modes ascending;
+:func:`packet_probe_moments` is the one place that writes them into the
+global slots.  The row kernels (:func:`row_moments`,
 :func:`quadratic_forms`, :func:`symplectic_products`) and the covariance
 check :func:`checked_covariance` used across the package work on any
 leading axes.
@@ -93,6 +94,34 @@ def checked_covariance(cov: np.ndarray, psd_rtol: float) -> np.ndarray:
     return cov
 
 
+def _check_finite_mean(mean: list, labels) -> None:
+    """Raise naming the first label whose mean value in ``mean`` is not finite."""
+    for label, value in zip(labels, mean):
+        if not math.isfinite(value):
+            raise ValueError(f"mean of {label!r} is {value}: it must be finite")
+
+
+def _checked_moments(mean, cov, labels: tuple, psd_rtol: float) -> tuple:
+    """``(mean, cov)`` of one state or law as read-only float arrays.
+
+    The shared core of :class:`GaussianState` and ``JointGaussian``: the
+    shapes must be ``(d,)`` and ``(d, d)`` for the ``d`` coordinate
+    ``labels``, the covariance passes :func:`checked_covariance` to
+    ``psd_rtol``, and a mean that is not finite is refused by its label.
+    """
+    mean = np.array(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    d = len(labels)
+    if mean.shape != (d,) or cov.shape != (d, d):
+        raise ValueError(
+            f"dimension mismatch: {d} labels, mean {mean.shape}, cov {cov.shape}"
+        )
+    cov = checked_covariance(cov, psd_rtol)
+    _check_finite_mean(mean.tolist(), labels)
+    mean.setflags(write=False)
+    return mean, cov
+
+
 def _named_error(name: str, value: float, problem: str, inputs: dict) -> ValueError:
     given = ", ".join(f"{key}={val:g}" for key, val in inputs.items())
     return ValueError(f"{name} = {value:g} {problem} ({given})")
@@ -136,6 +165,9 @@ class MinUncertaintyParams:
             raise ValueError(f"sigma1 must be positive, got {self.sigma1}")
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
+        for name, value in (("q1", self.q1), ("p1", self.p1)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def sigma_q(self) -> float:
@@ -152,11 +184,11 @@ class GaussianState:
     """Gaussian state on a subset of the three modes.
 
     Every instance satisfies what :func:`checked_covariance` checks, by
-    one of three routes: the constructor runs the check; :func:`tensor`
-    forms the direct sum of two states that satisfy it; or a diagonal
-    covariance is built from variances that :func:`checked_variances`
-    passed (the packet, the tuned probe and the posterior states), whose
-    eigenvalues are those variances.
+    one of two routes: the constructor runs :func:`_checked_moments`,
+    which also refuses a non-finite mean; or a diagonal covariance is
+    built from variances that :func:`checked_variances` passed (the
+    packet, the tuned probe and the posterior states), whose eigenvalues
+    are those variances.
 
     Args:
         modes: ascending tuple of distinct modes from {1, 2, 3}.
@@ -172,68 +204,38 @@ class GaussianState:
     hbar: float = 1.0
 
     def __post_init__(self):
-        modes = _checked_modes(tuple(self.modes))
-        object.__setattr__(self, "modes", modes)
-        m = len(modes)
-        mean = np.array(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.shape != (2 * m,):
-            raise ValueError(f"mean must have shape ({2 * m},), got {mean.shape}")
-        if cov.shape != (2 * m, 2 * m):
-            raise ValueError(f"cov must have shape ({2 * m}, {2 * m}), got {cov.shape}")
-        cov = checked_covariance(cov, PSD_RTOL)
+        modes, labels = _checked_modes(tuple(self.modes))
+        mean, cov = _checked_moments(self.mean, self.cov, labels, PSD_RTOL)
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        mean.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "hbar", float(self.hbar))
+        vars(self).update(modes=modes, mean=mean, cov=cov, hbar=float(self.hbar))
 
 
 @functools.lru_cache(maxsize=None)  # keyed by mode tuples, so at most a few entries
 def _checked_modes(modes: tuple) -> tuple:
-    """``modes`` as ints, if they are distinct members of MODES in ascending order."""
+    """``modes`` as ints, if they are distinct members of MODES in ascending
+    order, and the labels of their (Q..., P...) coordinates."""
     modes = tuple(int(j) for j in modes)
     if len(set(modes)) != len(modes) or not set(modes) <= set(MODES):
         raise ValueError(f"modes must be distinct members of {MODES}: {modes}")
     if list(modes) != sorted(modes):
         raise ValueError(f"modes must be ascending: {modes}")
-    return modes
-
-
-@functools.lru_cache(maxsize=None)  # keyed by mode tuples, so at most a few entries
-def _slots(modes: tuple) -> tuple:
-    """Global slots of ascending ``modes``' (Q..., P...) coordinates, and the
-    flat indices of their covariance block in a 6x6 matrix."""
-    idx = np.array([j - 1 for j in modes] + [j + 2 for j in modes])
-    flat = (6 * idx[:, None] + idx).ravel()
-    idx.setflags(write=False)
-    flat.setflags(write=False)
-    return idx, flat
+    return modes, tuple(f"{x}{j}" for x in "QP" for j in modes)
 
 
 #: global slots of the packet (Q1, P1) and of the probe (Q2, Q3, P2, P3)
-PACKET_SLOTS = _slots((1,))[0]
-PROBE_SLOTS = _slots((2, 3))[0]
+PACKET_SLOTS = np.array([0, 3])
+PROBE_SLOTS = np.array([1, 2, 4, 5])
+PACKET_SLOTS.setflags(write=False)
+PROBE_SLOTS.setflags(write=False)
+
+# flat indices of their covariance blocks in a 6x6 matrix, for ``put``
+_PACKET_BLOCK = (6 * PACKET_SLOTS[:, None] + PACKET_SLOTS).ravel()
+_PROBE_BLOCK = (6 * PROBE_SLOTS[:, None] + PROBE_SLOTS).ravel()
 
 #: the global rows of Q1 and P1, the quadratures the meters estimate
 TARGET_ROWS = np.eye(6)[PACKET_SLOTS]
 TARGET_ROWS.setflags(write=False)
-
-
-def _valid_state(modes: tuple, mean: np.ndarray, cov: np.ndarray, hbar: float):
-    """A :class:`GaussianState` whose covariance is valid by construction.
-
-    The caller guarantees what :func:`checked_covariance` would check: a
-    symmetric PSD ``cov`` with every entry below 2**1023 (``tensor``, and
-    :func:`_diagonal_state`, which refuses larger variances by name).  The
-    arrays are made read-only and no check runs again.
-    """
-    mean.setflags(write=False)
-    cov.setflags(write=False)
-    state = object.__new__(GaussianState)  # skips __post_init__
-    vars(state).update(modes=modes, mean=mean, cov=cov, hbar=float(hbar))
-    return state
 
 
 def _diagonal_state(modes: tuple, mean, variances, hbar: float, inputs: dict):
@@ -245,14 +247,20 @@ def _diagonal_state(modes: tuple, mean, variances, hbar: float, inputs: dict):
     (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012), sec. II), so the
     only part of :func:`checked_covariance` left to run is its refusal of
     an entry from 2**1023 on.  That refusal names the variance and the
-    ``inputs`` it was computed from.
+    ``inputs`` it was computed from.  The arrays are made read-only and
+    no other check runs.
     """
     for name, value in variances:
         if value >= _SYMMETRISE_LIMIT:
             problem = "is too large: a covariance entry must stay below 2**1023"
             raise _named_error(name, value, problem, inputs)
+    mean = np.array(mean, dtype=float)
     cov = np.diag([value for _, value in variances])
-    return _valid_state(modes, np.array(mean, dtype=float), cov, hbar)
+    mean.setflags(write=False)
+    cov.setflags(write=False)
+    state = object.__new__(GaussianState)  # skips __post_init__
+    vars(state).update(modes=modes, mean=mean, cov=cov, hbar=float(hbar))
+    return state
 
 
 def row_moments(rows: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> tuple:
@@ -365,41 +373,28 @@ def make_probe_state(
     return _diagonal_state((2, 3), mean, positions + momenta, psi.hbar, inputs)
 
 
-def product_moments(first: GaussianState, second: GaussianState) -> tuple:
-    """Modes, mean and covariance of the product of two states on disjoint modes.
+def packet_probe_moments(packet: GaussianState, probe: GaussianState) -> tuple:
+    """Mean ``mu`` and covariance ``V`` of psi x probe in the global order.
 
-    The product's covariance is the direct sum of the factors' (Weedbrook
-    et al., Rev. Mod. Phys. 84, 621 (2012), sec. II): each factor is placed
-    at its global slots, so the packet and a probe on modes (2, 3) give
-    psi x probe as one ``(mu, V)`` in the global order.  A product on fewer
-    than three modes keeps the merged (Q..., P...) coordinates.
+    The packet (mode 1) goes to PACKET_SLOTS and the probe (modes 2, 3) to
+    PROBE_SLOTS.  ``V`` is the direct sum of the factors' covariances
+    (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012), sec. II): its
+    eigenvalues are the union of theirs, and its PSD scale ``max(1, top
+    eigenvalue)`` is at least each factor's, so it passes
+    :func:`checked_covariance` whenever both factors did and is not
+    checked again.  It is exactly symmetric, so symmetrising would not
+    change a bit of it.
     """
-    overlap = set(first.modes) & set(second.modes)
-    if overlap:
-        raise ValueError(f"states overlap on modes {overlap}")
-    if first.hbar != second.hbar:
+    if packet.modes != (1,):
+        raise ValueError(f"packet must live on mode 1, got modes {packet.modes}")
+    if probe.modes != (2, 3):
+        raise ValueError(f"probe must live on modes (2, 3), got {probe.modes}")
+    if packet.hbar != probe.hbar:
         raise ValueError("states carry different values of hbar")
     mean = np.zeros(6)
+    mean[PACKET_SLOTS] = packet.mean
+    mean[PROBE_SLOTS] = probe.mean
     cov = np.zeros((6, 6))
-    for state in (first, second):
-        idx, flat = _slots(state.modes)
-        mean[idx] = state.mean
-        cov.put(flat, state.cov)
-    modes = tuple(sorted(first.modes + second.modes))
-    if len(modes) < 3:
-        idx, flat = _slots(modes)
-        mean, cov = mean[idx], cov.take(flat).reshape(len(idx), len(idx))
-    return modes, mean, cov
-
-
-def tensor(first: GaussianState, second: GaussianState) -> GaussianState:
-    """Product state of two Gaussian states on disjoint modes.
-
-    The eigenvalues of the direct sum built by :func:`product_moments` are
-    the union of the factors' eigenvalues, and the PSD scale ``max(1, top
-    eigenvalue)`` of the sum is at least each factor's, so the product
-    passes :func:`checked_covariance` whenever both factors did: it is
-    assembled without checking again.  The assembled matrix is exactly
-    symmetric, so symmetrising would not change a bit of it.
-    """
-    return _valid_state(*product_moments(first, second), first.hbar)
+    cov.put(_PACKET_BLOCK, packet.cov)
+    cov.put(_PROBE_BLOCK, probe.cov)
+    return mean, cov

@@ -1,6 +1,7 @@
 """Shared helpers: random model generators, frozen closed-form matrices,
 and the test-only oracles (numeric exponential, general generators, the
-marginal and log-density of a joint law)."""
+marginal and log-density of a joint law, the meter-weight bound function
+and the Arthurs-Kelly errors)."""
 
 import math
 from dataclasses import dataclass
@@ -9,6 +10,7 @@ import numpy as np
 from scipy.linalg import expm as scipy_expm
 
 from simqp import (
+    ErrorPair,
     GaussianState,
     JointGaussian,
     LinearSimultaneousMeasurement,
@@ -16,9 +18,11 @@ from simqp import (
     ModelFamily,
     PropagatedTransform,
     SolvableGenerator,
+    arthurs_kelly_model,
     make_probe_state,
     measurement_from_parts,
     propagate,
+    qrms_errors,
     solve_couplings,
 )
 from simqp.dynamics import evolved_rows, expm_coefficients
@@ -316,3 +320,23 @@ def log_density(joint: JointGaussian, x) -> np.ndarray:
     log_det = 2.0 * np.sum(np.log(np.diag(chol)))
     out = -0.5 * (joint.dim * math.log(2.0 * math.pi) + log_det + (z**2).sum(axis=0))
     return out if out.size > 1 else float(out[0])
+
+
+def lower_bound_l(a21: float, b31: float) -> float:
+    """Meter-weight lower-bound function for the trade-off proof.
+
+    ``l(a21, b31) = ((a21-1)^2 + (b31-1)^2)/4 + |a21 b31|/2``; its global
+    minimum 1/4 is attained exactly on the segment a21, b31 >= 0 with
+    a21 + b31 = 1.
+    """
+    return ((a21 - 1.0) ** 2 + (b31 - 1.0) ** 2) / 4.0 + abs(a21 * b31) / 2.0
+
+
+def arthurs_kelly_errors(probe: GaussianState) -> ErrorPair:
+    """Errors of the Arthurs-Kelly comparator for a given probe.
+
+    Its noise operators ``Q2 + P3/2`` and ``-P2/2 + Q3`` have no system
+    part, so the errors are the same in every packet; the default one
+    with the probe's hbar is used.
+    """
+    return qrms_errors(arthurs_kelly_model(probe), MinUncertaintyParams(hbar=probe.hbar))

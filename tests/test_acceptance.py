@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    arthurs_kelly_errors,
     closed_form_propagator,
     marginal,
     numeric_expm,
@@ -28,7 +29,6 @@ from simqp import (
     ModelFamily,
     OutcomeRegion,
     PosteriorFamily,
-    arthurs_kelly_errors,
     arthurs_kelly_model,
     branciard_ozawa_residual,
     build_model,
@@ -48,9 +48,8 @@ from simqp import (
     qrms_errors,
     region_mixture_moments,
     sample,
-    tensor,
 )
-from simqp.phase_space import PACKET_SLOTS, row_moments
+from simqp.phase_space import PACKET_SLOTS, packet_probe_moments, row_moments
 
 NU_GRID = nu_grid_99()
 PSI = MinUncertaintyParams()
@@ -211,9 +210,9 @@ def test_criterion_6_distribution_identities():
             for nu in (0.1, 0.3, 0.5, 0.7, 0.9):
                 m = build_model(family, nu, psi)
                 rows = evolved_rows(m.transform)
-                state = tensor(make_min_uncertainty_state(psi), m.probe)
-                triple_q = joint_distribution(rows[[0, 1, 5]], state.mean, state.cov)
-                triple_p = joint_distribution(rows[[3, 1, 5]], state.mean, state.cov)
+                mu, v = packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
+                triple_q = joint_distribution(rows[[0, 1, 5]], mu, v)
+                triple_p = joint_distribution(rows[[3, 1, 5]], mu, v)
                 expect_q_cov = np.array(
                     [
                         [(2 - nu) / nu * s2, s2, 0.0],
@@ -309,12 +308,12 @@ def test_criterion_8_posterior_consistency():
     for family in (ModelFamily.Y0, ModelFamily.Z):
         for nu in (0.3, 0.5, 0.7):
             m = build_model(family, nu, PSI_OFF)
-            state = tensor(make_min_uncertainty_state(PSI_OFF), m.probe)
+            mu, v = packet_probe_moments(make_min_uncertainty_state(PSI_OFF), m.probe)
             targets = evolved_rows(m.transform)[[0, 3]]  # Q1(tau), P1(tau)
             mean, cov = region_mixture_moments(
                 family, nu, PSI_OFF, OutcomeRegion.full_plane()
             )
-            (mq, mp), evolved_cov = row_moments(targets, state.mean, state.cov)
+            (mq, mp), evolved_cov = row_moments(targets, mu, v)
             vq, vp = np.diag(evolved_cov)
             mixture_dev = max(
                 mixture_dev,

@@ -676,6 +676,25 @@ def test_posterior_variance_past_2_1023_is_named():
 
 
 @pytest.mark.parametrize(
+    "nu, y",
+    [("0.3", "1e308,0"), ("0.7", "0,-1e308")],
+)
+def test_overflowing_outcome_is_named(nu, y):
+    # under -W error a numpy overflow warning would be a traceback
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "simqp.cli", "posterior", "--family",
+         "z", "--nu", nu, f"--y={y}"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    y1, y2 = (f"{float(v):g}" for v in y.split(","))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"error: outcome (y1, y2) = ({y1}, {y2}) gives a posterior mean that "
+        f"overflows float64 (nu={nu}, sigma1=1, hbar=1)\n"
+    )
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ("--nu", "1e-300"),

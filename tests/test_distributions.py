@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from conftest import FAMILIES, log_density, marginal
 
 from simqp.distributions import CLIP_ATOL, _conditioning, _normal_mass
-from simqp.phase_space import checked_covariance, row_moments
+from simqp.phase_space import checked_covariance, packet_probe_moments, row_moments
 from simqp import (
     JointGaussian,
     MinUncertaintyParams,
@@ -33,7 +33,6 @@ from simqp import (
     qrms_errors,
     region_mixture_moments,
     sample,
-    tensor,
 )
 
 PSI = MinUncertaintyParams()
@@ -41,14 +40,14 @@ PSI_OFF = MinUncertaintyParams(q1=1.5, p1=-2.0, sigma1=0.8, hbar=2.0)
 
 
 def joint_state(m, psi):
-    return tensor(make_min_uncertainty_state(psi), m.probe)
+    """``(mu, V)`` of psi x probe."""
+    return packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
 
 
 def triple_joint(m, psi, target=0, labels=None):
     """Joint law of an evolved target (row 0 = Q1(tau), 3 = P1(tau)) and the meters."""
-    state = joint_state(m, psi)
     rows = evolved_rows(m.transform)[[target, 1, 5]]
-    return joint_distribution(rows, state.mean, state.cov, labels)
+    return joint_distribution(rows, *joint_state(m, psi), labels)
 
 
 class TestJointDistribution:
@@ -121,12 +120,12 @@ class TestJointDistribution:
     def test_accepts_commuting_evolved_sets(self):
         m = build_model(ModelFamily.Z, 0.4, PSI)
         rows = evolved_rows(m.transform)  # Q1(tau), Q2(tau), Q3(tau), P1(tau), ...
-        state = joint_state(m, PSI)
-        joint_distribution(rows[:3], state.mean, state.cov)
-        joint_distribution(rows[[0, 4]], state.mean, state.cov)
-        joint_distribution(rows[[2, 3]], state.mean, state.cov)
+        mu, v = joint_state(m, PSI)
+        joint_distribution(rows[:3], mu, v)
+        joint_distribution(rows[[0, 4]], mu, v)
+        joint_distribution(rows[[2, 3]], mu, v)
         with pytest.raises(NonCommutingObservablesError):
-            joint_distribution(rows[[1, 4]], state.mean, state.cov)
+            joint_distribution(rows[[1, 4]], mu, v)
 
     def test_label_mismatch_rejected(self):
         state = make_min_uncertainty_state(PSI)
@@ -423,6 +422,41 @@ class TestPosteriorStates:
         with pytest.raises(ValueError, match=message):
             PosteriorFamily(nu=nu, psi=psi)
 
+    @pytest.mark.parametrize(
+        "outcome", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)]
+    )
+    def test_non_finite_outcome_is_named(self, outcome):
+        y1, y2 = outcome
+        message = (
+            rf"^outcome \(y1, y2\) = \({y1}, {y2}\) is not finite "
+            rf"\(nu=0.3, sigma1=1, hbar=1\)$"
+        )
+        with pytest.raises(ValueError, match=message):
+            posterior_state(PosteriorFamily(nu=0.3, psi=PSI), outcome)
+
+    @pytest.mark.parametrize(
+        "nu, outcome, named",
+        [
+            (0.3, (1e308, 0.0), r"1e\+308, 0"),  # y1 / nu overflows
+            (0.7, (0.0, -1e308), r"0, -1e\+308"),  # y2 / (1 - nu) overflows
+            (0.5, (-1.7e308, 1.7e308), r"-1.7e\+308, 1.7e\+308"),
+        ],
+    )
+    def test_overflowing_posterior_mean_is_named(self, nu, outcome, named):
+        # the filterwarnings setting turns a numpy RuntimeWarning into a failure
+        message = (
+            rf"^outcome \(y1, y2\) = \({named}\) gives a posterior mean that "
+            rf"overflows float64 \(nu={nu:g}, sigma1=1, hbar=1\)$"
+        )
+        with pytest.raises(ValueError, match=message):
+            posterior_state(PosteriorFamily(nu=nu, psi=PSI), outcome)
+
+    @pytest.mark.parametrize("y", [(1.0, 2.0, 3.0), np.zeros((2, 2)), ()])
+    def test_outcome_must_be_one_pair(self, y):
+        shape = re.escape(str(np.shape(y)))
+        with pytest.raises(ValueError, match=rf"^outcome must be one pair \(y1, y2\), got shape {shape}$"):
+            posterior_state(PosteriorFamily(nu=0.3, psi=PSI), y)
+
 
 class TestPosteriorConsistency:
     def test_neutral_outcome_moments(self):
@@ -462,6 +496,20 @@ class TestPosteriorConsistency:
         message = rf"^outcome \(z, w\) = \({z}, {w}\) is not finite \(family z, nu=0.37\)$"
         with pytest.raises(ValueError, match=message):
             posterior_consistency(ModelFamily.Z, 0.37, PSI, outcomes=[(0.1, 0.2), outcome])
+
+    @pytest.mark.parametrize("family", [ModelFamily.Y0, ModelFamily.Z])
+    @pytest.mark.parametrize(
+        "outcome, named", [((1e308, 0.0), r"1e\+308, 0"), ((0.0, -1.7e308), r"0, -1.7e\+308")]
+    )
+    def test_overflowing_conditional_mean_is_named(self, family, outcome, named):
+        # the filterwarnings setting turns a numpy RuntimeWarning into a failure
+        message = (
+            rf"^outcome \(z, w\) = \({named}\) is too large: its conditional mean, or "
+            rf"that mean's gap to the posterior family's, overflows float64 "
+            rf"\(family {family.value}, nu=0.37\)$"
+        )
+        with pytest.raises(ValueError, match=message):
+            posterior_consistency(family, 0.37, PSI, outcomes=[(0.1, 0.2), outcome])
 
     def test_matches_per_outcome_conditionals(self):
         """Reference: one full ``conditional`` law per outcome and joint."""
@@ -522,12 +570,12 @@ class TestRegionMixture:
         for family in (ModelFamily.Y0, ModelFamily.Z):
             for nu in (0.3, 0.5, 0.7):
                 m = build_model(family, nu, PSI_OFF)
-                state = joint_state(m, PSI_OFF)
+                mu, v = joint_state(m, PSI_OFF)
                 targets = evolved_rows(m.transform)[[0, 3]]  # Q1(tau), P1(tau)
                 mean, cov = region_mixture_moments(
                     family, nu, PSI_OFF, OutcomeRegion.full_plane()
                 )
-                (mq, mp), evolved_cov = row_moments(targets, state.mean, state.cov)
+                (mq, mp), evolved_cov = row_moments(targets, mu, v)
                 vq, vp = np.diag(evolved_cov)
                 assert mean[0] == pytest.approx(mq, abs=1e-10)
                 assert mean[1] == pytest.approx(mp, abs=1e-10)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     InteractionParams,
+    arthurs_kelly_errors,
     build_generator,
+    lower_bound_l,
     measurement_from_matrix,
     FAMILIES,
     random_matched_measurement,
@@ -25,13 +27,11 @@ from simqp import (
     LinearSimultaneousMeasurement,
     MinUncertaintyParams,
     ModelFamily,
-    arthurs_kelly_errors,
     arthurs_kelly_model,
     branciard_ozawa_residual,
     build_model,
     check_theorem_conditions,
     heisenberg_product,
-    lower_bound_l,
     measurement_from_parts,
     ozawa_inequality_residual,
     qrms_errors,

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,24 +16,18 @@ from simqp import (
     make_min_uncertainty_state,
     make_probe_state,
     posterior_state,
-    tensor,
 )
 from simqp.phase_space import (
     PACKET_SLOTS,
     PROBE_SLOTS,
     PSD_RTOL,
     checked_covariance,
+    packet_probe_moments,
     row_moments,
     symplectic_products,
 )
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
-
-# every non-empty proper subset of the modes, as an ascending tuple
-MODE_TUPLES = [c for k in (1, 2) for c in itertools.combinations((1, 2, 3), k)]
-
-# the 12 ordered pairs of disjoint mode tuples
-MODE_SPLITS = [(a, b) for a in MODE_TUPLES for b in MODE_TUPLES if not set(a) & set(b)]
 
 FACTOR_KINDS = ("random", "pure", "rank-one", "psd-edge")
 
@@ -87,6 +82,12 @@ def unit_rows(modes, j) -> np.ndarray:
     return np.eye(2 * len(modes))[[k, len(modes) + k]]
 
 
+def product(packet, probe):
+    """psi x probe on modes (1, 2, 3), whose (Q..., P...) order is the global one."""
+    mean, cov = packet_probe_moments(packet, probe)
+    return SimpleNamespace(modes=(1, 2, 3), mean=mean, cov=cov)
+
+
 def mean_and_variance(state, row) -> tuple:
     """Mean and variance of one row on the state's coordinates."""
     means, cov = row_moments(np.array([row]), state.mean, state.cov)
@@ -136,6 +137,12 @@ class TestCommutator:
 
 
 class TestMinUncertaintyState:
+    @pytest.mark.parametrize("field", ["q1", "p1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_is_named(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
+            MinUncertaintyParams(**{field: bad})
+
     def test_standard_packet(self):
         state = make_min_uncertainty_state(MinUncertaintyParams(0.0, 0.0, 1.0, 1.0))
         np.testing.assert_allclose(state.mean, [0.0, 0.0])
@@ -226,7 +233,7 @@ class TestMoments:
         # brute-force quadratic form with the probe variances (1/8, 8):
         # 1/4*1 + 1*1/8 + 1/64*8 = 1/2
         psi = MinUncertaintyParams(0.0, 0.0, 1.0, 1.0)
-        joint = tensor(make_min_uncertainty_state(psi), make_probe_state(0.5, 1.0, psi))
+        joint = product(make_min_uncertainty_state(psi), make_probe_state(0.5, 1.0, psi))
         meter = 0.5 * Q1 + Q2 + (-0.125) * Q3
         mean, var = mean_and_variance(joint, meter)
         assert mean == pytest.approx(0.0, abs=1e-15)
@@ -234,7 +241,7 @@ class TestMoments:
 
     def test_variance_nonnegative(self):
         psi = MinUncertaintyParams(1.0, -1.0, 0.7, 2.0)
-        joint = tensor(make_min_uncertainty_state(psi), make_probe_state(0.3, -1.5, psi))
+        joint = product(make_min_uncertainty_state(psi), make_probe_state(0.3, -1.5, psi))
         rng = np.random.default_rng(7)
         for _ in range(200):
             _, var = mean_and_variance(joint, random_row(rng))
@@ -242,7 +249,7 @@ class TestMoments:
 
     def test_covariance_is_symmetric_bilinear_form(self):
         psi = MinUncertaintyParams(0.5, 0.5, 1.2, 1.0)
-        state = tensor(make_min_uncertainty_state(psi), make_probe_state(0.4, 2.0, psi))
+        state = product(make_min_uncertainty_state(psi), make_probe_state(0.4, 2.0, psi))
         rng = np.random.default_rng(3)
         f, g = random_row(rng), random_row(rng)
 
@@ -358,6 +365,23 @@ class TestDiagonalStates:
 
 
 class TestGaussianState:
+    @pytest.mark.parametrize(
+        "modes, index, label",
+        [((1,), 0, "Q1"), ((1,), 1, "P1"), ((2, 3), 1, "Q3"), ((2, 3), 2, "P2")],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_is_named(self, modes, index, label, bad):
+        mean = np.zeros(2 * len(modes))
+        mean[index] = bad
+        with pytest.raises(ValueError, match=f"^mean of '{label}' is {bad}: it must be finite$"):
+            GaussianState(modes, mean, np.eye(len(mean)))
+
+    @pytest.mark.parametrize("mean, cov", [(np.zeros(3), np.eye(2)), (np.zeros(2), np.eye(3))])
+    def test_shape_mismatch_names_both_shapes(self, mean, cov):
+        message = re.escape(f"dimension mismatch: 2 labels, mean {mean.shape}, cov {cov.shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GaussianState((1,), mean, cov)
+
     def test_rejects_asymmetric_cov(self):
         with pytest.raises(ValueError, match="symmetric"):
             GaussianState((1,), np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
@@ -442,12 +466,11 @@ class TestCheckedCovarianceStack:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             checked_covariance(np.stack([np.eye(2), small]), PSD_RTOL)
 
-    def test_tensor_keeps_marginals(self):
+    def test_product_keeps_marginals(self):
         psi = MinUncertaintyParams(1.0, 2.0, 0.8, 1.0)
         system = make_min_uncertainty_state(psi)
         probe = make_probe_state(0.3, 1.5, psi)
-        joint = tensor(system, probe)
-        assert joint.modes == (1, 2, 3)
+        joint = product(system, probe)
         for f, g in zip((Q1, P1), unit_rows(system.modes, 1)):
             want = mean_and_variance(system, g)
             assert mean_and_variance(joint, f) == pytest.approx(want)
@@ -458,8 +481,8 @@ class TestCheckedCovarianceStack:
         # no cross-subsystem correlations
         assert row_moments(np.array((Q1, Q2)), joint.mean, joint.cov)[1][0, 1] == 0.0
 
-    @pytest.mark.parametrize("first_modes, second_modes", MODE_SPLITS)
-    def test_tensor_keeps_marginals_for_every_mode_split(self, first_modes, second_modes):
+    def test_product_keeps_marginals_of_random_factors(self):
+        first_modes, second_modes = (1,), (2, 3)
         rng = np.random.default_rng(sum(first_modes) * 10 + sum(second_modes))
         factors = []
         for modes in (first_modes, second_modes):
@@ -471,8 +494,7 @@ class TestCheckedCovarianceStack:
                     cov=root @ root.T + 0.1 * np.eye(2 * len(modes)),
                 )
             )
-        joint = tensor(*factors)
-        assert joint.modes == tuple(sorted(first_modes + second_modes))
+        joint = product(*factors)
 
         def covariance(state, f, g):
             return row_moments(np.array((f, g)), state.mean, state.cov)[1][0, 1]
@@ -496,20 +518,17 @@ class TestCheckedCovarianceStack:
                 ):
                     assert covariance(joint, f, g) == 0.0
 
-    @pytest.mark.parametrize("first_modes, second_modes", MODE_SPLITS)
     @given(
         seed=st.integers(0, 2**32 - 1),
         kinds=st.tuples(st.sampled_from(FACTOR_KINDS), st.sampled_from(FACTOR_KINDS)),
         log_scales=st.tuples(st.floats(-150.0, 150.0), st.floats(-150.0, 150.0)),
     )
     @settings(max_examples=25, deadline=None)
-    def test_tensor_product_passes_the_check_it_skips(
-        self, first_modes, second_modes, seed, kinds, log_scales
-    ):
-        # tensor does not re-check its product: the factors' checks imply it
+    def test_product_passes_the_check_it_skips(self, seed, kinds, log_scales):
+        # packet_probe_moments does not check its product: the factors' checks imply it
         rng = np.random.default_rng(seed)
         factors = []
-        for modes, kind, log_scale in zip((first_modes, second_modes), kinds, log_scales):
+        for modes, kind, log_scale in zip(((1,), (2, 3)), kinds, log_scales):
             dim = 2 * len(modes)
             scale = 10.0**log_scale
             factors.append(
@@ -519,22 +538,25 @@ class TestCheckedCovarianceStack:
                     cov=factor_covariance(rng, kind, dim) * scale,
                 )
             )
-        joint = tensor(*factors)
-        assert not joint.mean.flags.writeable
-        assert not joint.cov.flags.writeable
-        np.testing.assert_array_equal(checked_covariance(joint.cov, PSD_RTOL), joint.cov)
+        _, cov = packet_probe_moments(*factors)
+        np.testing.assert_array_equal(checked_covariance(cov, PSD_RTOL), cov)
 
-    def test_tensor_rejects_overlap(self):
+    def test_product_refuses_factors_off_their_slots(self):
         psi = MinUncertaintyParams()
-        state = make_min_uncertainty_state(psi)
-        with pytest.raises(ValueError, match="overlap"):
-            tensor(state, state)
+        packet = make_min_uncertainty_state(psi)
+        probe = make_probe_state(0.5, 1.0, psi)
+        message = re.escape("probe must live on modes (2, 3), got (1,)")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            packet_probe_moments(packet, packet)
+        on_mode_2 = GaussianState((2,), np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match=r"^packet must live on mode 1, got modes \(2,\)$"):
+            packet_probe_moments(on_mode_2, probe)
 
-    def test_tensor_rejects_hbar_mismatch(self):
+    def test_product_rejects_hbar_mismatch(self):
         system = make_min_uncertainty_state(MinUncertaintyParams(hbar=1.0))
         probe = make_probe_state(0.5, 1.0, MinUncertaintyParams(hbar=2.0))
-        with pytest.raises(ValueError, match="hbar"):
-            tensor(system, probe)
+        with pytest.raises(ValueError, match="^states carry different values of hbar$"):
+            packet_probe_moments(system, probe)
 
 
 class TestRowMoments:
@@ -544,9 +566,12 @@ class TestRowMoments:
         probe = make_probe_state(0.4, 2.0, psi)
         assert PACKET_SLOTS.tolist() == [0, 3]
         assert PROBE_SLOTS.tolist() == [1, 2, 4, 5]
-        joint = tensor(packet, probe)
-        np.testing.assert_array_equal(joint.mean[PACKET_SLOTS], packet.mean)
-        np.testing.assert_array_equal(joint.mean[PROBE_SLOTS], probe.mean)
+        assert not PACKET_SLOTS.flags.writeable and not PROBE_SLOTS.flags.writeable
+        mean, cov = packet_probe_moments(packet, probe)
+        np.testing.assert_array_equal(mean[PACKET_SLOTS], packet.mean)
+        np.testing.assert_array_equal(mean[PROBE_SLOTS], probe.mean)
+        np.testing.assert_array_equal(cov[np.ix_(PACKET_SLOTS, PACKET_SLOTS)], packet.cov)
+        np.testing.assert_array_equal(cov[np.ix_(PROBE_SLOTS, PROBE_SLOTS)], probe.cov)
 
     @staticmethod
     def loop_coefficients(state, f):
@@ -565,7 +590,7 @@ class TestRowMoments:
         psi = MinUncertaintyParams(0.5, -0.5, 1.2, 1.0)
         state = make_probe_state(0.4, 2.0, psi)
         if modes == (1, 2, 3):
-            state = tensor(make_min_uncertainty_state(psi), state)
+            state = product(make_min_uncertainty_state(psi), state)
         mask = np.tile([j in modes for j in (1, 2, 3)], 2)
         obs = [rng.normal(size=6) * mask for _ in range(3)]
         c = [self.loop_coefficients(state, f) for f in obs]

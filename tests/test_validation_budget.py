@@ -5,11 +5,12 @@ eigenvalue step of ``checked_covariance``, plus ``det``, ``cholesky`` and
 ``solve``) while each pipeline function runs on a prebuilt model and a
 cached packet, and along two whole pipelines.  A call on a ``(..., n, n)``
 stack counts each of its matrices, so stacking checks changes no matrix
-count.  The product state psi x probe is assembled by ``product_moments``
-from two checked factors, and the packet, probe and posterior states are
-diagonal covariances of checked variances, so none of them adds an
-``eigvalsh`` matrix; a count that grows means some path has started to
-validate a state a second time or to factor a matrix twice.
+count.  The product state psi x probe is assembled by
+``packet_probe_moments`` from two checked factors, and the packet, probe
+and posterior states are diagonal covariances of checked variances, so
+none of them adds an ``eigvalsh`` matrix; a count that grows means some
+path has started to validate a state a second time or to factor a matrix
+twice.
 """
 
 import math
@@ -38,8 +39,8 @@ from simqp import (
     propagate,
     q_pair_joint,
     qrms_errors,
-    tensor,
 )
+from simqp.phase_space import packet_probe_moments
 
 PSI = MinUncertaintyParams(q1=0.3, p1=-0.7, sigma1=1.3, hbar=0.9)
 
@@ -107,10 +108,10 @@ def test_errors_and_conditions_check_nothing(eigvalsh_shapes, model):
     assert measured(eigvalsh_shapes, lambda: check_theorem_conditions(model, PSI)) == []
 
 
-def test_tensor_checks_nothing(eigvalsh_shapes):
+def test_packet_probe_moments_checks_nothing(eigvalsh_shapes):
     probe = make_probe_state(0.37, 2.0, PSI)
     packet = make_min_uncertainty_state(PSI)
-    assert measured(eigvalsh_shapes, lambda: tensor(packet, probe)) == []
+    assert measured(eigvalsh_shapes, lambda: packet_probe_moments(packet, probe)) == []
 
 
 NONE = dict.fromkeys(COUNTED, 0)
