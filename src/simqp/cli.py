@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -169,13 +170,208 @@ def _write_csv(path: str | None, header: list, rows):
             f"column {header[col]!r} holds the non-finite value {table[row, col]} "
             f"(row {row + 1}); CSV output must be finite"
         )
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         # one string per block keeps memory bounded whatever the row count
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start : start + _CSV_BLOCK_ROWS]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_csv_text(table[start : start + _CSV_BLOCK_ROWS]))
+
+
+# ``%.17g`` text without a per-value format call.  For a finite x, let
+# k = floor(log10 |x|) and y = |x| 10^(16-k).  y is computed as p + t, where
+# |x| hi = p + err exactly (Dekker's two-product; Higham, *Accuracy and
+# Stability*, 2nd ed., §3.5) and t = err + |x| lo, with (hi, lo) the
+# double-double of 10^(16-k) from exact integer arithmetic.  t is within 4 u^2 y
+# < 5e-15 of the exact y - p (u = 2^-53, y < 1e17), so floor and fraction are
+# exact unless the fraction lies within _CSV_TIE_MARGIN of 1/2.  A value is
+# *certified* when 1e-280 <= |x| <= 1e280 (every split and partial product
+# stays normal), its unrounded floor lies in [1e16, 1e17 - 1) (k was right,
+# and rounding cannot carry to 1e17, which takes a log10 that errs low next to
+# a power of ten), and the fraction is farther than the margin from 1/2.  Its
+# 17 digits are then round(y).  Every row that holds an uncertified value
+# (+-0, subnormals, |x| outside the range, near ties, a k misjudged next to a
+# power of ten) is formatted by "%" instead, so the output is "%.17g" by
+# construction.
+_CSV_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
+_CSV_TIE_MARGIN = 1e-9
+_CSV_X_OFFSET = 300  # the per-exponent tables cover X = -300 .. 300
+# where word 0 and word 5 start in the kernel's word table (after the chunks)
+_CSV_PREFIX_AT = 10000
+_CSV_TAIL_AT = _CSV_PREFIX_AT + 2 * (2 * _CSV_X_OFFSET + 1)
+_CSV_PASS = 2048  # values per kernel pass: each work array stays at 16 kB
+
+
+@functools.lru_cache(maxsize=None)  # keyed by decimal exponent, < 600 entries
+def _pow10(e: int) -> tuple:
+    """10^e as the double-double (hi, lo), with hi split as head + tail.
+
+    10^e = num/den exactly; int true division rounds correctly, so hi is the
+    double nearest 10^e and lo the double nearest 10^e - hi.
+    """
+    num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+    hi = num / den
+    h_num, h_den = hi.as_integer_ratio()
+    c = _CSV_SPLITTER * hi
+    head = c - (c - hi)
+    return hi, head, hi - head, (num * h_den - h_num * den) / (den * h_den)
+
+
+def _as_words(b):
+    """(..., 8 m) uint8 -> (..., m) native uint64 over the same bytes."""
+    return np.ascontiguousarray(b, dtype=np.uint8).view(np.uint64)
+
+
+@functools.lru_cache(maxsize=None)
+def _csv_tables():
+    """The word tables of the text kernel, built once, on first use.
+
+    A value is six uint64 words (48 bytes) of text with NUL where unused:
+    word 0 the sign, then "0." and up to three zeros for fixed notation at
+    decimal exponent X < 0; words 1-4 the digits d0 .. d15, each followed by a
+    slot that holds the '.' after digit X; word 5 d16, its slot, "e+XX" or
+    "e+XXX" for scientific notation (X < -4 or X > 16), and the separator.
+    """
+    x = np.arange(-_CSV_X_OFFSET, _CSV_X_OFFSET + 1)
+    fixed = (x >= -4) & (x <= 16)
+    ax = np.abs(x)
+    # [0, 1e4): a 4-digit chunk with '.' in every slot, the mask keeps one
+    c = np.arange(10000, dtype=np.int16)
+    chunks = np.full((10000, 8), ord("."), np.uint8)
+    chunks[:, ::2] = c[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10
+    chunks[:, ::2] += ord("0")
+    # then word 0 by (X, sign)
+    prefix = np.zeros((x.size, 2, 8), np.uint8)
+    prefix[:, 1, 0] = ord("-")
+    leading = (np.arange(1, 6) <= 1 - x[:, None]) & (fixed & (x < 0))[:, None]
+    prefix[:, :, 1:6] = (leading * np.frombuffer(b"0.000", np.uint8))[:, None]
+    # then word 5 by (X, d16)
+    exponent = np.zeros((x.size, 5), np.uint8)
+    exponent[:, 0] = ord("e")
+    exponent[:, 1] = np.where(x < 0, ord("-"), ord("+"))
+    exponent[:, 2] = np.where(ax >= 100, ord("0") + ax // 100, 0)
+    exponent[:, 3] = ord("0") + ax // 10 % 10
+    exponent[:, 4] = ord("0") + ax % 10
+    exponent[fixed] = 0
+    tail = np.zeros((x.size, 10, 8), np.uint8)
+    tail[:, :, 0] = ord("0") + np.arange(10)
+    tail[:, :, 2:7] = exponent[:, None]
+    table = np.concatenate(
+        [_as_words(chunks).ravel(), _as_words(prefix).ravel(), _as_words(tail).ravel()]
+    )
+    # row 21 last + dot + 4, for the last nonzero digit d_last and the digit
+    # d_dot the '.' follows (dot < 0: the '.' is in word 0): keep d0 ..
+    # d_max(last, dot), and the slot after d_dot if a digit follows it
+    last = np.arange(17)[:, None, None]
+    dot = np.arange(-4, 17)[None, :, None]
+    i = np.arange(17)
+    keep = np.maximum(last, dot)
+    mask = np.zeros((17, 21, 48), np.uint8)
+    mask[..., :8] = 255
+    mask[..., 8:42:2] = 255 * (i <= keep)
+    mask[..., 9:42:2] = 255 * ((i == dot) & (keep > dot))
+    mask[..., 42:] = 255
+    # 21 * (index of the last nonzero digit among d12 .. d15), 0 if none
+    last21 = np.full(10000, 15, np.int16)
+    for power in (10, 100, 1000):
+        last21 -= c % power == 0
+    last21 *= 21
+    last21[0] = 0
+    sep = np.zeros((2, 8), np.uint8)
+    sep[:, 7] = [ord(","), ord("\n")]
+    return (
+        table,
+        _as_words(mask).reshape(17 * 21, 6),
+        np.where(fixed, x, 0) + 4,  # the digit the '.' follows, + 4
+        last21,
+        _as_words(sep).ravel(),
+    )
+
+
+def _csv_words(x, out) -> np.ndarray:
+    """Write the text of the flat values ``x`` into the (len(x), 6) words
+    ``out`` and return the certified mask; other values' words are junk."""
+    table, mask, dot4, last21, _ = _csv_tables()
+    a = np.abs(x)
+    ok = (a >= 1e-280) & (a <= 1e280)
+    a[~ok] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    e = 16 - k
+    low = int(e.min())
+    pows = np.array([_pow10(j) for j in range(low, int(e.max()) + 1)])
+    e -= low
+    hi, head, tail, lo = (col.take(e) for col in pows.T)
+    p = a * hi
+    c = a * _CSV_SPLITTER
+    ah = c - (c - a)
+    al = a - ah
+    t = ah * head - p
+    t += ah * tail
+    t += al * head
+    t += al * tail
+    t += a * lo
+    whole = np.floor(t)
+    t -= whole
+    n = p.astype(np.int64)  # p >= 2^53 is an integer
+    n += whole.astype(np.int64)
+    ok &= (n >= 10**16) & (n < 10**17 - 1)
+    t -= 0.5
+    n += t > 0
+    ok &= np.abs(t) > _CSV_TIE_MARGIN
+    n[~ok] = 10**16
+    k[~ok] = 0
+    k += _CSV_X_OFFSET
+    # word indices: (X, sign), the chunks of d0 .. d15, (X, d16)
+    idx = np.empty((len(x), 6), np.intp)
+    q = n // 10
+    d16 = n - q * 10
+    idx[:, 0] = 2 * k + (x < 0) + _CSV_PREFIX_AT
+    idx[:, 5] = 10 * k + d16 + _CSV_TAIL_AT
+    hi8 = q // 10**8
+    lo8 = q - hi8 * 10**8
+    idx[:, 1] = hi8 // 10**4
+    idx[:, 2] = hi8 - idx[:, 1] * 10**4
+    idx[:, 3] = lo8 // 10**4
+    chunk = lo8 - idx[:, 3] * 10**4
+    idx[:, 4] = chunk
+    np.take(table, idx, out=out, mode="clip")
+    # mask row 21 last + dot + 4 (see _csv_tables)
+    mask_row = last21.take(chunk)
+    mask_row[d16 != 0] = 21 * 16
+    zero = np.flatnonzero(mask_row == 0)
+    if zero.size:  # d12 .. d16 all zero: count the rest of q's trailing zeros
+        qz = q[zero]
+        mask_row[zero] = 21 * (11 - sum(qz % 10**j == 0 for j in range(5, 16)))
+    mask_row += dot4.take(k)
+    out &= mask.take(mask_row, axis=0, mode="clip")
+    return ok
+
+
+def _csv_text(block) -> str:
+    """The CSV lines of the finite 2-D ``block``, byte for byte ``%.17g``."""
+    step = max(1, _CSV_PASS // block.shape[1])
+    return "".join(_csv_lines(block[s : s + step]) for s in range(0, len(block), step))
+
+
+def _csv_lines(block) -> str:
+    """``_csv_text`` of one kernel pass of rows."""
+    rows, ncol = block.shape
+    buf = bytearray(48 * block.size)
+    words = np.frombuffer(buf, np.uint64).reshape(rows, ncol, 6)
+    ok = _csv_words(block.reshape(-1), words.reshape(-1, 6)).reshape(rows, ncol)
+    comma, newline = _csv_tables()[4]
+    words[:, :-1, 5] |= comma
+    words[:, -1, 5] |= newline
+    fallback = np.flatnonzero(~ok.all(axis=1)).tolist()
+    if not fallback:
+        return buf.translate(None, b"\0").decode("ascii")
+    line = ",".join(["%.17g"] * ncol) + "\n"
+    width, pieces, start = 48 * ncol, [], 0
+    for r in fallback + [rows]:
+        pieces.append(buf[start * width : r * width].translate(None, b"\0").decode("ascii"))
+        if r < rows:
+            pieces.append(line % tuple(block[r].tolist()))
+        start = r + 1
+    return "".join(pieces)
 
 
 def _balanced_probe(hbar: float) -> GaussianState:
@@ -206,7 +402,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     rows = []
     worst = -math.inf
     for nu in cfg.nu_grid:
-        errs = qrms_errors(_model_for(cfg, nu), psi)
+        try:
+            errs = qrms_errors(_model_for(cfg, nu), psi)
+        except ValueError as exc:
+            raise ValueError(f"at nu={nu:g}: {exc}") from None  # name the grid point
         bo_res = branciard_ozawa_residual(errs, psi)
         rows.append(
             [

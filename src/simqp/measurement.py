@@ -260,6 +260,13 @@ def _noise_moments(
     # ``+ 0.0`` turns a -0.0 into 0.0, so a zero residual prints as 0.0, as
     # it did when a zero constant term was added to each mean
     means = (noise[:, None, :] @ mean)[:, 0] + 0.0
+    mean_list = means.tolist()
+    for name, value in zip(("N_q", "N_p"), mean_list):
+        if math.isinf(value * value):
+            raise ValueError(
+                f"noise mean <{name}> = {value:g} is too large: its square "
+                f"overflows float64 (q1={psi.q1:g}, p1={psi.p1:g})"
+            )
     squared = means * means
     var_probe = quadratic_forms(noise.take(PROBE_SLOTS, axis=1), m.probe.cov)
     system_part = quadratic_forms(noise.take(PACKET_SLOTS, axis=1), packet.cov)
@@ -272,7 +279,7 @@ def _noise_moments(
                 f"error routes disagree: representation {rep!r} vs "
                 f"noise moment {mom!r}"
             )
-    return means.tolist(), var_probe.tolist(), explicit
+    return mean_list, var_probe.tolist(), explicit
 
 
 def _error_pair(second) -> ErrorPair:

@@ -351,16 +351,21 @@ def make_probe_state(
 
     Raises:
         ValueError: if ``nu`` is outside (0, 1) or ``kappa == 0``, or
-            naming the probe variance that is not finite and positive.
+            naming the probe variance that is not finite and positive, or
+            the mean ``<Q2>``/``<P3>`` that overflows (a tiny ``kappa``).
     """
     if not 0.0 < nu < 1.0:
         raise ValueError(f"nu must lie strictly between 0 and 1, got {nu}")
     if kappa == 0.0:
         raise ValueError("kappa must be nonzero")
     s2 = _square(psi.sigma1)
+    k2 = _square(kappa)
     quarter_h2 = _square(psi.hbar / 2.0)
-    var_q2 = nu * (1.0 - nu) * s2 / (2.0 * kappa**2)
-    var_q3 = 2.0 * kappa**2 * s2 / (nu * (1.0 - nu))
+    if k2:
+        var_q2 = nu * (1.0 - nu) * s2 / (2.0 * k2)
+    else:  # kappa**2 underflows: the same variance, without squaring kappa alone
+        var_q2 = nu * (1.0 - nu) / 2.0 * _square(psi.sigma1 / kappa)
+    var_q3 = 2.0 * k2 * s2 / (nu * (1.0 - nu))
     inputs = dict(nu=nu, kappa=kappa, sigma1=psi.sigma1, hbar=psi.hbar)
     positions = (("probe Var(Q2)", var_q2), ("probe Var(Q3)", var_q3))
     checked_variances(positions, **inputs)
@@ -370,6 +375,9 @@ def make_probe_state(
     )
     checked_variances(momenta, **inputs)
     mean = [(1.0 - nu) * psi.q1 / kappa, 0.0, 0.0, nu * psi.p1 / kappa]
+    for name, value in (("probe <Q2>", mean[0]), ("probe <P3>", mean[3])):
+        if math.isinf(value):
+            raise _named_error(name, value, "is not finite", dict(inputs, q1=psi.q1, p1=psi.p1))
     return _diagonal_state((2, 3), mean, positions + momenta, psi.hbar, inputs)
 
 

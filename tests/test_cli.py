@@ -5,12 +5,16 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simqp
 from simqp import (
@@ -543,6 +547,34 @@ def write_csv_bytes(tmp_path, header, rows) -> bytes:
     return path.read_bytes()
 
 
+def percent_text(block) -> str:
+    """``block`` formatted one value at a time by ``"%.17g"``."""
+    line = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return "".join(line % tuple(row) for row in block.tolist())
+
+
+def certified(values) -> np.ndarray:
+    """Which values the text kernel writes itself (the rest go through ``%``)."""
+    return cli._csv_words(values, np.empty((values.size, 6), np.uint64))
+
+
+def with_ulp_neighbours(values) -> list:
+    """Each value with the finite floats 1 and 2 ulps either side of it."""
+    out = []
+    for v in values:
+        below, above = math.nextafter(v, -math.inf), math.nextafter(v, math.inf)
+        out += [math.nextafter(below, -math.inf), below, v, above, math.nextafter(above, math.inf)]
+    return [v for v in out if math.isfinite(v)]
+
+
+# values whose exact decimal expansion has 18 significant digits, the last a
+# 5: "%.17g" must round them half to even
+EXACT_TIES = [10.0 ** (16 - s) + 2.0 ** -(s + 1) for s in range(1, 17)] + [
+    2.0**-25,
+    3 * 2.0**-25,
+]
+
+
 class TestCsvWriter:
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
     def test_matches_savetxt(self, tmp_path, n):
@@ -585,6 +617,44 @@ class TestCsvWriter:
         cli._write_csv(None, ["a", "b", "c"], rows)
         assert len(writes) == 4  # header, then three blocks
         assert "".join(writes).encode() == savetxt_oracle(["a", "b", "c"], rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_kernel_matches_percent_on_any_floats(self, values):
+        column = np.array(values)[:, None]
+        assert cli._csv_text(column) == percent_text(column)
+
+    def test_kernel_matches_percent_on_random_bit_patterns(self):
+        bits = np.random.default_rng(2101).integers(0, 2**64, 10**5, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert cli._csv_text(values[:, None]) == percent_text(values[:, None])
+        rows = values[: values.size // 4 * 4].reshape(-1, 4)
+        assert cli._csv_text(rows) == percent_text(rows)
+        # exponents in [1e-280, 1e280] are 91% of all patterns: the kernel,
+        # not the fallback, wrote most of these
+        assert certified(values).mean() > 0.85
+
+    def test_kernel_matches_percent_on_edge_values(self):
+        for tie in EXACT_TIES:
+            digits = Decimal(tie).as_tuple().digits
+            assert (len(digits), digits[-1]) == (18, 5), tie
+        values = with_ulp_neighbours(
+            [float(f"1e{j}") for j in range(-324, 309)]
+            + [1e-280, 1e280, 99999999999999999.0, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308]
+            + EXACT_TIES
+        )
+        values = np.array(values + [0.0, 1e-310, 2.5e-320])
+        column = np.concatenate([values, -values])[:, None]
+        assert cli._csv_text(column) == percent_text(column)
+        assert not certified(np.array(EXACT_TIES)).any()
+        assert not certified(np.array([0.0, -0.0, 5e-324, 1e-300, 1e300])).any()
+
+    def test_normal_draws_need_no_fallback(self):
+        draws = np.random.default_rng(5).standard_normal((BLOCK, 2))
+        assert certified(draws.ravel()).all()
+        assert cli._csv_text(draws) == percent_text(draws)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_writes_nothing(self, tmp_path, bad):
@@ -752,6 +822,21 @@ def test_out_of_range_inputs_are_named(capsys, argv, names):
     assert (code, out) == (2, "")
     for name in names:
         assert name in err
+
+
+@pytest.mark.parametrize("flag, name", [("--q1", "N_q"), ("--p1", "N_p")])
+def test_sweep_noise_mean_overflow_is_named(capsys, flag, name):
+    # at some nu the X family's noise mean is a rounding residual of about
+    # 1e-16 of the packet mean, whose square overflows; a numpy
+    # RuntimeWarning would raise here
+    code, out, err = run(capsys, "sweep", "--family", "x", flag, "1e308")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        rf"error: at nu=0\.\d+: noise mean <{name}> = -?\d\.\d+e\+\d+ is too large: "
+        rf"its square overflows float64 \(q1=\S+, p1=\S+\)\n",
+        err,
+    ), err
+    assert f"{flag[2:]}=1e+308" in err
 
 
 @pytest.mark.parametrize("sigma1", ["1e200", "1e-160"])

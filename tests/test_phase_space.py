@@ -330,6 +330,37 @@ class TestProbeState:
         with pytest.raises(ValueError, match=message):
             make_probe_state(0.5, 1.0, psi)
 
+    @pytest.mark.parametrize(
+        "kappa, sigma1, message",
+        [
+            # kappa**2 underflows to 0: Var(Q2) ~ 1/kappa**2 is past float64
+            (1e-200, 1.0, r"^probe Var\(Q2\) = inf is not finite and positive "
+                          r"\(nu=0.5, kappa=1e-200, sigma1=1, hbar=1\)$"),
+            (-1e-200, 1.0, r"^probe Var\(Q2\) = inf .*kappa=-1e-200"),
+            # Var(Q2) is representable, Var(Q3) ~ kappa**2 is not
+            (1e-170, 1e-170, r"^probe Var\(Q3\) = 0 is not finite and positive "
+                             r"\(nu=0.5, kappa=1e-170, sigma1=1e-170, hbar=1\)$"),
+            # kappa**2 overflows
+            (1e200, 1.0, r"^probe Var\(Q2\) = 0 is not finite and positive \(nu=0.5, kappa=1e\+200"),
+        ],
+    )
+    def test_unrepresentable_kappa_is_named(self, kappa, sigma1, message):
+        with pytest.raises(ValueError, match=message):
+            make_probe_state(0.5, kappa, MinUncertaintyParams(sigma1=sigma1))
+
+    @pytest.mark.parametrize(
+        "kappa, q1, p1, message",
+        [
+            (1e-150, 1e200, 0.0, r"^probe <Q2> = inf is not finite \(nu=0.5, kappa=1e-150, "
+                                 r"sigma1=1, hbar=1, q1=1e\+200, p1=0\)$"),
+            (-1e-150, 0.0, 1e200, r"^probe <P3> = -inf is not finite \(nu=0.5, kappa=-1e-150, "
+                                  r"sigma1=1, hbar=1, q1=0, p1=1e\+200\)$"),
+        ],
+    )
+    def test_overflowing_probe_mean_is_named(self, kappa, q1, p1, message):
+        with pytest.raises(ValueError, match=message):
+            make_probe_state(0.5, kappa, MinUncertaintyParams(q1=q1, p1=p1))
+
 
 class TestDiagonalStates:
     """The packet, the tuned probe and the posterior states skip checked_covariance."""
