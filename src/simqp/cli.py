@@ -50,10 +50,7 @@ from .distributions import (
     region_mixture_moments,
     sample,
 )
-from .phase_space import GaussianState, MinUncertaintyParams
-
-# sweep passes when every bound residual stays below this
-SWEEP_RESIDUAL_TOL = 1e-8
+from .phase_space import TOLERANCES, GaussianState, MinUncertaintyParams
 
 DEFAULT_NU_GRID = [round(0.01 * k, 2) for k in range(1, 100)]
 
@@ -184,7 +181,7 @@ def _write_csv(path: str | None, header: list, rows):
 # double-double of 10^(16-k) from exact integer arithmetic.  t is within 4 u^2 y
 # < 5e-15 of the exact y - p (u = 2^-53, y < 1e17), so floor and fraction are
 # exact unless the fraction lies within _CSV_TIE_MARGIN of 1/2.  A value is
-# *certified* when 1e-280 <= |x| <= 1e280 (every split and partial product
+# *certified* when |x| lies in _CSV_CERTIFIED (every split and partial product
 # stays normal), its unrounded floor lies in [1e16, 1e17 - 1) (k was right,
 # and rounding cannot carry to 1e17, which takes a log10 that errs low next to
 # a power of ten), and the fraction is farther than the margin from 1/2.  Its
@@ -194,6 +191,7 @@ def _write_csv(path: str | None, header: list, rows):
 # construction.
 _CSV_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
 _CSV_TIE_MARGIN = 1e-9
+_CSV_CERTIFIED = (1e-280, 1e280)
 _CSV_X_OFFSET = 300  # the per-exponent tables cover X = -300 .. 300
 # where word 0 and word 5 start in the kernel's word table (after the chunks)
 _CSV_PREFIX_AT = 10000
@@ -292,7 +290,7 @@ def _csv_words(x, out) -> np.ndarray:
     ``out`` and return the certified mask; other values' words are junk."""
     table, mask, dot4, last21, _ = _csv_tables()
     a = np.abs(x)
-    ok = (a >= 1e-280) & (a <= 1e280)
+    ok = (a >= _CSV_CERTIFIED[0]) & (a <= _CSV_CERTIFIED[1])
     a[~ok] = 1.0
     k = np.floor(np.log10(a)).astype(np.int64)
     e = 16 - k
@@ -420,7 +418,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         )
         worst = max(worst, bo_res)
     _write_table(cfg, header, rows)
-    return 0 if worst <= SWEEP_RESIDUAL_TOL else 1
+    return 0 if worst <= TOLERANCES["sweep_residual"] else 1
 
 
 def cmd_check(cfg: RunConfig) -> int:

@@ -31,17 +31,12 @@ from .phase_space import (
     _square,
     checked_covariance,
     checked_variances,
+    exceeds,
     make_min_uncertainty_state,
     packet_probe_moments,
     row_moments,
     symplectic_products,
 )
-
-# observables may enter a joint distribution only if they commute to here
-JOINT_COMMUTATOR_ATOL = 1e-12
-
-# covariance eigenvalues in [-CLIP_ATOL, 0] are clipped to 0 when factoring
-CLIP_ATOL = 1e-12
 
 
 class NonCommutingObservablesError(ValueError):
@@ -62,7 +57,7 @@ class JointGaussian:
 
     def __post_init__(self):
         labels = tuple(str(name) for name in self.labels)
-        mean, cov = _checked_moments(self.mean, self.cov, labels, CLIP_ATOL)
+        mean, cov = _checked_moments(self.mean, self.cov, labels, "psd_law")
         vars(self).update(labels=labels, mean=mean, cov=cov)
 
     @property
@@ -78,7 +73,7 @@ def joint_distribution(
     Args:
         rows: ``(k, n)`` block, one observable per row on the state's ``n``
             coordinates in (Q..., P...) order, pairwise commuting (checked
-            to ``1e-12``).
+            to the ``commutator`` entry of TOLERANCES).
         mean, cov: the state's mean and covariance.
         labels: optional component names; defaults to f0, f1, ...
 
@@ -106,11 +101,11 @@ def joint_distribution(
 
 
 def _check_commuting(products: np.ndarray, labels) -> None:
-    """Raise naming the first pair whose ``R Omega R^T`` entry exceeds the tolerance."""
+    """Raise naming the first pair whose ``R Omega R^T`` entry exceeds ``commutator``."""
     for i in range(len(products)):
         for j in range(i + 1, len(products)):
             c = float(products[i, j])
-            if abs(c) > JOINT_COMMUTATOR_ATOL:
+            if exceeds("commutator", c):
                 raise NonCommutingObservablesError(
                     f"observables {labels[i]!r} and {labels[j]!r} do not "
                     f"commute: coefficient {c:g}"
@@ -198,7 +193,7 @@ def gauss_error(joint: JointGaussian, i: int = 0, j: int = 1) -> float:
 def _factor_covariance(cov: np.ndarray) -> np.ndarray:
     """Factor ``L`` with ``L Lᵀ = cov``, tiny negative eigenvalues clipped to 0.
 
-    ``cov`` is a ``JointGaussian`` covariance, already PSD to ``CLIP_ATOL``.
+    ``cov`` is a ``JointGaussian`` covariance, already PSD to ``psd_law``.
     """
     eigvals, eigvecs = np.linalg.eigh(cov)
     return eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None)))
@@ -390,7 +385,7 @@ def posterior_consistency(
         _check_commuting(products, _TRIPLE_LABELS)
     mu, v = packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
     means, covs = row_moments(rows, mu, v)
-    covs = checked_covariance(covs, CLIP_ATOL)
+    covs = checked_covariance(covs, "psd_law")
     for mean in means.tolist():
         _check_finite_mean(mean, _TRIPLE_LABELS)
     if outcomes is None:
@@ -405,7 +400,7 @@ def posterior_consistency(
     fam = PosteriorFamily(nu=nu, psi=psi)
 
     _, gain, schur_cov = _conditioning(covs, [1, 2])
-    var = checked_covariance(schur_cov, CLIP_ATOL)[:, 0, 0]
+    var = checked_covariance(schur_cov, "psd_law")[:, 0, 0]
     with np.errstate(over="ignore", invalid="ignore"):
         # each triple's conditional target mean at every outcome, shape (2, len(y))
         mean = means[:, :1] + ((y - means[:, None, 1:]) @ gain[:, 0, :, None])[..., 0]

@@ -14,17 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import check_close
-
-# matrix identities (S^3 = -E S, consistency of E with the couplings) are
-# enforced on construction at this absolute scale
-IDENTITY_ATOL = 1e-12
-
-# transform invariants A B^T = I, det = 1
-TRANSFORM_ATOL = 1e-10
-
-# |E| below this is treated as the E = 0 branch
-E_ZERO_TOL = 1e-14
+from .phase_space import TOLERANCES, check_close, exceeds
 
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
@@ -61,7 +51,7 @@ class SolvableGenerator:
         pattern = {(0, 0): 0.0, (1, 2): 0.0, (2, 1): 0.0, (1, 1): g2, (2, 2): -g2}
         for (i, j), want in pattern.items():
             got = entries[i][j]
-            if abs(got - want) > IDENTITY_ATOL * max(1.0, abs(want)):
+            if exceeds("identity", got - want, max(1.0, abs(want))):
                 raise ValueError(
                     f"entry ({i},{j})={got:g} breaks the solvable pattern "
                     f"(expected {want:g})"
@@ -70,19 +60,19 @@ class SolvableGenerator:
         a3, b3 = entries[0][2], entries[2][0]
         prod = a1 * b1
         scale = max(1.0, abs(prod), abs(a3 * b3))
-        if abs(prod - a3 * b3) > IDENTITY_ATOL * scale:
+        if exceeds("identity", prod - a3 * b3, scale):
             raise ValueError(
                 f"coupling products differ: a1*b1={prod:g}, a3*b3={a3 * b3:g}"
             )
         e = float(self.e)
-        if abs(prod + (g2**2 + e) / 2.0) > IDENTITY_ATOL * max(1.0, abs(prod)):
+        if exceeds("identity", prod + (g2**2 + e) / 2.0, max(1.0, abs(prod))):
             raise ValueError(
                 f"E={e:g} is inconsistent with a1*b1={prod:g} and gamma2={g2:g}"
             )
         s2 = s @ s
         es = e * s
         scale = max(1.0, np.maximum.reduce(np.abs(es), None, initial=0.0))
-        check_close(s2 @ s, -es, IDENTITY_ATOL * scale, "S^3 != -E S")
+        check_close(s2 @ s, -es, "identity", "S^3 != -E S", scale)
         # [[S, -S^T], [S^2, (S^2)^T]]: the generators of A and B and their
         # squares, stacked as propagate uses them
         powers = np.array(((s, -s.T), (s2, s2.T)))
@@ -124,7 +114,7 @@ def expm_coefficients(e: float, t: float) -> tuple:
     ``sin(x) tan(x/2)/E``, which does not cancel at small ``x``; likewise
     for the hyperbolic branch.
     """
-    if abs(e) < E_ZERO_TOL:
+    if abs(e) < TOLERANCES["e_zero"]:
         return t, 0.5 * t**2
     root = np.sqrt(abs(e))
     x = t * root
@@ -160,10 +150,10 @@ def _check_pair(transform: PropagatedTransform, ab: np.ndarray, tau: float) -> N
     """Check the stack ``ab = [A, B]`` and store it, with ``tau``, on ``transform``."""
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    check_close(ab[0] @ ab[1].T, _EYE3, TRANSFORM_ATOL, "A B^T != I")  # I has scale 1
+    check_close(ab[0] @ ab[1].T, _EYE3, "transform", "A B^T != I")  # I has scale 1
     # one batched LU call; a cofactor expansion would cancel at large ||A||
     for name, det in zip("AB", np.linalg.det(ab).tolist()):
-        if abs(det - 1.0) > TRANSFORM_ATOL:
+        if exceeds("transform", det - 1.0):
             raise ValueError(f"det({name}) = {det:g} != 1")
     ab.setflags(write=False)
     vars(transform).update(ab=ab, a=ab[0], b=ab[1], tau=float(tau))

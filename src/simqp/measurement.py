@@ -27,24 +27,16 @@ from .phase_space import (
     PACKET_SLOTS,
     PROBE_SLOTS,
     TARGET_ROWS,
+    TOLERANCES,
     GaussianState,
     MinUncertaintyParams,
+    exceeds,
     make_min_uncertainty_state,
     make_probe_state,
     packet_probe_moments,
     quadratic_forms,
     symplectic_products,
 )
-
-# meters must commute to this tolerance
-METER_COMMUTATOR_ATOL = 1e-12
-
-# the two error routes (explicit representation vs noise-operator moments)
-# must agree to this tolerance
-ERROR_ROUTE_ATOL = 1e-12
-
-# residual tolerance for the achievability conditions
-CONDITION_ATOL = 1e-9
 
 
 class ModelFamily(enum.Enum):
@@ -108,7 +100,8 @@ class LinearSimultaneousMeasurement:
     linear models they are Q2(tau) and P3(tau), rows 1 and 5 of
     :func:`evolved_rows`; the Arthurs-Kelly comparator supplies its own
     block and carries no generator/transform.  Construction checks the
-    probe modes, the block's shape, the meter commutator and tau.
+    probe modes, the block's shape and finiteness, the meters' commutator
+    and tau.
     """
 
     probe: GaussianState
@@ -123,8 +116,16 @@ class LinearSimultaneousMeasurement:
         rows = np.array(rows, dtype=float)
         if rows.shape != (2, 6):
             raise ValueError(f"meter rows must have shape (2, 6), got {rows.shape}")
+        entries = rows.ravel().tolist()
+        if not all(map(math.isfinite, entries)):  # refused before [Mq, Mp] reads them
+            k = next(k for k, value in enumerate(entries) if not math.isfinite(value))
+            meter, column = ("Mq", "Mp")[k // 6], k % 6
+            raise ValueError(
+                f"meter {meter} has coefficient {entries[k]} in column {column}: "
+                "it must be finite"
+            )
         c = float(symplectic_products(rows)[0, 1])
-        if abs(c) > METER_COMMUTATOR_ATOL:
+        if exceeds("commutator", c):
             raise ValueError(f"meters do not commute: [Mq, Mp] = i*hbar*{c:g}")
         if not tau > 0:
             raise ValueError(f"tau must be positive, got {tau}")
@@ -137,36 +138,28 @@ class LinearSimultaneousMeasurement:
         )
 
 
-def coupling_time_factor(tau: float, gamma2: float, e: float) -> float:
-    """The common factor tying nu to the couplings, per branch of E.
-
-    Equal to ``sin(tau sqrt(E))/sqrt(E) + gamma2 (1-cos(tau sqrt(E)))/E``
-    for positive E, its tau-polynomial limit at E = 0, and the hyperbolic
-    counterpart for negative E.
-    """
-    c1, c2 = expm_coefficients(e, tau)
-    return c1 + gamma2 * c2
-
-
 def solve_couplings(nu: float, tau: float, gamma2: float, e: float) -> tuple:
     """Couplings (alpha1, alpha3) placing the meter weights at (nu, 1-nu).
 
-    Solves ``nu / alpha1 = (1 - nu) / (-alpha3) = F(tau, gamma2, E)``.
+    Solves ``nu / alpha1 = (1 - nu) / (-alpha3) = F(tau, gamma2, E)``, where
+    ``F = c1 + gamma2 c2`` with the :func:`expm_coefficients` of (E, tau).
 
     Raises:
         ValueError: if nu is outside (0, 1), tau is not positive, or the
-            time factor F vanishes (degenerate coupling, no solution).
+            time factor F is not finite or vanishes (no solution).
     """
     if not 0.0 < nu < 1.0:
         raise ValueError(f"nu must lie strictly between 0 and 1, got {nu}")
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    factor = coupling_time_factor(tau, gamma2, e)
-    if abs(factor) < 1e-12:
-        raise ValueError(
-            f"time factor F(tau={tau:g}, gamma2={gamma2:g}, E={e:g}) = {factor:g} "
-            "is degenerate; the couplings are undetermined"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        c1, c2 = expm_coefficients(e, tau)
+        factor = c1 + gamma2 * c2
+    given = f"time factor F(tau={tau:g}, gamma2={gamma2:g}, E={e:g}) = {factor:g}"
+    if not math.isfinite(factor):
+        raise ValueError(f"{given} is not finite; the couplings are undetermined")
+    if abs(factor) < TOLERANCES["degenerate_factor"]:
+        raise ValueError(f"{given} is degenerate; the couplings are undetermined")
     return nu / factor, -(1.0 - nu) / factor
 
 
@@ -194,7 +187,7 @@ def build_model(
     )
     m = measurement_from_parts(gen, make_probe_state(nu, recipe.kappa, psi))
     a21, a22 = m.transform.a[1, 0], m.transform.a[1, 1]
-    if abs(a21 - nu) > 1e-10 or abs(a22 - recipe.kappa) > 1e-10:
+    if exceeds("drift", a21 - nu) or exceeds("drift", a22 - recipe.kappa):
         raise RuntimeError(
             f"propagated weights (a21={a21:g}, a22={a22:g}) drifted from "
             f"(nu={nu:g}, kappa={recipe.kappa:g})"
@@ -274,7 +267,7 @@ def _noise_moments(
     direct = quadratic_forms(noise, cov) + squared
     explicit = explicit.tolist()
     for rep, mom in zip(explicit, direct.tolist()):
-        if abs(rep - mom) > ERROR_ROUTE_ATOL * max(1.0, abs(rep)):
+        if exceeds("error_route", rep - mom, max(1.0, abs(rep))):
             raise RuntimeError(
                 f"error routes disagree: representation {rep!r} vs "
                 f"noise moment {mom!r}"
@@ -375,7 +368,6 @@ class TheoremReport:
 def check_theorem_conditions(
     m: LinearSimultaneousMeasurement,
     psi: MinUncertaintyParams,
-    tol: float = CONDITION_ATOL,
 ) -> TheoremReport:
     """Evaluate the three conditions characterizing minimum trade-off.
 
@@ -394,14 +386,14 @@ def check_theorem_conditions(
     res_ii_p = math.sqrt(var_probe_p) - weight * psi.sigma_p
 
     sum_res = a21 + b31 - 1.0
-    passes_iii = a21 > 0.0 and b31 > 0.0 and abs(sum_res) <= tol
+    passes_iii = a21 > 0.0 and b31 > 0.0 and not exceeds("condition", sum_res)
 
     return TheoremReport(
         cond_i_residuals=(mean_q, mean_p),
         cond_ii_residuals=(res_ii_q, res_ii_p),
         cond_iii=(a21, b31, sum_res),
-        passes_i=abs(mean_q) <= tol and abs(mean_p) <= tol,
-        passes_ii=abs(res_ii_q) <= tol and abs(res_ii_p) <= tol,
+        passes_i=not (exceeds("condition", mean_q) or exceeds("condition", mean_p)),
+        passes_ii=not (exceeds("condition", res_ii_q) or exceeds("condition", res_ii_p)),
         passes_iii=passes_iii,
         bo_residual=branciard_ozawa_residual(_error_pair(second), psi),
     )

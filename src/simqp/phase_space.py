@@ -11,7 +11,8 @@ covariance as (all Q's, then all P's) with modes ascending;
 global slots.  The row kernels (:func:`row_moments`,
 :func:`quadratic_forms`, :func:`symplectic_products`) and the covariance
 check :func:`checked_covariance` used across the package work on any
-leading axes.
+leading axes.  Every pass/fail threshold of the package is an entry of
+:data:`TOLERANCES`.
 """
 
 from __future__ import annotations
@@ -25,9 +26,23 @@ import numpy as np
 #: modes a :class:`GaussianState` may live on
 MODES = (1, 2, 3)
 
-# covariance matrices are accepted when their smallest eigenvalue is no
-# more negative than this fraction of the largest one
-PSD_RTOL = 1e-10
+#: every pass/fail threshold, by name, with the scale its sites multiply it
+#: by.  A two-sided check fails a residual r unless |r| <= bound * scale
+#: (:func:`exceeds`); a one-sided one compares at its own site.
+TOLERANCES = {
+    "psd_state": 1e-10,  # -min eigenvalue of a state's covariance; max(1, max eigenvalue)
+    "psd_law": 1e-12,  # the same for a joint law or a posterior triple's law
+    "symmetry": 1e-12,  # entries of cov - cov^T; max(1, the matrix's largest |entry|)
+    "commutator": 1e-12,  # an R Omega R^T entry of two meters or joint rows; 1
+    "error_route": 1e-12,  # gap of the two noise second moments; max(1, |representation|)
+    "condition": 1e-9,  # each achievability-condition residual; 1
+    "identity": 1e-12,  # solvable pattern, couplings, E, S^3 + E S; max(1, |compared|)
+    "transform": 1e-10,  # entries of A B^T - I, det(A) - 1, det(B) - 1; 1
+    "drift": 1e-10,  # a21 - nu and a22 - kappa after build_model propagates; 1
+    "e_zero": 1e-14,  # |E| below this takes the E = 0 branch; 1
+    "degenerate_factor": 1e-12,  # |F| below this leaves the couplings undetermined; 1
+    "sweep_residual": 1e-8,  # sweep passes while its largest signed BO residual is <= it; 1
+}
 
 # from this magnitude on, an entry doubles past float64's largest value, so
 # the symmetrisation 0.5 * (cov + cov.T) would turn it into inf
@@ -39,29 +54,35 @@ _SYMMETRISE_LIMIT = 2.0**1023
 PACKET_CACHE_SIZE = 1024
 
 
-def check_close(actual, expected, tol: float, message: str) -> None:
-    """Raise ``ValueError(message)`` unless ``max |actual - expected| <= tol``.
+def exceeds(name: str, residual: float, scale: float = 1.0) -> bool:
+    """True unless ``|residual| <= TOLERANCES[name] * scale``: NaN and inf always fail."""
+    return not abs(residual) <= TOLERANCES[name] * scale
 
-    The closeness test behind the transform identity checks; callers pass
-    ``tol`` already multiplied by their natural scale.  NaN or infinite
+
+def check_close(actual, expected, name: str, message: str, scale: float = 1.0) -> None:
+    """Raise ``ValueError(message)`` if ``max |actual - expected|`` exceeds ``name``.
+
+    The closeness test behind the transform identity checks, through
+    :func:`exceeds` at the caller's natural ``scale``.  NaN or infinite
     entries on either side always fail.
     """
     deviation = np.abs(np.subtract(actual, expected))
     worst = float(np.maximum.reduce(deviation, None, initial=0.0))
-    if not math.isfinite(worst):
-        raise ValueError(f"{message}: non-finite entries")
-    if worst > tol:
+    if exceeds(name, worst, scale):
+        if not math.isfinite(worst):
+            raise ValueError(f"{message}: non-finite entries")
         raise ValueError(f"{message} (max deviation {worst:g})")
 
 
-def checked_covariance(cov: np.ndarray, psd_rtol: float) -> np.ndarray:
-    """Symmetrized read-only ``cov``, PSD to ``psd_rtol * max(1, top eigenvalue)``.
+def checked_covariance(cov: np.ndarray, psd: str) -> np.ndarray:
+    """Symmetrized read-only ``cov``, PSD to the ``psd`` entry of TOLERANCES.
 
     ``cov`` has shape ``(..., n, n)``, and each matrix of the stack is held
-    to its own scale: symmetric to ``1e-12 * max(1, largest |entry|)``,
-    every entry below 2**1023, and PSD to its own top eigenvalue.  The
-    per-matrix decisions run on Python floats, which for the few entries
-    of a state's covariance is cheaper than a numpy reduction per matrix.
+    to its own scale: symmetric to the ``symmetry`` entry times
+    ``max(1, largest |entry|)``, every entry below 2**1023, and PSD to the
+    ``psd`` entry times ``max(1, top eigenvalue)``.  The per-matrix
+    decisions run on Python floats, which for the few entries of a
+    state's covariance is cheaper than a numpy reduction per matrix.
     """
     n = cov.shape[-1]
     transposed = cov.swapaxes(-1, -2)
@@ -74,7 +95,7 @@ def checked_covariance(cov: np.ndarray, psd_rtol: float) -> np.ndarray:
             if not all(map(math.isfinite, deviation)):
                 raise ValueError("covariance matrix is not symmetric: non-finite entries")
             worst = max(deviation)  # cov - cov^T is exactly antisymmetric
-            if worst > 1e-12 * max(1.0, largest):
+            if exceeds("symmetry", worst, max(1.0, largest)):
                 raise ValueError(
                     f"covariance matrix is not symmetric (max deviation {worst:g})"
                 )
@@ -85,7 +106,7 @@ def checked_covariance(cov: np.ndarray, psd_rtol: float) -> np.ndarray:
             )
     cov = 0.5 * (cov + transposed)
     for eigvals in np.linalg.eigvalsh(cov).reshape(-1, n).tolist():  # ascending
-        if eigvals[0] < -psd_rtol * max(1.0, eigvals[-1]):
+        if eigvals[0] < -TOLERANCES[psd] * max(1.0, eigvals[-1]):
             raise ValueError(
                 f"covariance matrix is not positive semidefinite "
                 f"(smallest eigenvalue {eigvals[0]:g})"
@@ -101,13 +122,13 @@ def _check_finite_mean(mean: list, labels) -> None:
             raise ValueError(f"mean of {label!r} is {value}: it must be finite")
 
 
-def _checked_moments(mean, cov, labels: tuple, psd_rtol: float) -> tuple:
+def _checked_moments(mean, cov, labels: tuple, psd: str) -> tuple:
     """``(mean, cov)`` of one state or law as read-only float arrays.
 
     The shared core of :class:`GaussianState` and ``JointGaussian``: the
     shapes must be ``(d,)`` and ``(d, d)`` for the ``d`` coordinate
-    ``labels``, the covariance passes :func:`checked_covariance` to
-    ``psd_rtol``, and a mean that is not finite is refused by its label.
+    ``labels``, the covariance passes :func:`checked_covariance` to the
+    ``psd`` entry, and a mean that is not finite is refused by its label.
     """
     mean = np.array(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
@@ -116,7 +137,7 @@ def _checked_moments(mean, cov, labels: tuple, psd_rtol: float) -> tuple:
         raise ValueError(
             f"dimension mismatch: {d} labels, mean {mean.shape}, cov {cov.shape}"
         )
-    cov = checked_covariance(cov, psd_rtol)
+    cov = checked_covariance(cov, psd)
     _check_finite_mean(mean.tolist(), labels)
     mean.setflags(write=False)
     return mean, cov
@@ -205,7 +226,7 @@ class GaussianState:
 
     def __post_init__(self):
         modes, labels = _checked_modes(tuple(self.modes))
-        mean, cov = _checked_moments(self.mean, self.cov, labels, PSD_RTOL)
+        mean, cov = _checked_moments(self.mean, self.cov, labels, "psd_state")
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         vars(self).update(modes=modes, mean=mean, cov=cov, hbar=float(self.hbar))

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from conftest import FAMILIES, log_density, marginal
 
-from simqp.distributions import CLIP_ATOL, _conditioning, _normal_mass
+from simqp.distributions import _conditioning, _normal_mass
 from simqp.phase_space import checked_covariance, packet_probe_moments, row_moments
 from simqp import (
     JointGaussian,
@@ -234,7 +234,7 @@ class TestConditional:
     def test_a_stack_conditions_like_each_law_alone(self, given):
         rng = np.random.default_rng(sum(given) + 10 * len(given))
         roots = rng.normal(size=(4, 3, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(4, 1, 1))
-        covs = checked_covariance(roots @ roots.swapaxes(-1, -2), CLIP_ATOL)
+        covs = checked_covariance(roots @ roots.swapaxes(-1, -2), "psd_law")
         rest, gain, schur = _conditioning(covs, list(given))
         for k, cov in enumerate(covs):
             want = _conditioning(cov, list(given))
@@ -322,7 +322,7 @@ class TestSample:
 
     @pytest.mark.parametrize("excess", [1e-6, 1e-11])
     def test_non_psd_rejected_when_joint_is_built(self, excess):
-        # smallest eigenvalue -excess, beyond CLIP_ATOL * top eigenvalue
+        # smallest eigenvalue -excess, beyond the psd_law bound times the top eigenvalue
         c = 1.0 + excess
         with pytest.raises(
             ValueError, match="^covariance matrix is not positive semidefinite"
@@ -331,7 +331,7 @@ class TestSample:
 
     @pytest.mark.parametrize("excess", [0.0, 5e-13])
     def test_exact_rank_covariance_samples(self, excess):
-        # rank-1 in three components, plus a negative eigenvalue within CLIP_ATOL
+        # rank-1 in three components, plus a negative eigenvalue within psd_law
         v = np.array([1.0, -2.0, 0.5])
         u = np.array([2.0, 1.0, 0.0]) / math.sqrt(5.0)
         cov = np.outer(v, v) - excess * np.outer(u, u)

@@ -41,23 +41,20 @@ from simqp import (
     qrms_errors,
     solve_couplings,
 )
-from simqp.distributions import (
-    CLIP_ATOL,
-    JOINT_COMMUTATOR_ATOL,
-    PosteriorConsistencyReport,
-    check_posterior_family,
-)
-from simqp.dynamics import TRANSFORM_ATOL, expm_coefficients
+from simqp.distributions import PosteriorConsistencyReport, check_posterior_family
+from simqp.dynamics import expm_coefficients
 from simqp.measurement import (
-    CONDITION_ATOL,
-    ERROR_ROUTE_ATOL,
     FAMILY_PARAMETERS,
-    METER_COMMUTATOR_ATOL,
     ErrorPair,
     TheoremReport,
     branciard_ozawa_residual,
 )
-from simqp.phase_space import check_close, checked_covariance
+from simqp.phase_space import TOLERANCES, check_close, checked_covariance
+
+JOINT_COMMUTATOR_ATOL = METER_COMMUTATOR_ATOL = TOLERANCES["commutator"]
+TRANSFORM_ATOL = TOLERANCES["transform"]
+CONDITION_ATOL = TOLERANCES["condition"]
+ERROR_ROUTE_ATOL = TOLERANCES["error_route"]
 
 EYE3 = np.eye(3)
 
@@ -71,7 +68,7 @@ def oracle_model(gen, probe):
     s, s2 = gen.s, gen.s @ gen.s
     a = EYE3 + c1 * s + c2 * s2
     b = EYE3 - c1 * s.T + c2 * s2.T
-    check_close(a @ b.T, EYE3, TRANSFORM_ATOL, "A B^T != I")
+    check_close(a @ b.T, EYE3, "transform", "A B^T != I")
     for name, det in zip("AB", np.linalg.det(np.stack((a, b))).tolist()):
         if abs(det - 1.0) > TRANSFORM_ATOL:
             raise ValueError(f"det({name}) = {det:g} != 1")
@@ -251,7 +248,7 @@ def oracle_posterior_consistency(family, nu, psi):
     expected = zip(fam.mean_map(y.T), (fam.var_q, fam.var_p))
     for joint, (expected_mean, expected_var) in zip(joints, expected):
         _, gain, schur_cov = oracle_conditioning(joint, [1, 2])
-        var = checked_covariance(schur_cov, CLIP_ATOL)[0, 0]
+        var = checked_covariance(schur_cov, "psd_law")[0, 0]
         mean = joint.mean[0] + (y - joint.mean[1:]) @ gain[0]
         max_mean_dev = max([max_mean_dev, *abs(mean - expected_mean)])
         max_var_dev = max(max_var_dev, abs(var - expected_var))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,16 @@ class TestMeasurementConstructor:
         # Q2 and P2 are a canonical pair
         with pytest.raises(ValueError, match=r"do not commute: \[Mq, Mp\] = i\*hbar\*1$"):
             LinearSimultaneousMeasurement(probe=probe, rows=np.eye(6)[[1, 4]], tau=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_rows_by_meter_and_column(self, bad):
+        # a nan would pass the commutator and an inf would break its matmul
+        probe = random_pure_probe(np.random.default_rng(0))
+        rows = np.eye(6)[[1, 5]]
+        rows[1, 4] = bad
+        message = rf"^meter Mp has coefficient {bad} in column 4: it must be finite$"
+        with pytest.raises(ValueError, match=message):
+            LinearSimultaneousMeasurement(probe=probe, rows=rows, tau=1.0)
 
 
 def random_measurement_and_oracle(rng, psi):
@@ -290,6 +301,23 @@ class TestSolveCouplings:
     def test_nu_domain(self, nu):
         with pytest.raises(ValueError):
             solve_couplings(nu, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "tau, gamma2, e, value",
+        [
+            (1000.0, -1.0, -1.0, "nan"),  # sinh overflows, then inf - inf
+            (1000.0, 1.0, -1.0, "inf"),  # sinh overflows
+            (math.inf, 1.0, 1.0, "nan"),  # sin(inf)
+        ],
+    )
+    def test_non_finite_time_factor_is_refused_by_name(self, tau, gamma2, e, value):
+        # the suite turns a RuntimeWarning into an error, so none may escape either
+        message = (
+            f"time factor F(tau={tau:g}, gamma2={gamma2:g}, E={e:g}) = {value} "
+            "is not finite; the couplings are undetermined"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_couplings(0.5, tau, gamma2, e)
 
 
 class TestBuildModel:

@@ -20,12 +20,14 @@ from simqp import (
 from simqp.phase_space import (
     PACKET_SLOTS,
     PROBE_SLOTS,
-    PSD_RTOL,
+    TOLERANCES,
     checked_covariance,
     packet_probe_moments,
     row_moments,
     symplectic_products,
 )
+
+PSD_RTOL = TOLERANCES["psd_state"]
 
 finite = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -389,7 +391,7 @@ class TestDiagonalStates:
         for state in states:
             assert not state.mean.flags.writeable
             assert not state.cov.flags.writeable
-            np.testing.assert_array_equal(checked_covariance(state.cov, PSD_RTOL), state.cov)
+            np.testing.assert_array_equal(checked_covariance(state.cov, "psd_state"), state.cov)
             checked = GaussianState(state.modes, state.mean, state.cov, state.hbar)
             assert (checked.modes, checked.hbar) == (state.modes, state.hbar)
             np.testing.assert_array_equal(checked.mean, state.mean)
@@ -450,7 +452,7 @@ class TestGaussianState:
 
 def single_matrix_error(cov) -> str:
     with pytest.raises(ValueError) as raised:
-        checked_covariance(cov, PSD_RTOL)
+        checked_covariance(cov, "psd_state")
     return str(raised.value)
 
 
@@ -466,28 +468,28 @@ class TestCheckedCovarianceStack:
         stack = np.stack([scale * factor_covariance(rng, kind, 4) for scale in scales])
         stack += 1e-14 * scales[:, None, None] * rng.normal(size=stack.shape)  # asymmetric
         stack = stack.reshape(lead + (4, 4))
-        checked = checked_covariance(stack, PSD_RTOL)
+        checked = checked_covariance(stack, "psd_state")
         assert checked.shape == stack.shape and not checked.flags.writeable
         for matrix, alone in zip(checked.reshape(-1, 4, 4), stack.reshape(-1, 4, 4)):
-            np.testing.assert_array_equal(matrix, checked_covariance(alone, PSD_RTOL))
+            np.testing.assert_array_equal(matrix, checked_covariance(alone, "psd_state"))
 
     def test_asymmetry_is_held_to_its_own_scale(self):
         big = np.diag([1e6, 1e6])  # its tolerance is 1e-6
         small = np.array([[1.0, 1e-9], [0.0, 1.0]])  # 1e-9 fails its own 1e-12
-        checked_covariance(np.stack([big, small + 1e6 * np.eye(2)]), PSD_RTOL)
+        checked_covariance(np.stack([big, small + 1e6 * np.eye(2)]), "psd_state")
         message = single_matrix_error(small)
         assert message == "covariance matrix is not symmetric (max deviation 1e-09)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            checked_covariance(np.stack([big, small]), PSD_RTOL)
+            checked_covariance(np.stack([big, small]), "psd_state")
 
     def test_psd_violation_is_held_to_its_own_scale(self):
         big = np.diag([1e6, 1e6])  # its PSD tolerance is 1e-4
         small = np.diag([1.0, -1e-6])  # -1e-6 fails its own 1e-10
-        checked_covariance(np.stack([big, np.diag([1e6, -1e-6])]), PSD_RTOL)
+        checked_covariance(np.stack([big, np.diag([1e6, -1e-6])]), "psd_state")
         message = single_matrix_error(small)
         assert "not positive semidefinite (smallest eigenvalue -1e-06)" in message
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            checked_covariance(np.stack([big, small]), PSD_RTOL)
+            checked_covariance(np.stack([big, small]), "psd_state")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0**1023])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -495,7 +497,7 @@ class TestCheckedCovarianceStack:
         small = np.diag([bad, 1.0])
         message = single_matrix_error(small)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            checked_covariance(np.stack([np.eye(2), small]), PSD_RTOL)
+            checked_covariance(np.stack([np.eye(2), small]), "psd_state")
 
     def test_product_keeps_marginals(self):
         psi = MinUncertaintyParams(1.0, 2.0, 0.8, 1.0)
@@ -570,7 +572,7 @@ class TestCheckedCovarianceStack:
                 )
             )
         _, cov = packet_probe_moments(*factors)
-        np.testing.assert_array_equal(checked_covariance(cov, PSD_RTOL), cov)
+        np.testing.assert_array_equal(checked_covariance(cov, "psd_state"), cov)
 
     def test_product_refuses_factors_off_their_slots(self):
         psi = MinUncertaintyParams()
