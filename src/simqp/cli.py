@@ -359,9 +359,9 @@ def _csv_lines(block) -> str:
     comma, newline = _csv_tables()[4]
     words[:, :-1, 5] |= comma
     words[:, -1, 5] |= newline
-    fallback = np.flatnonzero(~ok.all(axis=1)).tolist()
-    if not fallback:
+    if ok.all():  # one flat reduction; the per-row one runs only when a value failed
         return buf.translate(None, b"\0").decode("ascii")
+    fallback = np.flatnonzero(~ok.all(axis=1)).tolist()
     line = ",".join(["%.17g"] * ncol) + "\n"
     width, pieces, start = 48 * ncol, [], 0
     for r in fallback + [rows]:

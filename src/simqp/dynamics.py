@@ -10,17 +10,22 @@ branches keyed on the sign of the model constant ``E``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import TOLERANCES, check_close, exceeds
+from .phase_space import TOLERANCES, _square, check_deviation, exceeds, max_abs
 
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 
+# sinh(x) leaves float64 past |x| = 710.4758...; up to here it stays below
+# the largest float64 by a relative 8e-4, far beyond its rounding error
+_SINH_LIMIT = 710.475
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class SolvableGenerator:
     """Generator in the closed-form-solvable class.
 
@@ -31,8 +36,9 @@ class SolvableGenerator:
          [b3, 0, -g2]]
 
     with ``a1 b1 = a3 b3 = -(g2^2 + E)/2``, which forces ``S^3 = -E S``.
-    Construction rejects anything violating the pattern or the coupling
-    products; it never silently reclassifies ``E``.
+    Construction rejects a non-finite tau, E or g2, and anything violating
+    the pattern or the coupling products; it never silently reclassifies
+    ``E``.
     """
 
     s: np.ndarray
@@ -40,48 +46,49 @@ class SolvableGenerator:
     gamma2: float
     tau: float
 
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
+    def __init__(self, s, e, gamma2, tau):
+        s = np.asarray(s, dtype=float)
         if s.shape != (3, 3):
             raise ValueError(f"generator must be 3x3, got {s.shape}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        g2 = float(self.gamma2)
-        entries = s.tolist()
-        pattern = {(0, 0): 0.0, (1, 2): 0.0, (2, 1): 0.0, (1, 1): g2, (2, 2): -g2}
-        for (i, j), want in pattern.items():
-            got = entries[i][j]
-            if exceeds("identity", got - want, max(1.0, abs(want))):
+        if not tau > 0:
+            raise ValueError(f"tau must be positive, got {tau}")
+        for name, value in (("tau", tau), ("E", e), ("gamma2", gamma2)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        g2, e = float(gamma2), float(e)
+        entries = s.ravel().tolist()
+        s00, b1, a3, a1, s11, s12, b3, s21, s22 = entries
+        g2_scale = max(1.0, abs(g2))  # each entry is held to max(1, |expected|)
+        pattern = ((0, 0, s00, 0.0, 1.0), (1, 2, s12, 0.0, 1.0), (2, 1, s21, 0.0, 1.0),
+                   (1, 1, s11, g2, g2_scale), (2, 2, s22, -g2, g2_scale))
+        for i, j, got, want, scale in pattern:
+            if exceeds("identity", got - want, scale):
                 raise ValueError(
                     f"entry ({i},{j})={got:g} breaks the solvable pattern "
                     f"(expected {want:g})"
                 )
-        a1, b1 = entries[1][0], entries[0][1]
-        a3, b3 = entries[0][2], entries[2][0]
         prod = a1 * b1
         scale = max(1.0, abs(prod), abs(a3 * b3))
         if exceeds("identity", prod - a3 * b3, scale):
             raise ValueError(
                 f"coupling products differ: a1*b1={prod:g}, a3*b3={a3 * b3:g}"
             )
-        e = float(self.e)
         if exceeds("identity", prod + (g2**2 + e) / 2.0, max(1.0, abs(prod))):
             raise ValueError(
                 f"E={e:g} is inconsistent with a1*b1={prod:g} and gamma2={g2:g}"
             )
         s2 = s @ s
-        es = e * s
-        scale = max(1.0, np.maximum.reduce(np.abs(es), None, initial=0.0))
-        check_close(s2 @ s, -es, "identity", "S^3 != -E S", scale)
+        # S^3 - (-E S) on Python floats; max |E s_ij| is |E| max |s_ij| exactly
+        cubed = (s2 @ s).ravel().tolist()
+        scale = max(1.0, abs(e) * max_abs(entries))
+        deviation = [c + e * x for c, x in zip(cubed, entries)]
+        check_deviation(deviation, "identity", "S^3 != -E S", scale)
         # [[S, -S^T], [S^2, (S^2)^T]]: the generators of A and B and their
         # squares, stacked as propagate uses them
         powers = np.array(((s, -s.T), (s2, s2.T)))
         powers.setflags(write=False)
-        object.__setattr__(self, "s", powers[0, 0])
-        object.__setattr__(self, "_powers", powers)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "gamma2", g2)
-        object.__setattr__(self, "tau", float(self.tau))
+        # frozen: the fields go in through the instance dict
+        vars(self).update(s=powers[0, 0], _powers=powers, e=e, gamma2=g2, tau=float(tau))
 
     @classmethod
     def from_couplings(
@@ -97,14 +104,9 @@ class SolvableGenerator:
         prod = -(gamma2**2 + e) / 2.0
         b1 = prod / alpha1
         b3 = prod / alpha3
-        s = np.array(
-            [
-                [0.0, b1, alpha3],
-                [alpha1, gamma2, 0.0],
-                [b3, 0.0, -gamma2],
-            ]
-        )
-        return cls(s=s, e=e, gamma2=gamma2, tau=tau)
+        # one flat tuple: numpy reads it faster than nested rows
+        s = np.array((0.0, b1, alpha3, alpha1, gamma2, 0.0, b3, 0.0, -gamma2))
+        return cls(s.reshape(3, 3), e, gamma2, tau)
 
 
 def expm_coefficients(e: float, t: float) -> tuple:
@@ -112,17 +114,21 @@ def expm_coefficients(e: float, t: float) -> tuple:
 
     ``c2 = (1 - cos x)/E`` with ``x = t sqrt(E)`` is taken as
     ``sin(x) tan(x/2)/E``, which does not cancel at small ``x``; likewise
-    for the hyperbolic branch.
+    for the hyperbolic branch.  Both are Python floats: where the closed
+    form leaves float64 they are inf or NaN, with no numpy warning, and the
+    callers refuse them by name.
     """
     if abs(e) < TOLERANCES["e_zero"]:
-        return t, 0.5 * t**2
-    root = np.sqrt(abs(e))
+        return t, 0.5 * _square(t)
+    root = math.sqrt(abs(e))
     x = t * root
     if e > 0.0:
-        sin = np.sin(x)
-        return sin / root, sin * np.tan(x / 2.0) / e
-    sinh = np.sinh(x)
-    return sinh / root, sinh * np.tanh(x / 2.0) / (-e)
+        if not math.isfinite(x):  # sin(x) has no limit
+            return math.nan, math.nan
+        sin = float(np.sin(x))
+        return sin / root, sin * float(np.tan(x / 2.0)) / e
+    sinh = math.copysign(math.inf, x) if abs(x) > _SINH_LIMIT else float(np.sinh(x))
+    return sinh / root, sinh * float(np.tanh(x / 2.0)) / (-e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,25 +156,36 @@ def _check_pair(transform: PropagatedTransform, ab: np.ndarray, tau: float) -> N
     """Check the stack ``ab = [A, B]`` and store it, with ``tau``, on ``transform``."""
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    check_close(ab[0] @ ab[1].T, _EYE3, "transform", "A B^T != I")  # I has scale 1
+    ab.setflags(write=False)  # before its views are taken, so they inherit it
+    a, b = ab[0], ab[1]
+    deviation = (a @ b.T).ravel().tolist()  # A B^T - I; I has scale 1
+    for k in (0, 4, 8):
+        deviation[k] -= 1.0
+    check_deviation(deviation, "transform", "A B^T != I")
     # one batched LU call; a cofactor expansion would cancel at large ||A||
     for name, det in zip("AB", np.linalg.det(ab).tolist()):
         if exceeds("transform", det - 1.0):
             raise ValueError(f"det({name}) = {det:g} != 1")
-    ab.setflags(write=False)
-    vars(transform).update(ab=ab, a=ab[0], b=ab[1], tau=float(tau))
+    vars(transform).update(ab=ab, a=a, b=b, tau=float(tau))
 
 
 def propagate(gen: SolvableGenerator) -> PropagatedTransform:
     """Evaluate both closed-form factors at the generator's own tau.
 
     ``B = e^{-tau S^T}`` is the closed form at ``-S^T``, whose square is
-    ``(S^2)^T``, so one ``S^2`` and one pair of coefficients build the
-    stack ``[A, B]`` in one expression.
+    ``(S^2)^T``, so one ``S^2`` and one pair of coefficients, refused if
+    not finite, build the stack ``[A, B]``.
     """
     c1, c2 = expm_coefficients(gen.e, gen.tau)
-    first, second = gen._powers
-    ab = _EYE3 + c1 * first + c2 * second
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise ValueError(
+            f"e^(tau S) overflows float64 at tau={gen.tau:g}, E={gen.e:g}: "
+            f"its coefficients are (c1, c2) = ({c1:g}, {c2:g})"
+        )
+    powers = gen._powers  # indexed: unpacking an array costs more
+    ab = c1 * powers[0]  # I + c1 [S, -S^T] + c2 [S^2, (S^2)^T], in that order
+    ab += _EYE3
+    ab += c2 * powers[1]
     transform = object.__new__(PropagatedTransform)  # the stack is checked as built
     _check_pair(transform, ab, gen.tau)
     return transform

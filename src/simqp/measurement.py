@@ -19,7 +19,6 @@ import numpy as np
 from .dynamics import (
     PropagatedTransform,
     SolvableGenerator,
-    evolved_rows,
     expm_coefficients,
     propagate,
 )
@@ -30,12 +29,12 @@ from .phase_space import (
     TOLERANCES,
     GaussianState,
     MinUncertaintyParams,
+    all_finite,
     exceeds,
     make_min_uncertainty_state,
     make_probe_state,
     packet_probe_moments,
     quadratic_forms,
-    symplectic_products,
 )
 
 
@@ -117,14 +116,16 @@ class LinearSimultaneousMeasurement:
         if rows.shape != (2, 6):
             raise ValueError(f"meter rows must have shape (2, 6), got {rows.shape}")
         entries = rows.ravel().tolist()
-        if not all(map(math.isfinite, entries)):  # refused before [Mq, Mp] reads them
+        if not all_finite(entries):  # refused before [Mq, Mp] reads them
             k = next(k for k, value in enumerate(entries) if not math.isfinite(value))
             meter, column = ("Mq", "Mp")[k // 6], k % 6
             raise ValueError(
                 f"meter {meter} has coefficient {entries[k]} in column {column}: "
                 "it must be finite"
             )
-        c = float(symplectic_products(rows)[0, 1])
+        # entry (0, 1) of symplectic_products(rows), the same product
+        qp = (rows[:, :3] @ rows[:, 3:].T).tolist()
+        c = qp[0][1] - qp[1][0]
         if exceeds("commutator", c):
             raise ValueError(f"meters do not commute: [Mq, Mp] = i*hbar*{c:g}")
         if not tau > 0:
@@ -152,9 +153,10 @@ def solve_couplings(nu: float, tau: float, gamma2: float, e: float) -> tuple:
         raise ValueError(f"nu must lie strictly between 0 and 1, got {nu}")
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
-        c1, c2 = expm_coefficients(e, tau)
-        factor = c1 + gamma2 * c2
+    # Python floats: c1, c2 or gamma2 c2 leaving float64 gives inf or NaN
+    # here without a warning, refused below by name
+    c1, c2 = expm_coefficients(e, tau)
+    factor = c1 + gamma2 * c2
     given = f"time factor F(tau={tau:g}, gamma2={gamma2:g}, E={e:g}) = {factor:g}"
     if not math.isfinite(factor):
         raise ValueError(f"{given} is not finite; the couplings are undetermined")
@@ -186,7 +188,7 @@ def build_model(
         alpha1, alpha3, recipe.gamma2, recipe.e, recipe.tau
     )
     m = measurement_from_parts(gen, make_probe_state(nu, recipe.kappa, psi))
-    a21, a22 = m.transform.a[1, 0], m.transform.a[1, 1]
+    a21, a22 = m.rows[0, :2].tolist()  # Q2(tau) = a21 Q1 + a22 Q2 + a23 Q3
     if exceeds("drift", a21 - nu) or exceeds("drift", a22 - recipe.kappa):
         raise RuntimeError(
             f"propagated weights (a21={a21:g}, a22={a22:g}) drifted from "
@@ -204,9 +206,9 @@ def measurement_from_parts(
     evolved block.
     """
     transform = propagate(gen)
-    # a strided view of rows 1 and 5, which the constructor copies: a fancy
-    # index would copy twice and cost more than the rest of this function
-    rows = evolved_rows(transform)[1::4]
+    rows = np.zeros((2, 6))
+    rows[0, :3] = transform.a[1]  # Q2(tau): row 1 of A on the positions
+    rows[1, 3:] = transform.b[2]  # P3(tau): row 2 of B on the momenta
     return LinearSimultaneousMeasurement(probe, rows, transform.tau, gen, transform)
 
 
@@ -252,32 +254,32 @@ def _noise_moments(
     noise = m.rows - TARGET_ROWS
     # ``+ 0.0`` turns a -0.0 into 0.0, so a zero residual prints as 0.0, as
     # it did when a zero constant term was added to each mean
-    means = (noise[:, None, :] @ mean)[:, 0] + 0.0
-    mean_list = means.tolist()
-    for name, value in zip(("N_q", "N_p"), mean_list):
+    means = [value + 0.0 for value in (noise[:, None, :] @ mean)[:, 0].tolist()]
+    for name, value in zip(("N_q", "N_p"), means):
         if math.isinf(value * value):
             raise ValueError(
                 f"noise mean <{name}> = {value:g} is too large: its square "
                 f"overflows float64 (q1={psi.q1:g}, p1={psi.p1:g})"
             )
-    squared = means * means
     var_probe = quadratic_forms(noise.take(PROBE_SLOTS, axis=1), m.probe.cov)
     system_part = quadratic_forms(noise.take(PACKET_SLOTS, axis=1), packet.cov)
-    explicit = system_part + var_probe + squared
-    direct = quadratic_forms(noise, cov) + squared
-    explicit = explicit.tolist()
-    for rep, mom in zip(explicit, direct.tolist()):
+    direct = quadratic_forms(noise, cov)
+    explicit = []
+    for system, probe, whole, value in zip(system_part, var_probe, direct, means):
+        squared = value * value
+        rep, mom = system + probe + squared, whole + squared
         if exceeds("error_route", rep - mom, max(1.0, abs(rep))):
             raise RuntimeError(
                 f"error routes disagree: representation {rep!r} vs "
                 f"noise moment {mom!r}"
             )
-    return mean_list, var_probe.tolist(), explicit
+        explicit.append(rep)
+    return means, var_probe, explicit
 
 
 def _error_pair(second) -> ErrorPair:
     """Errors from the squared errors ``(eps_q^2, eps_p^2)``."""
-    return ErrorPair(eps_q=math.sqrt(second[0]), eps_p=math.sqrt(second[1]))
+    return ErrorPair(math.sqrt(second[0]), math.sqrt(second[1]))
 
 
 def qrms_errors(
@@ -379,8 +381,7 @@ def check_theorem_conditions(
     """
     (mean_q, mean_p), (var_probe_q, var_probe_p), second = _noise_moments(m, psi)
 
-    a21 = float(m.rows[0, 0])
-    b31 = float(m.rows[1, 3])
+    a21, b31 = m.rows.take((0, 9)).tolist()  # the Q1 weight of Mq, the P1 weight of Mp
     weight = math.sqrt(abs(a21 * b31))
     res_ii_q = math.sqrt(var_probe_q) - weight * psi.sigma_q
     res_ii_p = math.sqrt(var_probe_p) - weight * psi.sigma_p

@@ -8,10 +8,10 @@ R^{6x6}, with the packet at slots [0, 3] and the probe at [1, 2, 4, 5].
 The packet (mode 1) and the probe (modes 2, 3) order their mean and
 covariance as (all Q's, then all P's) with modes ascending;
 :func:`packet_probe_moments` is the one place that writes them into the
-global slots.  The row kernels (:func:`row_moments`,
-:func:`quadratic_forms`, :func:`symplectic_products`) and the covariance
-check :func:`checked_covariance` used across the package work on any
-leading axes.  Every pass/fail threshold of the package is an entry of
+global slots.  The row kernels :func:`row_moments` and
+:func:`symplectic_products` and the covariance check
+:func:`checked_covariance` used across the package work on any leading
+axes.  Every pass/fail threshold of the package is an entry of
 :data:`TOLERANCES`.
 """
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,42 +60,67 @@ def exceeds(name: str, residual: float, scale: float = 1.0) -> bool:
     return not abs(residual) <= TOLERANCES[name] * scale
 
 
-def check_close(actual, expected, name: str, message: str, scale: float = 1.0) -> None:
-    """Raise ``ValueError(message)`` if ``max |actual - expected|`` exceeds ``name``.
+def all_finite(values: list) -> bool:
+    """Whether every float of ``values`` is finite: their sum carries a NaN or
+    inf, and only a sum that overflows needs the entry-by-entry test."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+def max_abs(values: list) -> float:
+    """``max |v|`` over the non-empty floats ``values``, NaN if any is NaN, as
+    ``np.maximum.reduce(np.abs(v))`` gives it (``max`` alone would keep or
+    drop a NaN by where it sits)."""
+    if all_finite(values):
+        return max(map(abs, values))
+    return math.nan if any(map(math.isnan, values)) else math.inf
+
+
+def check_deviation(deviation: list, name: str, message: str, scale: float = 1.0) -> None:
+    """Raise ``ValueError(message)`` if ``max |deviation|`` exceeds ``name``.
 
     The closeness test behind the transform identity checks, through
-    :func:`exceeds` at the caller's natural ``scale``.  NaN or infinite
-    entries on either side always fail.
+    :func:`exceeds` at the caller's natural ``scale``, on the entries of
+    ``actual - expected`` as Python floats; a NaN or inf entry always fails.
     """
-    deviation = np.abs(np.subtract(actual, expected))
-    worst = float(np.maximum.reduce(deviation, None, initial=0.0))
+    worst = max_abs(deviation)
     if exceeds(name, worst, scale):
         if not math.isfinite(worst):
             raise ValueError(f"{message}: non-finite entries")
         raise ValueError(f"{message} (max deviation {worst:g})")
 
 
+def check_close(actual, expected, name: str, message: str, scale: float = 1.0) -> None:
+    """:func:`check_deviation` of the arrays ``actual - expected``."""
+    check_deviation(np.subtract(actual, expected).ravel().tolist(), name, message, scale)
+
+
 def checked_covariance(cov: np.ndarray, psd: str) -> np.ndarray:
     """Symmetrized read-only ``cov``, PSD to the ``psd`` entry of TOLERANCES.
 
     ``cov`` has shape ``(..., n, n)``, and each matrix of the stack is held
-    to its own scale: symmetric to the ``symmetry`` entry times
+    to its own scale: finite, symmetric to the ``symmetry`` entry times
     ``max(1, largest |entry|)``, every entry below 2**1023, and PSD to the
     ``psd`` entry times ``max(1, top eigenvalue)``.  The per-matrix
-    decisions run on Python floats, which for the few entries of a
-    state's covariance is cheaper than a numpy reduction per matrix.
+    decisions run on Python floats, cheaper than numpy reductions for a
+    state's few entries.  A stack equal to its transpose bit for bit is its
+    own symmetrization, so it is copied instead of averaged.
     """
     n = cov.shape[-1]
     transposed = cov.swapaxes(-1, -2)
-    magnitudes = np.abs(cov).reshape(-1, n * n).tolist()
-    deviations = (cov - transposed).reshape(-1, n * n).tolist()
-    for entries, deviation in zip(magnitudes, deviations):
-        largest = max(entries)
-        if any(deviation):  # an exactly symmetric matrix passes as it stands
-            # a non-finite entry leaves a non-finite deviation at its own place
-            if not all(map(math.isfinite, deviation)):
-                raise ValueError("covariance matrix is not symmetric: non-finite entries")
-            worst = max(deviation)  # cov - cov^T is exactly antisymmetric
+    symmetric = cov.tobytes() == transposed.tobytes()
+    for entries in cov.reshape(-1, n * n).tolist():
+        # cov - cov^T: exactly antisymmetric, so its largest entry is its
+        # largest magnitude, and non-finite where an entry is or a gap
+        # overflows; in a bit-symmetric stack it is 0 where an entry is finite
+        deviation = entries
+        if not symmetric:
+            mirror = [x for column in range(n) for x in entries[column::n]]
+            deviation = list(map(operator.sub, entries, mirror))
+        if not all_finite(deviation):
+            raise ValueError("covariance matrix is not symmetric: non-finite entries")
+        largest = max(map(abs, entries))
+        if not symmetric:
+            worst = max(deviation)
             if exceeds("symmetry", worst, max(1.0, largest)):
                 raise ValueError(
                     f"covariance matrix is not symmetric (max deviation {worst:g})"
@@ -104,7 +130,7 @@ def checked_covariance(cov: np.ndarray, psd: str) -> np.ndarray:
                 f"covariance matrix entry {largest:g} is too large: "
                 "symmetrising it overflows float64"
             )
-    cov = 0.5 * (cov + transposed)
+    cov = cov.copy() if symmetric else 0.5 * (cov + transposed)
     for eigvals in np.linalg.eigvalsh(cov).reshape(-1, n).tolist():  # ascending
         if eigvals[0] < -TOLERANCES[psd] * max(1.0, eigvals[-1]):
             raise ValueError(
@@ -200,7 +226,7 @@ class MinUncertaintyParams:
         return self.hbar / (2.0 * self.sigma1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GaussianState:
     """Gaussian state on a subset of the three modes.
 
@@ -224,12 +250,13 @@ class GaussianState:
     cov: np.ndarray
     hbar: float = 1.0
 
-    def __post_init__(self):
-        modes, labels = _checked_modes(tuple(self.modes))
-        mean, cov = _checked_moments(self.mean, self.cov, labels, "psd_state")
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-        vars(self).update(modes=modes, mean=mean, cov=cov, hbar=float(self.hbar))
+    def __init__(self, modes, mean, cov, hbar=1.0):
+        modes, labels = _checked_modes(tuple(modes))
+        mean, cov = _checked_moments(mean, cov, labels, "psd_state")
+        if not hbar > 0:
+            raise ValueError(f"hbar must be positive, got {hbar}")
+        # frozen: the fields go in through the instance dict
+        vars(self).update(modes=modes, mean=mean, cov=cov, hbar=float(hbar))
 
 
 @functools.lru_cache(maxsize=None)  # keyed by mode tuples, so at most a few entries
@@ -276,10 +303,13 @@ def _diagonal_state(modes: tuple, mean, variances, hbar: float, inputs: dict):
             problem = "is too large: a covariance entry must stay below 2**1023"
             raise _named_error(name, value, problem, inputs)
     mean = np.array(mean, dtype=float)
-    cov = np.diag([value for _, value in variances])
+    n = len(variances)
+    cov = np.zeros(n * n)
+    cov[:: n + 1] = [value for _, value in variances]
+    cov = cov.reshape(n, n)
     mean.setflags(write=False)
     cov.setflags(write=False)
-    state = object.__new__(GaussianState)  # skips __post_init__
+    state = object.__new__(GaussianState)  # skips __init__'s checks
     vars(state).update(modes=modes, mean=mean, cov=cov, hbar=float(hbar))
     return state
 
@@ -302,10 +332,10 @@ def row_moments(rows: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> tuple:
     return means, np.where(upper, cov, np.swapaxes(cov, -1, -2)) + 0.0
 
 
-def quadratic_forms(rows: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """``r @ cov @ r`` for each row ``r`` of ``rows`` (shape ``(..., k, n)``)."""
-    rows = np.ascontiguousarray(rows)  # strided rows are summed in another order
-    return (rows[..., None, :] @ cov[..., None, :, :] @ rows[..., :, None])[..., 0, 0]
+def quadratic_forms(rows: np.ndarray, cov: np.ndarray) -> list:
+    """``r @ cov @ r`` as floats for each row ``r`` of the C-contiguous ``(k, n)``
+    ``rows`` (a strided row would be summed in another order)."""
+    return (rows[:, None, :] @ cov @ rows[:, :, None]).ravel().tolist()
 
 
 def symplectic_products(rows: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Generator construction and the two matrix-exponential routes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,57 @@ class TestSolvableGenerator:
         s[entry] = bad
         with pytest.raises(ValueError):
             SolvableGenerator(s=s, e=1.0, gamma2=1.0, tau=math.pi / 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", range(9))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_entry_is_refused_at_every_position(self, bad, k):
+        # X at nu = 0.5, where a1 b1 = a3 b3 = -1: a pattern entry names
+        # itself; a NaN coupling breaks its product, and an infinite one
+        # passes both product checks (inf against a scale of inf) and leaves
+        # S^3 non-finite
+        s = frozen_generator(ModelFamily.X, 0.5).copy()
+        s.flat[k] = bad
+        i, j = divmod(k, 3)
+        pattern = {(0, 0): 0, (1, 2): 0, (2, 1): 0, (1, 1): 1, (2, 2): -1}
+        if (i, j) in pattern:
+            message = f"entry ({i},{j})={bad} breaks the solvable pattern (expected {pattern[i, j]})"
+        elif math.isnan(bad):
+            products = "a1*b1=nan, a3*b3=-1" if k in (1, 3) else "a1*b1=-1, a3*b3=nan"
+            message = f"coupling products differ: {products}"
+        else:
+            message = "S^3 != -E S: non-finite entries"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SolvableGenerator(s=s, e=1.0, gamma2=1.0, tau=math.pi / 2)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SolvableGenerator.from_couplings(1.0, 1.0, 0.0, -1.0, math.inf),
+             "tau must be finite, got inf"),
+            (lambda: propagate(SolvableGenerator.from_couplings(1.0, 1.0, 0.0, -1.0, 1000.0)),
+             "e^(tau S) overflows float64 at tau=1000, E=-1: "
+             "its coefficients are (c1, c2) = (inf, inf)"),
+            (lambda: propagate(SolvableGenerator.from_couplings(1.0, 1.0, 0.0, 1.0, math.inf)),
+             "tau must be finite, got inf"),
+            (lambda: propagate(SolvableGenerator.from_couplings(1.0, 1.0, 0.0, 0.0, 1e155)),
+             "e^(tau S) overflows float64 at tau=1e+155, E=0: "
+             "its coefficients are (c1, c2) = (1e+155, inf)"),
+            (lambda: solve_couplings(0.5, 1e200, 0.0, 0.0),
+             "time factor F(tau=1e+200, gamma2=0, E=0) = nan is not finite; "
+             "the couplings are undetermined"),
+            (lambda: SolvableGenerator.from_couplings(1.0, 1.0, math.inf, 0.0, 1.0),
+             "gamma2 must be finite, got inf"),
+            (lambda: SolvableGenerator(s=np.zeros((3, 3)), e=math.nan, gamma2=0.0, tau=1.0),
+             "E must be finite, got nan"),
+        ],
+        ids=["tau-inf", "sinh-overflows", "tau-inf-trig", "tau-squared-overflows",
+             "time-factor", "gamma2-inf", "e-nan"],
+    )
+    def test_large_or_infinite_inputs_are_refused_by_name(self, build, message):
+        # the suite turns a RuntimeWarning into an error, so none may escape either
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_rejects_non_finite_e(self):
         s = frozen_generator(ModelFamily.X, 0.5)
@@ -356,6 +408,26 @@ class TestPropagatedTransform:
         b = np.linalg.inv(a).T
         with pytest.raises(ValueError, match="det"):
             PropagatedTransform(a=a, b=b, tau=1.0)
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", range(9))
+    @pytest.mark.parametrize("factor", ["a", "b"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_entry_is_refused_at_every_position(self, factor, k, bad):
+        pair = {"a": np.eye(3), "b": np.eye(3)}
+        pair[factor].flat[k] = bad
+        with pytest.raises(ValueError, match=r"^A B\^T != I: non-finite entries$"):
+            PropagatedTransform(tau=1.0, **pair)
+
+
+def test_generator_and_transform_arrays_are_read_only():
+    gen = SolvableGenerator.from_couplings(0.7, -1.1, 0.4, 0.9, 1.2)
+    direct = SolvableGenerator(s=np.array(gen.s), e=gen.e, gamma2=gen.gamma2, tau=gen.tau)
+    arrays = [gen.s, gen._powers, direct.s, direct._powers]
+    for transform in (propagate(gen), PropagatedTransform(a=np.eye(3), b=np.eye(3), tau=1.0)):
+        arrays += [transform.ab, transform.a, transform.b]
+    assert not [array for array in arrays if array.flags.writeable]
 
 
 class TestEvolvedRows:

@@ -116,6 +116,18 @@ class TestMeasurementConstructor:
             LinearSimultaneousMeasurement(probe=probe, rows=rows, tau=1.0)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", range(12))
+    def test_non_finite_row_entry_is_named_at_every_position(self, k, bad):
+        probe = random_pure_probe(np.random.default_rng(0))
+        rows = np.eye(6)[[1, 5]]
+        rows.flat[k] = bad
+        meter, column = ("Mq", "Mp")[k // 6], k % 6
+        message = rf"^meter {meter} has coefficient {bad} in column {column}: it must be finite$"
+        with pytest.raises(ValueError, match=message):
+            LinearSimultaneousMeasurement(probe=probe, rows=rows, tau=1.0)
+
+
 def random_measurement_and_oracle(rng, psi):
     """``random_measurement``'s draw, with the same parts wired by the inline oracle."""
     gen = random_solvable_generator(rng)

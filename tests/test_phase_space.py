@@ -409,6 +409,23 @@ class TestGaussianState:
         with pytest.raises(ValueError, match=f"^mean of '{label}' is {bad}: it must be finite$"):
             GaussianState(modes, mean, np.eye(len(mean)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index, label", enumerate(["Q2", "Q3", "P2", "P3"]))
+    def test_non_finite_probe_mean_is_named_at_every_position(self, index, label, bad):
+        mean = np.zeros(4)
+        mean[index] = bad
+        with pytest.raises(ValueError, match=f"^mean of '{label}' is {bad}: it must be finite$"):
+            GaussianState((2, 3), mean, 0.5 * np.eye(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", range(16))
+    def test_non_finite_probe_cov_is_refused_at_every_position(self, k, bad):
+        cov = 0.5 * np.eye(4)
+        cov.flat[k] = bad
+        message = r"^covariance matrix is not symmetric: non-finite entries$"
+        with pytest.raises(ValueError, match=message):
+            GaussianState((2, 3), np.zeros(4), cov)
+
     @pytest.mark.parametrize("mean, cov", [(np.zeros(3), np.eye(2)), (np.zeros(2), np.eye(3))])
     def test_shape_mismatch_names_both_shapes(self, mean, cov):
         message = re.escape(f"dimension mismatch: 2 labels, mean {mean.shape}, cov {cov.shape}")
