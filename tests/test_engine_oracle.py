@@ -5,11 +5,12 @@ pair evaluated as two separate closed forms, meters as coefficient
 triples, ``psi x probe`` assembled by a mode-layout ``tensor``, the noise
 moments contracted one meter at a time, joint moments one observable
 row at a time, and posterior consistency one triple law at a time, each
-built, checked and conditioned on its own.  Over seeded models
+built, checked and conditioned on its own, and each conditional law
+conditioned by its own fancy-indexed blocks.  Over seeded models
 (criterion-10 generators and probes, the four families over nu in
 (0.01, 0.99), and model-fuzz-style edge nu / sigma1 / hbar) the engine must give the same q-rms errors,
-``TheoremReport`` fields, joint means and covariances and posterior
-consistency reports, and reject the same inputs with the same exception
+``TheoremReport`` fields, joint and conditional means and covariances
+and posterior consistency reports, and reject the same inputs with the same exception
 type and message.  Every contraction keeps its order, so no ulp bound is
 needed.
 """
@@ -31,6 +32,8 @@ from simqp import (
     SolvableGenerator,
     build_model,
     check_theorem_conditions,
+    conditional,
+    joint_distribution,
     make_min_uncertainty_state,
     make_probe_state,
     measurement_from_parts,
@@ -42,14 +45,19 @@ from simqp import (
     solve_couplings,
 )
 from simqp.distributions import PosteriorConsistencyReport, check_posterior_family
-from simqp.dynamics import expm_coefficients
+from simqp.dynamics import evolved_rows, expm_coefficients
 from simqp.measurement import (
     FAMILY_PARAMETERS,
     ErrorPair,
     TheoremReport,
     branciard_ozawa_residual,
 )
-from simqp.phase_space import TOLERANCES, check_close, checked_covariance
+from simqp.phase_space import (
+    TOLERANCES,
+    check_close,
+    checked_covariance,
+    packet_probe_moments,
+)
 
 JOINT_COMMUTATOR_ATOL = METER_COMMUTATOR_ATOL = TOLERANCES["commutator"]
 TRANSFORM_ATOL = TOLERANCES["transform"]
@@ -378,6 +386,86 @@ def test_posterior_consistency_matches_the_oracle(family):
         got = outcome(posterior_consistency, family, nu, psi)
         want = outcome(oracle_posterior_consistency, family, nu, psi)
         assert same(got, want), (nu, psi, got, want)
+
+
+def oracle_conditional(joint, given, values):
+    """The conditional law from ``oracle_conditioning``, built by the public constructor."""
+    given = list(given)
+    values = np.asarray(values, dtype=float)
+    rest, gain, cov = oracle_conditioning(joint, given)
+    for i, value in zip(given, values.tolist()):
+        if not math.isfinite(value):
+            raise ValueError(f"value {value} given for {joint.labels[i]!r} is not finite")
+    mean = joint.mean[rest] + gain @ (values - joint.mean[given])
+    return JointGaussian(labels=tuple(joint.labels[i] for i in rest), mean=mean, cov=cov)
+
+
+def triple_joint(m, psi):
+    """The law of (Q1(tau), Q2(tau), P3(tau)), the first posterior triple."""
+    rows = evolved_rows(m.transform)[[0, 1, 5]]
+    mu, v = packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
+    return joint_distribution(rows, mu, v)
+
+
+def assert_same_conditionals(m, psi, rng):
+    """Each joint of model ``m`` conditioned on one component, the triple on one and on two."""
+    cases = [(builder, given) for builder in (meter_joint, q_pair_joint, p_pair_joint)
+             for given in ((0,), (1,))]
+    cases += [(triple_joint, given) for given in ((0,), (2,), (1, 2))]
+    for builder, given in cases:
+        law = outcome(builder, m, psi)
+        if law[0] != "ok":
+            continue  # the joints themselves are pinned by assert_same_pipeline
+        joint = law[1]
+        sd = np.sqrt(np.diag(joint.cov)[list(given)])
+        values = joint.mean[list(given)] + sd * rng.normal(size=len(given))
+        if rng.random() < 0.05:
+            values[-1] = rng.choice([math.nan, math.inf, -math.inf])
+        got = outcome(conditional, joint, given, values)
+        want = outcome(oracle_conditional, joint, given, values)
+        assert same(got, want), (builder.__name__, given, values, got, want)
+
+
+def test_conditionals_match_the_oracle():
+    rng = np.random.default_rng(8105)
+    for _ in range(300):
+        psi = MinUncertaintyParams(hbar=1.0) if rng.random() < 0.5 else random_psi(rng)
+        model = outcome(
+            measurement_from_parts,
+            random_solvable_generator(rng),
+            random_pure_probe(rng, psi.hbar),
+        )
+        if model[0] == "ok":
+            assert_same_conditionals(model[1], psi, rng)
+    for family in FAMILIES:
+        for k in range(200):
+            edge = k % 4 == 0
+            nu = edge_nu(rng) if edge else float(rng.uniform(0.01, 0.99))
+            psi = edge_psi(rng) if edge else random_psi(rng)
+            model = outcome(build_model, family, nu, psi)
+            if model[0] == "ok":
+                assert_same_conditionals(model[1], psi, rng)
+
+
+# laws at the edge of the singular-block test: a zero, a tiny negative and
+# a subnormal variance, perfectly correlated pairs, and a singular 2x2 block
+SINGULAR_EDGE_LAWS = [
+    ([[1.0, 0.0], [0.0, 0.0]], (1,)),
+    ([[1.0, 0.0], [0.0, -1e-13]], (1,)),
+    ([[1.0, 0.0], [0.0, 5e-324]], (1,)),
+    ([[1.0, 1.0], [1.0, 1.0]], (1,)),
+    ([[4.0, -2.0], [-2.0, 1.0]], (0,)),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]], (1, 2)),
+    ([[2.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]], (1, 2)),
+]
+
+
+@pytest.mark.parametrize("cov, given", SINGULAR_EDGE_LAWS)
+def test_conditionals_at_a_singular_edge_match_the_oracle(cov, given):
+    joint = JointGaussian(labels=("a", "b", "c")[: len(cov)], mean=np.zeros(len(cov)), cov=cov)
+    values = np.full(len(given), 0.5)
+    assert same(outcome(conditional, joint, given, values),
+                outcome(oracle_conditional, joint, given, values))
 
 
 def test_oracle_rejects_a_mismatched_hbar_like_the_engine():
