@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import evolved_rows
 from .measurement import (
     POSTERIOR_FAMILIES,
     LinearSimultaneousMeasurement,
@@ -29,13 +28,14 @@ from .phase_space import (
     _checked_moments,
     _diagonal_state,
     _square,
+    all_finite,
+    check_symmetric_covariance,
     checked_covariance,
     checked_variances,
     exceeds,
     make_min_uncertainty_state,
     packet_probe_moments,
     row_moments,
-    symplectic_products,
 )
 
 
@@ -43,21 +43,24 @@ class NonCommutingObservablesError(ValueError):
     """A joint distribution was requested for a non-commuting pair."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class JointGaussian:
     """Gaussian law of a list of commuting observables.
 
     The characteristic function is
     ``exp(i <m, k> - <k, V k> / 2)`` for mean ``m`` and covariance ``V``.
+    The constructor runs every check of ``_checked_moments``; the laws
+    this module builds are checked as they are built instead.
     """
 
     labels: tuple
     mean: np.ndarray
     cov: np.ndarray
 
-    def __post_init__(self):
-        labels = tuple(str(name) for name in self.labels)
-        mean, cov = _checked_moments(self.mean, self.cov, labels, "psd_law")
+    def __init__(self, labels, mean, cov):
+        labels = tuple(str(name) for name in labels)
+        mean, cov = _checked_moments(mean, cov, labels, "psd_law")
+        # frozen: the fields go in through the instance dict
         vars(self).update(labels=labels, mean=mean, cov=cov)
 
     @property
@@ -65,10 +68,25 @@ class JointGaussian:
         return len(self.labels)
 
 
+def _law(labels: tuple, mean: np.ndarray, cov: np.ndarray) -> JointGaussian:
+    """The law of moments that have passed the checks, as arrays the caller
+    owns: they are made read-only and ``__init__``'s checks are skipped."""
+    mean.setflags(write=False)
+    cov.setflags(write=False)
+    law = object.__new__(JointGaussian)
+    vars(law).update(labels=labels, mean=mean, cov=cov)
+    return law
+
+
 def joint_distribution(
     rows: np.ndarray, mean: np.ndarray, cov: np.ndarray, labels=None
 ) -> JointGaussian:
     """Joint Gaussian law of mutually commuting rows in a state ``(mean, cov)``.
+
+    The law gets every check of the :class:`JointGaussian` constructor.
+    Its covariance is mirrored from one triangle by :func:`row_moments`,
+    so it is its own symmetrization and goes straight to
+    :func:`check_symmetric_covariance`.
 
     Args:
         rows: ``(k, n)`` block, one observable per row on the state's ``n``
@@ -95,16 +113,32 @@ def joint_distribution(
         raise ValueError(
             f"dimension mismatch: {len(labels)} labels for {len(rows)} rows"
         )
-    _check_commuting(symplectic_products(rows), labels)
-    mean, cov = row_moments(rows, mean, cov)
-    return JointGaussian(labels=labels, mean=mean, cov=cov)
+    half = rows.shape[-1] // 2
+    qp = rows[..., :half] @ np.swapaxes(rows[..., half:], -1, -2)
+    _check_commuting(qp.tolist(), labels)
+    means, cov = row_moments(rows, mean, cov)
+    d = len(labels)
+    if means.shape != (d,) or cov.shape != (d, d):
+        raise ValueError(
+            f"dimension mismatch: {d} labels, mean {means.shape}, cov {cov.shape}"
+        )
+    check_symmetric_covariance(cov, [cov.ravel().tolist()], "psd_law")
+    labels = tuple(str(name) for name in labels)
+    _check_finite_mean(means.tolist(), labels)
+    return _law(labels, means, cov)
 
 
-def _check_commuting(products: np.ndarray, labels) -> None:
-    """Raise naming the first pair whose ``R Omega R^T`` entry exceeds ``commutator``."""
-    for i in range(len(products)):
-        for j in range(i + 1, len(products)):
-            c = float(products[i, j])
+def _check_commuting(qp: list, labels) -> None:
+    """Raise naming the first pair of rows that do not commute.
+
+    ``qp`` is ``Q P^T`` for the position halves ``Q`` and momentum halves
+    ``P`` of the rows, as nested floats, so the ``R Omega R^T`` entry of
+    rows ``i`` and ``j`` is ``qp[i][j] - qp[j][i]``; it is held to the
+    ``commutator`` entry.
+    """
+    for i in range(len(qp)):
+        for j in range(i + 1, len(qp)):
+            c = qp[i][j] - qp[j][i]
             if exceeds("commutator", c):
                 raise NonCommutingObservablesError(
                     f"observables {labels[i]!r} and {labels[j]!r} do not "
@@ -112,17 +146,9 @@ def _check_commuting(products: np.ndarray, labels) -> None:
                 )
 
 
-def _conditioning(cov: np.ndarray, given: list) -> tuple:
-    """Condition a stack of laws on ``given``: returns ``(rest, gain, schur_cov)``.
-
-    ``cov`` has shape ``(..., d, d)``, one covariance per law.  At values
-    ``y`` of the given components, a law's ``rest`` have mean
-    ``mean[rest] + gain @ (y - mean[given])`` and covariance ``schur_cov``.
-    One gather reorders each covariance as ``[[V_rr, V_rg], [V_gr, V_gg]]``
-    and the blocks are views of it.  ``given`` must hold distinct integers
-    in ``range(d)``.
-    """
-    dim = cov.shape[-1]
+def _rest(given: list, dim: int) -> list:
+    """The components left by conditioning on ``given``, which must hold
+    distinct integers in ``range(dim)`` and leave at least one."""
     seen = set()
     for i in given:
         integer = isinstance(i, (int, np.integer)) and not isinstance(i, bool)
@@ -134,6 +160,19 @@ def _conditioning(cov: np.ndarray, given: list) -> tuple:
     rest = [i for i in range(dim) if i not in seen]
     if not rest:
         raise ValueError("conditioning on every component leaves nothing")
+    return rest
+
+
+def _conditioning(cov: np.ndarray, given: list) -> tuple:
+    """Condition a stack of laws on ``given``: returns ``(rest, gain, schur_cov)``.
+
+    ``cov`` has shape ``(..., d, d)``, one covariance per law.  At values
+    ``y`` of the given components, a law's ``rest`` have mean
+    ``mean[rest] + gain @ (y - mean[given])`` and covariance ``schur_cov``.
+    One gather reorders each covariance as ``[[V_rr, V_rg], [V_gr, V_gg]]``
+    and the blocks are views of it.
+    """
+    rest = _rest(given, cov.shape[-1])
     order = np.array(rest + given)
     block = cov[..., order[:, None], order]
     r = len(rest)
@@ -152,7 +191,8 @@ def conditional(joint: JointGaussian, given, values) -> JointGaussian:
 
     Standard Gaussian conditioning: the conditional mean is affine in the
     observed values, the conditional covariance is the Schur complement
-    and does not depend on them.
+    and does not depend on them.  A pair conditioned on one component is
+    decided without a factorisation (:func:`_condition_pair`).
 
     Args:
         given: indices of the observed components.
@@ -160,23 +200,72 @@ def conditional(joint: JointGaussian, given, values) -> JointGaussian:
 
     Raises:
         ValueError: if an index is repeated or not an integer in
-            ``range(joint.dim)``, if a value is not finite, or if the
-            conditioned block is singular.
+            ``range(joint.dim)``, if the conditioned block is singular, if
+            a value is not finite, or naming the values whose conditional
+            mean overflows float64.
     """
     given = list(given)
     values = np.asarray(values, dtype=float)
     if values.shape != (len(given),):
         raise ValueError(f"expected {len(given)} values, got shape {values.shape}")
+    if len(given) == 1 and joint.dim == 2:
+        return _condition_pair(joint, given, values.tolist())
     rest, gain, cov = _conditioning(joint.cov, given)
-    for i, value in zip(given, values.tolist()):
+    floats = values.tolist()
+    _check_given_values(joint, given, floats)
+    cov = checked_covariance(cov, "psd_law")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
+        mean = joint.mean[rest] + gain @ (values - joint.mean[given])
+    return _conditional_law(joint, given, floats, rest, mean, cov)
+
+
+def _condition_pair(joint: JointGaussian, given: list, values: list) -> JointGaussian:
+    """:func:`conditional` of a two-component law on one component, on floats.
+
+    Both blocks are 1x1, so no ``numpy.linalg`` call is needed: the given
+    variance passes the Cholesky test exactly when ``v > 0`` (which fails
+    NaN), ``np.linalg.solve`` for its single right-hand side is one
+    division, a one-term matmul is ``0.0 +`` its product, and the Schur
+    complement is its own eigenvalue.  Every value has the bits of the
+    stacked path, as ``tests/test_engine_oracle.py`` checks.
+    """
+    (g,), (value,) = given, values
+    (r,) = _rest(given, 2)
+    v = joint.cov.tolist()
+    if not v[g][g] > 0.0:
+        raise ValueError("conditioned block is singular; cannot condition on it")
+    gain = v[r][g] / v[g][g]
+    schur = [[v[r][r] - (gain * v[r][g] + 0.0)]]  # also its one matrix's flat entries
+    _check_given_values(joint, given, values)
+    cov = np.array(schur)
+    check_symmetric_covariance(cov, schur, "psd_law")
+    m = joint.mean.tolist()
+    mean = m[r] + (gain * (value - m[g]) + 0.0)
+    return _conditional_law(joint, given, values, [r], np.array([mean]), cov)
+
+
+def _check_given_values(joint: JointGaussian, given: list, values: list) -> None:
+    for i, value in zip(given, values):
         if not math.isfinite(value):
             raise ValueError(
                 f"value {value} given for {joint.labels[i]!r} is not finite"
             )
-    mean = joint.mean[rest] + gain @ (values - joint.mean[given])
-    return JointGaussian(
-        labels=tuple(joint.labels[i] for i in rest), mean=mean, cov=cov
-    )
+
+
+def _conditional_law(joint, given, values, rest, mean, cov) -> JointGaussian:
+    """The law of ``rest`` at the checked ``cov``, naming the given values if
+    the mean overflowed (the joint's mean and the values are finite)."""
+    labels = tuple(joint.labels[i] for i in rest)
+    for label, m in zip(labels, mean.tolist()):
+        if not math.isfinite(m):
+            given_text = ", ".join(
+                f"{joint.labels[i]!r} = {value:g}" for i, value in zip(given, values)
+            )
+            raise ValueError(
+                f"conditioning on {given_text} overflows float64: the "
+                f"conditional mean of {label!r} is {m}"
+            )
+    return _law(labels, mean, cov)
 
 
 def gauss_error(joint: JointGaussian, i: int = 0, j: int = 1) -> float:
@@ -334,20 +423,17 @@ class PosteriorConsistencyReport:
         return max(self.max_mean_deviation, self.max_var_deviation)
 
 
-def _default_outcome_grid(mean: np.ndarray, cov: np.ndarray) -> list:
-    """3x3 grid at the means +/- one spread of the meters, the law's last two."""
-    mean = mean[-2:]
-    sd = np.sqrt(np.diag(cov)[-2:])
+def _default_outcome_grid(mean: list, cov: list) -> list:
+    """3x3 grid at the means +/- one spread of the meters, the law's last two.
+
+    ``mean`` and ``cov`` are one triple law's mean and flat 3x3 covariance
+    as floats.
+    """
+    (_, z, w), sd_z, sd_w = mean, math.sqrt(cov[4]), math.sqrt(cov[8])
     return [
-        (mean[0] + dz * sd[0], mean[1] + dw * sd[1])
-        for dz in (-1.0, 0.0, 1.0)
-        for dw in (-1.0, 0.0, 1.0)
+        (z + dz * sd_z, w + dw * sd_w) for dz in (-1.0, 0.0, 1.0) for dw in (-1.0, 0.0, 1.0)
     ]
 
-
-#: evolved rows of (Q1(tau), Q2(tau), P3(tau)) and (P1(tau), Q2(tau), P3(tau))
-_POSTERIOR_TRIPLES = np.array([[0, 1, 5], [3, 1, 5]])
-_POSTERIOR_TRIPLES.setflags(write=False)
 
 _TRIPLE_LABELS = ("f0", "f1", "f2")
 
@@ -366,7 +452,8 @@ def posterior_consistency(
     complement per triple serves every outcome), and compares the
     conditional mean/variance at each outcome y = (z, w) with the
     posterior family.  Each triple gets every check a
-    :func:`joint_distribution` law gets.
+    :func:`joint_distribution` law gets, and each 1x1 Schur complement is
+    its own eigenvalue.
 
     Args:
         family: one of the families with a known posterior family.
@@ -380,16 +467,21 @@ def posterior_consistency(
     """
     check_posterior_family(family)
     m = build_model(family, nu, psi)
-    rows = evolved_rows(m.transform).take(_POSTERIOR_TRIPLES, axis=0)
-    for products in symplectic_products(rows):
-        _check_commuting(products, _TRIPLE_LABELS)
+    rows = np.zeros((2, 3, 6))
+    rows[0, 0, :3] = m.transform.a[0]  # Q1(tau): row 0 of A on the positions
+    rows[1, 0, 3:] = m.transform.b[0]  # P1(tau): row 0 of B on the momenta
+    rows[:, 1:] = m.rows  # the meters Q2(tau) and P3(tau)
+    for qp in (rows[..., :3] @ rows[..., 3:].swapaxes(-1, -2)).tolist():
+        _check_commuting(qp, _TRIPLE_LABELS)
     mu, v = packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
     means, covs = row_moments(rows, mu, v)
-    covs = checked_covariance(covs, "psd_law")
-    for mean in means.tolist():
+    matrices = covs.reshape(2, 9).tolist()
+    check_symmetric_covariance(covs, matrices, "psd_law")
+    triple_means = means.tolist()
+    for mean in triple_means:
         _check_finite_mean(mean, _TRIPLE_LABELS)
     if outcomes is None:
-        outcomes = _default_outcome_grid(means[0], covs[0])
+        outcomes = _default_outcome_grid(triple_means[0], matrices[0])
     y = np.array([(z, w) for z, w in outcomes], dtype=float).reshape(-1, 2)
     for z, w in y.tolist():
         if not (math.isfinite(z) and math.isfinite(w)):
@@ -400,14 +492,16 @@ def posterior_consistency(
     fam = PosteriorFamily(nu=nu, psi=psi)
 
     _, gain, schur_cov = _conditioning(covs, [1, 2])
-    var = checked_covariance(schur_cov, "psd_law")[:, 0, 0]
+    var = schur_cov.reshape(2, 1).tolist()
+    check_symmetric_covariance(schur_cov, var, "psd_law")
     with np.errstate(over="ignore", invalid="ignore"):
         # each triple's conditional target mean at every outcome, shape (2, len(y))
         mean = means[:, :1] + ((y - means[:, None, 1:]) @ gain[:, 0, :, None])[..., 0]
-        deviation = abs(mean - fam.mean_map(y.T))
-    max_mean_dev = np.maximum.reduce(deviation, None, initial=0.0)
-    if not math.isfinite(max_mean_dev):
-        z, w = y[~np.isfinite(deviation).all(axis=0)][0].tolist()
+        deviation = abs(mean - fam.mean_map(y.T)).tolist()
+    gaps = deviation[0] + deviation[1]
+    if not all_finite(gaps):
+        k = next(k for k, pair in enumerate(zip(*deviation)) if not all_finite(pair))
+        z, w = y[k].tolist()
         raise ValueError(
             f"outcome (z, w) = ({z:g}, {w:g}) is too large: its conditional mean, "
             f"or that mean's gap to the posterior family's, overflows float64 "
@@ -415,12 +509,12 @@ def posterior_consistency(
         )
     max_var_dev = 0.0
     if len(y):
-        max_var_dev = max(abs(var - (fam.var_q, fam.var_p)).tolist())
+        max_var_dev = max(abs(var[0][0] - fam.var_q), abs(var[1][0] - fam.var_p))
     return PosteriorConsistencyReport(
         family=family,
         nu=nu,
         n_outcomes=len(y),
-        max_mean_deviation=float(max_mean_dev),
+        max_mean_deviation=max(gaps, default=0.0),
         max_var_deviation=max_var_dev,
     )
 

@@ -73,7 +73,7 @@ class SolvableGenerator:
             raise ValueError(
                 f"coupling products differ: a1*b1={prod:g}, a3*b3={a3 * b3:g}"
             )
-        if exceeds("identity", prod + (g2**2 + e) / 2.0, max(1.0, abs(prod))):
+        if exceeds("identity", prod + (_gamma2_squared(g2) + e) / 2.0, max(1.0, abs(prod))):
             raise ValueError(
                 f"E={e:g} is inconsistent with a1*b1={prod:g} and gamma2={g2:g}"
             )
@@ -101,12 +101,21 @@ class SolvableGenerator:
         """
         if alpha1 == 0.0 or alpha3 == 0.0:
             raise ValueError("alpha1 and alpha3 must be nonzero")
-        prod = -(gamma2**2 + e) / 2.0
+        prod = -(_gamma2_squared(gamma2) + e) / 2.0
         b1 = prod / alpha1
         b3 = prod / alpha3
         # one flat tuple: numpy reads it faster than nested rows
         s = np.array((0.0, b1, alpha3, alpha1, gamma2, 0.0, b3, 0.0, -gamma2))
         return cls(s.reshape(3, 3), e, gamma2, tau)
+
+
+def _gamma2_squared(gamma2: float) -> float:
+    """``gamma2**2``, refusing by name a finite ``gamma2`` whose square
+    overflows float64 (an infinite one is refused as not finite)."""
+    square = _square(gamma2)
+    if math.isinf(square) and math.isfinite(gamma2):
+        raise ValueError(f"gamma2 = {gamma2:g} is too large: its square overflows float64")
+    return square
 
 
 def expm_coefficients(e: float, t: float) -> tuple:

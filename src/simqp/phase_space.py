@@ -8,11 +8,10 @@ R^{6x6}, with the packet at slots [0, 3] and the probe at [1, 2, 4, 5].
 The packet (mode 1) and the probe (modes 2, 3) order their mean and
 covariance as (all Q's, then all P's) with modes ascending;
 :func:`packet_probe_moments` is the one place that writes them into the
-global slots.  The row kernels :func:`row_moments` and
-:func:`symplectic_products` and the covariance check
-:func:`checked_covariance` used across the package work on any leading
-axes.  Every pass/fail threshold of the package is an entry of
-:data:`TOLERANCES`.
+global slots.  The row kernel :func:`row_moments` and the covariance
+checks :func:`checked_covariance` and :func:`check_symmetric_covariance`
+used across the package work on any leading axes.  Every pass/fail
+threshold of the package is an entry of :data:`TOLERANCES`.
 """
 
 from __future__ import annotations
@@ -103,42 +102,72 @@ def checked_covariance(cov: np.ndarray, psd: str) -> np.ndarray:
     ``psd`` entry times ``max(1, top eigenvalue)``.  The per-matrix
     decisions run on Python floats, cheaper than numpy reductions for a
     state's few entries.  A stack equal to its transpose bit for bit is its
-    own symmetrization, so it is copied instead of averaged.
+    own symmetrization, so it is copied and passed to
+    :func:`check_symmetric_covariance` instead of averaged.
     """
     n = cov.shape[-1]
     transposed = cov.swapaxes(-1, -2)
-    symmetric = cov.tobytes() == transposed.tobytes()
-    for entries in cov.reshape(-1, n * n).tolist():
+    matrices = cov.reshape(-1, n * n).tolist()
+    if cov.tobytes() == transposed.tobytes():
+        cov = cov.copy()
+        check_symmetric_covariance(cov, matrices, psd)
+        cov.setflags(write=False)
+        return cov
+    for entries in matrices:
         # cov - cov^T: exactly antisymmetric, so its largest entry is its
-        # largest magnitude, and non-finite where an entry is or a gap
-        # overflows; in a bit-symmetric stack it is 0 where an entry is finite
-        deviation = entries
-        if not symmetric:
-            mirror = [x for column in range(n) for x in entries[column::n]]
-            deviation = list(map(operator.sub, entries, mirror))
+        # largest magnitude, and non-finite where an entry is or a gap overflows
+        mirror = [x for column in range(n) for x in entries[column::n]]
+        deviation = list(map(operator.sub, entries, mirror))
         if not all_finite(deviation):
             raise ValueError("covariance matrix is not symmetric: non-finite entries")
         largest = max(map(abs, entries))
-        if not symmetric:
-            worst = max(deviation)
-            if exceeds("symmetry", worst, max(1.0, largest)):
-                raise ValueError(
-                    f"covariance matrix is not symmetric (max deviation {worst:g})"
-                )
-        if largest >= _SYMMETRISE_LIMIT:
+        worst = max(deviation)
+        if exceeds("symmetry", worst, max(1.0, largest)):
             raise ValueError(
-                f"covariance matrix entry {largest:g} is too large: "
-                "symmetrising it overflows float64"
+                f"covariance matrix is not symmetric (max deviation {worst:g})"
             )
-    cov = cov.copy() if symmetric else 0.5 * (cov + transposed)
-    for eigvals in np.linalg.eigvalsh(cov).reshape(-1, n).tolist():  # ascending
+        _check_below_limit(largest)
+    cov = 0.5 * (cov + transposed)
+    _check_spectra(np.linalg.eigvalsh(cov).reshape(-1, n).tolist(), psd)
+    cov.setflags(write=False)
+    return cov
+
+
+def check_symmetric_covariance(cov: np.ndarray, matrices: list, psd: str) -> None:
+    """Raise unless the stack ``cov`` passes :func:`checked_covariance`.
+
+    ``cov`` has shape ``(..., n, n)`` and equals its transpose bit for bit,
+    as a mirrored :func:`row_moments` covariance or a 1x1 matrix does, and
+    ``matrices`` holds each of its matrices as a flat list of floats.  Each
+    matrix is held finite, below 2**1023 and PSD to the ``psd`` entry; the
+    symmetry check has nothing to find.  A 1x1 matrix is its own
+    eigenvalue, as LAPACK returns it, so ``eigvalsh`` runs only for n > 1.
+    """
+    for entries in matrices:
+        if not all_finite(entries):
+            raise ValueError("covariance matrix is not symmetric: non-finite entries")
+        _check_below_limit(max(map(abs, entries)))
+    n = cov.shape[-1]
+    spectra = matrices if n == 1 else np.linalg.eigvalsh(cov).reshape(-1, n).tolist()
+    _check_spectra(spectra, psd)
+
+
+def _check_below_limit(largest: float) -> None:
+    if largest >= _SYMMETRISE_LIMIT:
+        raise ValueError(
+            f"covariance matrix entry {largest:g} is too large: "
+            "symmetrising it overflows float64"
+        )
+
+
+def _check_spectra(spectra: list, psd: str) -> None:
+    """Raise unless each ascending list of eigenvalues is PSD to the ``psd`` entry."""
+    for eigvals in spectra:
         if eigvals[0] < -TOLERANCES[psd] * max(1.0, eigvals[-1]):
             raise ValueError(
                 f"covariance matrix is not positive semidefinite "
                 f"(smallest eigenvalue {eigvals[0]:g})"
             )
-    cov.setflags(write=False)
-    return cov
 
 
 def _check_finite_mean(mean: list, labels) -> None:
@@ -336,17 +365,6 @@ def quadratic_forms(rows: np.ndarray, cov: np.ndarray) -> list:
     """``r @ cov @ r`` as floats for each row ``r`` of the C-contiguous ``(k, n)``
     ``rows`` (a strided row would be summed in another order)."""
     return (rows[:, None, :] @ cov @ rows[:, :, None]).ravel().tolist()
-
-
-def symplectic_products(rows: np.ndarray) -> np.ndarray:
-    """``R Omega R^T``: entry ``(i, j)`` is ``c`` in ``[r_i, r_j] = i hbar c``.
-
-    ``rows`` has shape ``(..., k, 2m)`` in a (Q..., P...) order, whose
-    symplectic form is ``Omega = [[0, I], [-I, 0]]``.
-    """
-    half = rows.shape[-1] // 2
-    qp = rows[..., :half] @ np.swapaxes(rows[..., half:], -1, -2)
-    return qp - np.swapaxes(qp, -1, -2)
 
 
 @functools.lru_cache(maxsize=None)  # keyed by row count, a few entries

@@ -35,6 +35,17 @@ OMEGA = np.block(
 )
 
 
+def symplectic_products(rows: np.ndarray) -> np.ndarray:
+    """``R Omega R^T``: entry ``(i, j)`` is ``c`` in ``[r_i, r_j] = i hbar c``.
+
+    ``rows`` has shape ``(..., k, 2m)`` in a (Q..., P...) order, whose
+    symplectic form is ``Omega = [[0, I], [-I, 0]]``.
+    """
+    half = rows.shape[-1] // 2
+    qp = rows[..., :half] @ np.swapaxes(rows[..., half:], -1, -2)
+    return qp - np.swapaxes(qp, -1, -2)
+
+
 def random_solvable_generator(rng) -> SolvableGenerator:
     """Random member of the closed-form-solvable generator class."""
     gamma2 = rng.uniform(-1.5, 1.5)

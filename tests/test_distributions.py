@@ -230,6 +230,29 @@ class TestConditional:
         with pytest.raises(ValueError, match=message):
             conditional(joint, given=(1,), values=(bad,))
 
+    @pytest.mark.parametrize(
+        "builder, given, values, named",
+        [
+            (q_pair_joint, (0,), (1.7e308,), ("'Q1(0)' = 1.7e+308", "Q2(tau)")),
+            (q_pair_joint, (1,), (1.7e308,), ("'Q2(tau)' = 1.7e+308", "Q1(0)")),
+            (p_pair_joint, (1,), (1e308,), ("'P3(tau)' = 1e+308", "P1(0)")),
+            (triple_joint, (1,), (1.7e308,), ("'f1' = 1.7e+308", "f0")),
+            (triple_joint, (1, 2), (1.7e308, 0.0), ("'f1' = 1.7e+308, 'f2' = 0", "f0")),
+        ],
+        ids=["q-pair-target", "q-pair-meter", "p-pair-meter", "triple-one", "triple-both"],
+    )
+    def test_overflowing_mean_is_refused_naming_the_values(self, builder, given, values, named):
+        # the suite turns numpy's overflow RuntimeWarning into an error
+        psi = MinUncertaintyParams(q1=-1.5e308, p1=-1.5e308)
+        joint = builder(build_model(ModelFamily.Y0, 0.5, psi), psi)
+        given_text, label = named
+        message = (
+            f"conditioning on {given_text} overflows float64: "
+            f"the conditional mean of '{label}' is inf"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            conditional(joint, given=given, values=values)
+
     @pytest.mark.parametrize("given", [(0,), (2,), (1, 2), (2, 0)])
     def test_a_stack_conditions_like_each_law_alone(self, given):
         rng = np.random.default_rng(sum(given) + 10 * len(given))

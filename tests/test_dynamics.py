@@ -19,6 +19,7 @@ from conftest import (
     frozen_transform_b,
     numeric_expm,
     random_solvable_generator,
+    symplectic_products,
 )
 
 from simqp import (
@@ -30,7 +31,6 @@ from simqp import (
     solve_couplings,
 )
 from simqp.dynamics import expm_coefficients
-from simqp.phase_space import symplectic_products
 
 FAMILY_TAUS = {
     ModelFamily.X: math.pi / 2.0,
@@ -152,6 +152,22 @@ class TestSolvableGenerator:
         # the suite turns a RuntimeWarning into an error, so none may escape either
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+    @pytest.mark.parametrize("gamma2", [1e200, 1e160])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g2: SolvableGenerator.from_couplings(1.0, 1.0, g2, 0.0, 1.0),
+            lambda g2: SolvableGenerator(
+                s=[[0.0, 1.0, 1.0], [1.0, g2, 0.0], [1.0, 0.0, -g2]], e=0.0, gamma2=g2, tau=1.0
+            ),
+        ],
+        ids=["from-couplings", "init"],
+    )
+    def test_gamma2_whose_square_overflows_is_refused_by_name(self, build, gamma2):
+        message = f"gamma2 = {gamma2:g} is too large: its square overflows float64"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(gamma2)
 
     def test_rejects_non_finite_e(self):
         s = frozen_generator(ModelFamily.X, 0.5)

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import symplectic_products
+
 from simqp import (
     GaussianState,
     MinUncertaintyParams,
@@ -24,7 +26,6 @@ from simqp.phase_space import (
     checked_covariance,
     packet_probe_moments,
     row_moments,
-    symplectic_products,
 )
 
 PSD_RTOL = TOLERANCES["psd_state"]

@@ -29,6 +29,8 @@ from simqp import (
     build_model,
     check_theorem_conditions,
     conditional,
+    evolved_rows,
+    joint_distribution,
     make_min_uncertainty_state,
     make_probe_state,
     measurement_from_parts,
@@ -135,11 +137,23 @@ def test_posterior_state_checks_nothing(linalg_shapes):
 
 @pytest.mark.parametrize("builder", [meter_joint, q_pair_joint, p_pair_joint])
 def test_conditional_factors_once(linalg_shapes, builder):
-    # one Cholesky as the singularity test, one solve for the gain, and the
-    # check of the conditional law's covariance
+    # a pair conditioned on one component has 1x1 blocks only: its Cholesky
+    # test, solve and eigenvalue are read off the entries
     joint = builder(MODELS["z"], PSI)
     counts = call_counts(linalg_shapes, conditional, joint, given=(1,), values=(0.2,))
+    assert counts == NONE
+
+
+def test_conditional_of_a_triple_factors_once(linalg_shapes):
+    # one Cholesky as the singularity test, one solve for the gain, and the
+    # check of the 2x2 conditional law's covariance
+    model = MODELS["z"]
+    rows = evolved_rows(model.transform)[[0, 1, 5]]
+    state = packet_probe_moments(make_min_uncertainty_state(PSI), model.probe)
+    joint = joint_distribution(rows, *state)
+    counts = call_counts(linalg_shapes, conditional, joint, given=(1,), values=(0.2,))
     assert counts == {**NONE, "eigvalsh": 1, "cholesky": 1, "solve": 1}
+    assert linalg_shapes["eigvalsh"] == [(2, 2)]
 
 
 @pytest.mark.parametrize("builder", [meter_joint, q_pair_joint, p_pair_joint])
@@ -152,15 +166,16 @@ def test_joint_laws_check_only_the_joint(eigvalsh_shapes, builder, family):
 @pytest.mark.parametrize("family", [ModelFamily.Y0, ModelFamily.Z])
 def test_posterior_consistency_checks_each_law_once(linalg_shapes, family):
     counts = call_counts(linalg_shapes, posterior_consistency, family, 0.37, PSI)
-    # the two triple joints and their two Schur complements; no (6, 6)
-    # product re-check and no eigen-check of the diagonal probe
-    assert sorted(linalg_shapes["eigvalsh"]) == [(1, 1), (1, 1), (3, 3), (3, 3)]
+    # the two triple joints; their two 1x1 Schur complements are their own
+    # eigenvalues, and there is no (6, 6) product re-check and no
+    # eigen-check of the diagonal probe
+    assert linalg_shapes["eigvalsh"] == [(3, 3), (3, 3)]
     # [A, B] once, and each triple's meter block factored once
-    assert counts == {"eigvalsh": 4, "det": 2, "cholesky": 2, "solve": 2}
+    assert counts == {"eigvalsh": 2, "det": 2, "cholesky": 2, "solve": 2}
     assert linalg_shapes["cholesky"] == linalg_shapes["solve"] == [(2, 2), (2, 2)]
     # the two triples share one stacked call per step
     assert {name: len(shapes) for name, shapes in linalg_shapes.calls.items()} == {
-        "eigvalsh": 2, "det": 1, "cholesky": 1, "solve": 1
+        "eigvalsh": 1, "det": 1, "cholesky": 1, "solve": 1
     }
 
 
