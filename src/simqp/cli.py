@@ -440,15 +440,18 @@ def cmd_frontier(cfg: RunConfig) -> int:
     for nu in cfg.nu_grid:
         eps_q = math.sqrt(1.0 - nu) * psi.sigma_q
         eps_p = math.sqrt(nu) * psi.sigma_p
-        rows.append(
-            [nu, eps_q, eps_p, (psi.hbar / 2.0) / eps_q, (psi.hbar / 4.0) / eps_q]
-        )
+        # at a subnormal sigma1 eps_q rounds to 0: the table refuses the infinite hyperbolas
+        hyperbolas = [h / eps_q if eps_q else math.inf for h in (psi.hbar / 2, psi.hbar / 4)]
+        rows.append([nu, eps_q, eps_p, *hyperbolas])
     _write_table(cfg, header, rows)
     return 0
 
 
 def cmd_sample(cfg: RunConfig, which: str, n: int) -> int:
-    """Draw from one of the named joints; samples to --out, summary to stdout."""
+    """Draw from one of the named joints; samples to --out, summary to stdout.
+
+    A summary value past float64 is refused by name before anything is written.
+    """
     if which not in JOINT_BUILDERS:
         raise ValueError(
             f"unknown joint {which!r} (expected one of {sorted(JOINT_BUILDERS)})"
@@ -462,15 +465,13 @@ def cmd_sample(cfg: RunConfig, which: str, n: int) -> int:
     joint = JOINT_BUILDERS[which](model, cfg.psi)
     draws = sample(joint, n, cfg.seed)
 
-    if cfg.output_path is not None:
-        _write_csv(cfg.output_path, joint.labels, draws)
-
-    emp_mean = draws.mean(axis=0)
-    emp_cov = np.cov(draws.T, ddof=1).tolist() if n > 1 else None
-    diff = draws[:, 0] - draws[:, 1]
-    emp_gauss = math.sqrt(float(np.mean(diff**2)))
-    sd = np.sqrt(np.diag(joint.cov))
-    z_scores = (emp_mean - joint.mean) / (sd / math.sqrt(n))
+    with np.errstate(all="ignore"):  # a value past float64 is refused below, by name
+        emp_mean = draws.mean(axis=0)
+        emp_cov = np.cov(draws.T, ddof=1).tolist() if n > 1 else None
+        diff = draws[:, 0] - draws[:, 1]
+        emp_gauss = math.sqrt(float(np.mean(diff**2)))
+        sd = np.sqrt(np.diag(joint.cov))
+        z_scores = (emp_mean - joint.mean) / (sd / math.sqrt(n))
     summary = {
         "which": which,
         "family": cfg.family.value,
@@ -487,6 +488,17 @@ def cmd_sample(cfg: RunConfig, which: str, n: int) -> int:
         "mean_z_scores": z_scores.tolist(),
         "low_confidence": n < 100,
     }
+    for name in ("empirical_mean", "empirical_cov", "empirical_gauss_error",
+                 "analytic_gauss_error", "mean_z_scores"):
+        if not np.isfinite(summary[name] or 0.0).all():  # empirical_cov is None at n = 1
+            psi = cfg.psi
+            raise ValueError(
+                f"the summary's {name} overflows float64 (which={which}, family="
+                f"{cfg.family.value}, nu={nu:g}, n={n}, q1={psi.q1:g}, p1={psi.p1:g}, "
+                f"sigma1={psi.sigma1:g}, hbar={psi.hbar:g})"
+            )
+    if cfg.output_path is not None:
+        _write_csv(cfg.output_path, joint.labels, draws)
     sys.stdout.write(_json(summary))
     return 0
 

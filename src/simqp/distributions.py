@@ -10,7 +10,7 @@ per-outcome post-measurement states and their region-restricted mixtures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,12 +81,8 @@ def _law(labels: tuple, mean: np.ndarray, cov: np.ndarray) -> JointGaussian:
 def joint_distribution(
     rows: np.ndarray, mean: np.ndarray, cov: np.ndarray, labels=None
 ) -> JointGaussian:
-    """Joint Gaussian law of mutually commuting rows in a state ``(mean, cov)``.
-
-    The law gets every check of the :class:`JointGaussian` constructor.
-    Its covariance is mirrored from one triangle by :func:`row_moments`,
-    so it is its own symmetrization and goes straight to
-    :func:`check_symmetric_covariance`.
+    """Joint Gaussian law of mutually commuting rows in a state ``(mean, cov)``,
+    checked by :func:`_checked_laws`.
 
     Args:
         rows: ``(k, n)`` block, one observable per row on the state's ``n``
@@ -98,44 +94,55 @@ def joint_distribution(
     Raises:
         NonCommutingObservablesError: naming the offending pair and its
             commutator coefficient.
-        ValueError: if ``labels`` does not name each row once, or if the
-            rows' width is not the state's coordinate count.
+        ValueError: if ``rows`` is not one 2-D block, if ``labels`` does
+            not name each row once, or if the rows' width is not the
+            state's coordinate count.
+    """
+    if rows.ndim != 2:
+        raise ValueError(f"rows must be one (k, n) block, got shape {rows.shape}")
+    if labels is None:
+        labels = [f"f{i}" for i in range(len(rows))]
+    labels = tuple(labels)
+    means, cov = _checked_laws(rows, mean, cov, labels)
+    return _law(tuple(str(name) for name in labels), means, cov)
+
+
+def _checked_laws(rows: np.ndarray, mean: np.ndarray, cov: np.ndarray, labels) -> tuple:
+    """Checked ``(means, covs)`` of a ``(..., k, n)`` stack of row blocks in
+    one state ``(mean, cov)``, one law per block, named by ``labels``.
+
+    Each law gets every check of the :class:`JointGaussian` constructor.
+    Its covariance is mirrored from one triangle by :func:`row_moments`,
+    so it is its own symmetrization and goes straight to
+    :func:`check_symmetric_covariance`.
     """
     if rows.shape[-1:] != mean.shape:
         raise ValueError(
             f"rows of shape {rows.shape} do not act on a state with mean of "
             f"shape {mean.shape}"
         )
-    if labels is None:
-        labels = [f"f{i}" for i in range(len(rows))]
-    labels = tuple(labels)
-    if len(labels) != len(rows):
+    *stack, d, n = rows.shape
+    if len(labels) != d:
+        raise ValueError(f"dimension mismatch: {len(labels)} labels for {d} rows")
+    count = math.prod(stack)  # laws in the stack; reshape(-1, ...) fails at d = 0
+    qp = rows[..., : n // 2] @ rows[..., n // 2 :].swapaxes(-1, -2)
+    for block in qp.reshape(count, d, d).tolist():
+        _check_commuting(block, labels)
+    means, covs = row_moments(rows, mean, cov)
+    if covs.shape != means.shape + (d,):
         raise ValueError(
-            f"dimension mismatch: {len(labels)} labels for {len(rows)} rows"
+            f"dimension mismatch: {d} labels, mean {means.shape}, cov {covs.shape}"
         )
-    half = rows.shape[-1] // 2
-    qp = rows[..., :half] @ np.swapaxes(rows[..., half:], -1, -2)
-    _check_commuting(qp.tolist(), labels)
-    means, cov = row_moments(rows, mean, cov)
-    d = len(labels)
-    if means.shape != (d,) or cov.shape != (d, d):
-        raise ValueError(
-            f"dimension mismatch: {d} labels, mean {means.shape}, cov {cov.shape}"
-        )
-    check_symmetric_covariance(cov, [cov.ravel().tolist()], "psd_law")
-    labels = tuple(str(name) for name in labels)
-    _check_finite_mean(means.tolist(), labels)
-    return _law(labels, means, cov)
+    check_symmetric_covariance(covs, covs.reshape(count, d * d).tolist(), "psd_law")
+    for law_mean in means.reshape(count, d).tolist():
+        _check_finite_mean(law_mean, labels)
+    return means, covs
 
 
 def _check_commuting(qp: list, labels) -> None:
-    """Raise naming the first pair of rows that do not commute.
-
-    ``qp`` is ``Q P^T`` for the position halves ``Q`` and momentum halves
-    ``P`` of the rows, as nested floats, so the ``R Omega R^T`` entry of
-    rows ``i`` and ``j`` is ``qp[i][j] - qp[j][i]``; it is held to the
-    ``commutator`` entry.
-    """
+    """Raise naming the first pair of rows whose ``R Omega R^T`` entry
+    ``qp[i][j] - qp[j][i]`` exceeds the ``commutator`` entry, for ``qp`` the
+    nested floats of ``Q P^T`` (position halves ``Q``, momentum halves ``P``)."""
     for i in range(len(qp)):
         for j in range(i + 1, len(qp)):
             c = qp[i][j] - qp[j][i]
@@ -268,15 +275,16 @@ def _conditional_law(joint, given, values, rest, mean, cov) -> JointGaussian:
     return _law(labels, mean, cov)
 
 
-def gauss_error(joint: JointGaussian, i: int = 0, j: int = 1) -> float:
-    """Root mean square difference of two components.
+def gauss_error(joint: JointGaussian) -> float:
+    """Root mean square difference of the first two components.
 
     The closed-form Gaussian value of ``sqrt(int (x - y)^2 dmu)``:
-    ``sqrt(V_ii + V_jj - 2 V_ij + (m_i - m_j)^2)``.
+    ``sqrt(V_00 + V_11 - 2 V_01 + (m_0 - m_1)^2)``, on Python floats, so
+    a value past float64 is ``inf`` with no warning.
     """
-    v = joint.cov
-    m = joint.mean
-    return math.sqrt(v[i, i] + v[j, j] - 2.0 * v[i, j] + (m[i] - m[j]) ** 2)
+    v = joint.cov.tolist()
+    m = joint.mean.tolist()
+    return math.sqrt(v[0][0] + v[1][1] - 2.0 * v[0][1] + _square(m[0] - m[1]))
 
 
 def _factor_covariance(cov: np.ndarray) -> np.ndarray:
@@ -351,22 +359,19 @@ class PosteriorFamily:
 
     nu: float
     psi: MinUncertaintyParams
+    var_q: float = field(init=False, repr=False, compare=False)
+    var_p: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.nu < 1.0:
             raise ValueError(f"nu must lie strictly between 0 and 1, got {self.nu}")
         inputs = dict(nu=self.nu, sigma1=self.psi.sigma1, hbar=self.psi.hbar)
-        # var_p divides by var_q, so var_q is checked first
-        checked_variances((("posterior Var(Q1)", self.var_q),), **inputs)
-        checked_variances((("posterior Var(P1)", self.var_p),), **inputs)
-
-    @property
-    def var_q(self) -> float:
-        return (1.0 - self.nu) / self.nu * _square(self.psi.sigma1)
-
-    @property
-    def var_p(self) -> float:
-        return _square(self.psi.hbar / 2.0) / self.var_q
+        var_q = (1.0 - self.nu) / self.nu * _square(self.psi.sigma1)
+        checked_variances((("posterior Var(Q1)", var_q),), **inputs)
+        var_p = _square(self.psi.hbar / 2.0) / var_q
+        checked_variances((("posterior Var(P1)", var_p),), **inputs)
+        # frozen: the derived fields go in through the instance dict
+        vars(self).update(var_q=var_q, var_p=var_p)
 
     def mean_map(self, y) -> np.ndarray:
         """Affine map ((y1-(1-nu)q1)/nu, (y2-nu p1)/(1-nu)) of y, shape (2, ...)."""
@@ -423,21 +428,6 @@ class PosteriorConsistencyReport:
         return max(self.max_mean_deviation, self.max_var_deviation)
 
 
-def _default_outcome_grid(mean: list, cov: list) -> list:
-    """3x3 grid at the means +/- one spread of the meters, the law's last two.
-
-    ``mean`` and ``cov`` are one triple law's mean and flat 3x3 covariance
-    as floats.
-    """
-    (_, z, w), sd_z, sd_w = mean, math.sqrt(cov[4]), math.sqrt(cov[8])
-    return [
-        (z + dz * sd_z, w + dw * sd_w) for dz in (-1.0, 0.0, 1.0) for dw in (-1.0, 0.0, 1.0)
-    ]
-
-
-_TRIPLE_LABELS = ("f0", "f1", "f2")
-
-
 def posterior_consistency(
     family: ModelFamily,
     nu: float,
@@ -451,9 +441,9 @@ def posterior_consistency(
     checks and conditions both on the meters in one pass (one Schur
     complement per triple serves every outcome), and compares the
     conditional mean/variance at each outcome y = (z, w) with the
-    posterior family.  Each triple gets every check a
-    :func:`joint_distribution` law gets, and each 1x1 Schur complement is
-    its own eigenvalue.
+    posterior family.  Both triples pass :func:`_checked_laws`, the
+    checks of every :func:`joint_distribution` law, and each 1x1 Schur
+    complement is its own eigenvalue.
 
     Args:
         family: one of the families with a known posterior family.
@@ -471,17 +461,14 @@ def posterior_consistency(
     rows[0, 0, :3] = m.transform.a[0]  # Q1(tau): row 0 of A on the positions
     rows[1, 0, 3:] = m.transform.b[0]  # P1(tau): row 0 of B on the momenta
     rows[:, 1:] = m.rows  # the meters Q2(tau) and P3(tau)
-    for qp in (rows[..., :3] @ rows[..., 3:].swapaxes(-1, -2)).tolist():
-        _check_commuting(qp, _TRIPLE_LABELS)
     mu, v = packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
-    means, covs = row_moments(rows, mu, v)
-    matrices = covs.reshape(2, 9).tolist()
-    check_symmetric_covariance(covs, matrices, "psd_law")
-    triple_means = means.tolist()
-    for mean in triple_means:
-        _check_finite_mean(mean, _TRIPLE_LABELS)
-    if outcomes is None:
-        outcomes = _default_outcome_grid(triple_means[0], matrices[0])
+    means, covs = _checked_laws(rows, mu, v, ("f0", "f1", "f2"))
+    if outcomes is None:  # 3x3 grid at the meter means +/- one spread (first triple)
+        _, z, w = means[0].tolist()
+        sd_z, sd_w = math.sqrt(covs[0, 1, 1]), math.sqrt(covs[0, 2, 2])
+        outcomes = [
+            (z + dz * sd_z, w + dw * sd_w) for dz in (-1.0, 0.0, 1.0) for dw in (-1.0, 0.0, 1.0)
+        ]
     y = np.array([(z, w) for z, w in outcomes], dtype=float).reshape(-1, 2)
     for z, w in y.tolist():
         if not (math.isfinite(z) and math.isfinite(w)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import TOLERANCES, _square, check_deviation, exceeds, max_abs
+from .phase_space import TOLERANCES, _square, all_finite, check_deviation, exceeds, max_abs
 
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
@@ -36,9 +36,9 @@ class SolvableGenerator:
          [b3, 0, -g2]]
 
     with ``a1 b1 = a3 b3 = -(g2^2 + E)/2``, which forces ``S^3 = -E S``.
-    Construction rejects a non-finite tau, E or g2, and anything violating
-    the pattern or the coupling products; it never silently reclassifies
-    ``E``.
+    Construction rejects a non-finite tau, E, g2 or coupling, and anything
+    violating the pattern or the coupling products; it never silently
+    reclassifies ``E``.
     """
 
     s: np.ndarray
@@ -77,6 +77,12 @@ class SolvableGenerator:
             raise ValueError(
                 f"E={e:g} is inconsistent with a1*b1={prod:g} and gamma2={g2:g}"
             )
+        # an infinite coupling (b1 = prod/a1 at a subnormal a1) passes the
+        # checks above, whose scale it makes infinite; s @ s would warn on it
+        if not all_finite([a1, b1, a3, b3]):
+            for name, value in (("a1", a1), ("b1", b1), ("a3", a3), ("b3", b3)):
+                if not math.isfinite(value):
+                    raise ValueError(f"coupling {name} = {value} is not finite")
         s2 = s @ s
         # S^3 - (-E S) on Python floats; max |E s_ij| is |E| max |s_ij| exactly
         cubed = (s2 @ s).ravel().tolist()

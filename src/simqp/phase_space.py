@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: modes a :class:`GaussianState` may live on
-MODES = (1, 2, 3)
+# packet and probe: each modes tuple (found by any equal one) and its (Q..., P...) labels
+_STATES = {(1,): ((1,), ("Q1", "P1")), (2, 3): ((2, 3), ("Q2", "Q3", "P2", "P3"))}
 
 #: every pass/fail threshold, by name, with the scale its sites multiply it
 #: by.  A two-sided check fails a residual r unless |r| <= bound * scale
@@ -171,10 +171,11 @@ def _check_spectra(spectra: list, psd: str) -> None:
 
 
 def _check_finite_mean(mean: list, labels) -> None:
-    """Raise naming the first label whose mean value in ``mean`` is not finite."""
+    """Raise naming, by its ``str``, the first label whose mean value in
+    ``mean`` is not finite."""
     for label, value in zip(labels, mean):
         if not math.isfinite(value):
-            raise ValueError(f"mean of {label!r} is {value}: it must be finite")
+            raise ValueError(f"mean of {str(label)!r} is {value}: it must be finite")
 
 
 def _checked_moments(mean, cov, labels: tuple, psd: str) -> tuple:
@@ -257,7 +258,7 @@ class MinUncertaintyParams:
 
 @dataclass(frozen=True, eq=False, init=False)
 class GaussianState:
-    """Gaussian state on a subset of the three modes.
+    """Gaussian state of the packet (mode 1) or of the probe (modes 2, 3).
 
     Every instance satisfies what :func:`checked_covariance` checks, by
     one of two routes: the constructor runs :func:`_checked_moments`,
@@ -267,7 +268,7 @@ class GaussianState:
     are those variances.
 
     Args:
-        modes: ascending tuple of distinct modes from {1, 2, 3}.
+        modes: ``(1,)`` for the packet or ``(2, 3)`` for the probe.
         mean: length ``2m`` vector, all Q means then all P means.
         cov: symmetric positive-semidefinite ``2m x 2m`` matrix in the
             same (Q..., P...) ordering; symmetrized second moments.
@@ -280,24 +281,15 @@ class GaussianState:
     hbar: float = 1.0
 
     def __init__(self, modes, mean, cov, hbar=1.0):
-        modes, labels = _checked_modes(tuple(modes))
+        modes = tuple(modes)
+        if modes not in _STATES:
+            raise ValueError(f"modes must be (1,) or (2, 3), got {modes}")
+        modes, labels = _STATES[modes]
         mean, cov = _checked_moments(mean, cov, labels, "psd_state")
         if not hbar > 0:
             raise ValueError(f"hbar must be positive, got {hbar}")
         # frozen: the fields go in through the instance dict
         vars(self).update(modes=modes, mean=mean, cov=cov, hbar=float(hbar))
-
-
-@functools.lru_cache(maxsize=None)  # keyed by mode tuples, so at most a few entries
-def _checked_modes(modes: tuple) -> tuple:
-    """``modes`` as ints, if they are distinct members of MODES in ascending
-    order, and the labels of their (Q..., P...) coordinates."""
-    modes = tuple(int(j) for j in modes)
-    if len(set(modes)) != len(modes) or not set(modes) <= set(MODES):
-        raise ValueError(f"modes must be distinct members of {MODES}: {modes}")
-    if list(modes) != sorted(modes):
-        raise ValueError(f"modes must be ascending: {modes}")
-    return modes, tuple(f"{x}{j}" for x in "QP" for j in modes)
 
 
 #: global slots of the packet (Q1, P1) and of the probe (Q2, Q3, P2, P3)

@@ -839,6 +839,52 @@ def test_sweep_noise_mean_overflow_is_named(capsys, flag, name):
     assert f"{flag[2:]}=1e+308" in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--family", "y0", "--q1=0.5")])
+def test_frontier_at_zero_eps_q_is_refused_by_column(capsys, tmp_path, extra):
+    # eps_q = sqrt(1 - nu) sigma1 rounds to 0 at sigma1 = 5e-324, where the
+    # hyperbolas (hbar/2)/eps_q and (hbar/4)/eps_q divide by it
+    path = tmp_path / "curve.csv"
+    code, out, err = run(capsys, "frontier", "--sigma1=5e-324", *extra, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: column '") and "CSV output must be finite" in err
+    assert not path.exists()
+
+
+def test_sweep_at_a_subnormal_nu_names_the_coupling(capsys):
+    # alpha1 = 5e-321 at nu = 1e-320, so b1 = prod/alpha1 overflows; a numpy
+    # RuntimeWarning would raise here
+    code, out, err = run(capsys, "sweep", "--family", "x", "--q1=1", "--nu-grid=1e-320,0.5")
+    assert (code, out) == (2, "")
+    assert err == "error: at nu=9.99989e-321: coupling b1 = -inf is not finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (
+            ("--family", "y0", "--nu", "0.5", "--which", "q-pair", "--n", "1000",
+             "--q1=-1.5e308"),
+            "empirical_mean overflows float64 (which=q-pair, family=y0, nu=0.5, "
+            "n=1000, q1=-1.5e+308, p1=0, sigma1=1, hbar=1)",
+        ),
+        (
+            ("--family", "ak", "--sigma1=1e-12", "--p1=1e200", "--nu=1e-300", "--n", "1",
+             "--which", "meters"),
+            "empirical_gauss_error overflows float64 (which=meters, family=ak, "
+            "nu=1e-300, n=1, q1=0, p1=1e+200, sigma1=1e-12, hbar=1)",
+        ),
+    ],
+    ids=["sum-of-draws", "mean-gap"],
+)
+def test_sample_summary_past_float64_is_named_before_any_output(capsys, tmp_path, argv, named):
+    # a numpy RuntimeWarning would raise here
+    path = tmp_path / "o.csv"
+    code, out, err = run(capsys, "sample", *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: the summary's {named}\n"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("sigma1", ["1e200", "1e-160"])
 def test_frontier_squares_no_input(capsys, sigma1):
     code, out, _ = run(capsys, "frontier", "--nu", "0.5", "--sigma1", sigma1)

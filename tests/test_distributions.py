@@ -148,6 +148,17 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match=rf"^mean of 'b' is {bad}: it must be finite$"):
             JointGaussian(("a", "b"), [0.0, bad], np.eye(2))
 
+    @pytest.mark.parametrize("labels", [None, ("a", "b"), ("a", "b", "c")])
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 6)])
+    def test_rows_must_be_one_block(self, labels, shape):
+        # a stack of blocks is one law per block, which joint_distribution does
+        # not build: it is refused by name before any other check
+        m = build_model(ModelFamily.Z, 0.37, PSI)
+        rows = np.zeros(shape)
+        message = re.escape(f"rows must be one (k, n) block, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            joint_distribution(rows, *joint_state(m, PSI), labels)
+
 
 class TestConditional:
     def test_conditioning_meter_recovers_error_spread(self):
@@ -282,6 +293,19 @@ class TestGaussError:
     def test_perfect_correlation_vanishes(self):
         joint = JointGaussian(("a", "b"), [2.0, 2.0], [[1.0, 1.0], [1.0, 1.0]])
         assert gauss_error(joint) == 0.0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_same_bits_as_the_array_formula(self, family):
+        m = build_model(family, 0.37, PSI_OFF)
+        for joint in (meter_joint(m, PSI_OFF), q_pair_joint(m, PSI_OFF), p_pair_joint(m, PSI_OFF)):
+            v, mean = joint.cov, joint.mean
+            want = math.sqrt(v[0, 0] + v[1, 1] - 2.0 * v[0, 1] + (mean[0] - mean[1]) ** 2)
+            assert gauss_error(joint) == want
+
+    def test_mean_gap_past_float64_is_inf_without_a_warning(self):
+        # (m_0 - m_1)^2 overflows; the suite turns a numpy warning into an error
+        joint = JointGaussian(("a", "b"), [1e200, -1e200], np.eye(2))
+        assert gauss_error(joint) == math.inf
 
     def test_monte_carlo_agreement(self):
         m = build_model(ModelFamily.Y0, 0.5, PSI)
@@ -444,6 +468,17 @@ class TestPosteriorStates:
         psi = MinUncertaintyParams(sigma1=sigma1, hbar=hbar)
         with pytest.raises(ValueError, match=message):
             PosteriorFamily(nu=nu, psi=psi)
+
+    def test_variances_are_computed_once_with_the_formula_bits(self):
+        psi = MinUncertaintyParams(q1=0.3, p1=-0.2, sigma1=1.3, hbar=0.7)
+        fam = PosteriorFamily(nu=0.37, psi=psi)
+        var_q = (1.0 - 0.37) / 0.37 * psi.sigma1**2
+        assert vars(fam)["var_q"] == fam.var_q == var_q
+        assert vars(fam)["var_p"] == fam.var_p == (psi.hbar / 2.0) ** 2 / var_q
+        # derived fields: the family is still its (nu, psi)
+        assert repr(fam) == f"PosteriorFamily(nu=0.37, psi={psi!r})"
+        assert fam == PosteriorFamily(nu=0.37, psi=psi)
+        assert hash(fam) == hash(PosteriorFamily(nu=0.37, psi=psi))
 
     @pytest.mark.parametrize(
         "outcome", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)]

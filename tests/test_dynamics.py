@@ -52,6 +52,10 @@ FAMILY_GAMMA2 = {
 }
 
 
+#: the coupling at each off-pattern entry of a solvable generator
+COUPLINGS = {(0, 1): "b1", (0, 2): "a3", (1, 0): "a1", (2, 0): "b3"}
+
+
 def family_generator(family, nu):
     return SolvableGenerator(
         s=frozen_generator(family, nu),
@@ -95,7 +99,6 @@ class TestSolvableGenerator:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("entry", [(0, 1), (1, 0), (2, 2)])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rejects_non_finite_entry(self, bad, entry):
         s = frozen_generator(ModelFamily.X, 0.5).copy()
         s[entry] = bad
@@ -104,12 +107,11 @@ class TestSolvableGenerator:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("k", range(9))
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_entry_is_refused_at_every_position(self, bad, k):
         # X at nu = 0.5, where a1 b1 = a3 b3 = -1: a pattern entry names
         # itself; a NaN coupling breaks its product, and an infinite one
-        # passes both product checks (inf against a scale of inf) and leaves
-        # S^3 non-finite
+        # passes both product checks (inf against a scale of inf) and is
+        # named before S^2 is formed, with no warning
         s = frozen_generator(ModelFamily.X, 0.5).copy()
         s.flat[k] = bad
         i, j = divmod(k, 3)
@@ -120,7 +122,7 @@ class TestSolvableGenerator:
             products = "a1*b1=nan, a3*b3=-1" if k in (1, 3) else "a1*b1=-1, a3*b3=nan"
             message = f"coupling products differ: {products}"
         else:
-            message = "S^3 != -E S: non-finite entries"
+            message = f"coupling {COUPLINGS[i, j]} = {bad} is not finite"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SolvableGenerator(s=s, e=1.0, gamma2=1.0, tau=math.pi / 2)
 
@@ -144,9 +146,13 @@ class TestSolvableGenerator:
              "gamma2 must be finite, got inf"),
             (lambda: SolvableGenerator(s=np.zeros((3, 3)), e=math.nan, gamma2=0.0, tau=1.0),
              "E must be finite, got nan"),
+            # b1 = -(gamma2**2 + E)/2 / a1 overflows at a subnormal a1, as the
+            # X recipe's a1 does at nu = 1e-320
+            (lambda: SolvableGenerator.from_couplings(5e-321, 1.0, 1.0, 1.0, math.pi / 2),
+             "coupling b1 = -inf is not finite"),
         ],
         ids=["tau-inf", "sinh-overflows", "tau-inf-trig", "tau-squared-overflows",
-             "time-factor", "gamma2-inf", "e-nan"],
+             "time-factor", "gamma2-inf", "e-nan", "coupling-overflows"],
     )
     def test_large_or_infinite_inputs_are_refused_by_name(self, build, message):
         # the suite turns a RuntimeWarning into an error, so none may escape either

@@ -462,10 +462,12 @@ class TestGaussianState:
             GaussianState((1,), np.zeros(2), np.array([[big, 2e-6], [0.0, big]]))
 
     def test_rejects_bad_modes(self):
-        with pytest.raises(ValueError):
-            GaussianState((1, 1), np.zeros(4), np.eye(4))
-        with pytest.raises(ValueError):
-            GaussianState((2, 1), np.zeros(4), np.eye(4))
+        # a state is the packet on (1,) or the probe on (2, 3), nothing else
+        for modes in ((1, 1), (2, 1), (2,), (3,), (1, 2, 3)):
+            dim = 2 * len(modes)
+            message = re.escape(f"modes must be (1,) or (2, 3), got {modes}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                GaussianState(modes, np.zeros(dim), np.eye(dim))
 
 
 def single_matrix_error(cov) -> str:
@@ -599,9 +601,9 @@ class TestCheckedCovarianceStack:
         message = re.escape("probe must live on modes (2, 3), got (1,)")
         with pytest.raises(ValueError, match=f"^{message}$"):
             packet_probe_moments(packet, packet)
-        on_mode_2 = GaussianState((2,), np.zeros(2), np.eye(2))
-        with pytest.raises(ValueError, match=r"^packet must live on mode 1, got modes \(2,\)$"):
-            packet_probe_moments(on_mode_2, probe)
+        message = re.escape("packet must live on mode 1, got modes (2, 3)")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            packet_probe_moments(probe, probe)
 
     def test_product_rejects_hbar_mismatch(self):
         system = make_min_uncertainty_state(MinUncertaintyParams(hbar=1.0))
