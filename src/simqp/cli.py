@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measurement import (
-    FAMILY_PARAMETERS,
     ModelFamily,
     arthurs_kelly_model,
     branciard_ozawa_residual,
@@ -50,21 +49,12 @@ from .distributions import (
     region_mixture_moments,
     sample,
 )
-from .phase_space import TOLERANCES, GaussianState, MinUncertaintyParams
+from .phase_space import TOLERANCES, GaussianState, MinUncertaintyParams, _named_error, _square
 
 DEFAULT_NU_GRID = [round(0.01 * k, 2) for k in range(1, 100)]
 
 # rows formatted and written per call in _write_csv
 _CSV_BLOCK_ROWS = 8192
-
-# the spreads each command squares on its way: a value whose square
-# overflows float64 is refused up front, naming its flag
-_SQUARED_INPUTS = {
-    "sweep": ("sigma1", "hbar", "sigma_p"),
-    "check": ("sigma1", "hbar", "sigma_p"),
-    "sample": ("sigma1", "sigma_p"),
-    "posterior": ("sigma1", "hbar"),
-}
 
 JOINT_BUILDERS = {
     "meters": meter_joint,
@@ -93,9 +83,8 @@ class RunConfig:
             q1=self.q1, p1=self.p1, sigma1=self.sigma1, hbar=self.hbar
         )
 
-    def validate(self, squared=()):
-        """Check the parameters; ``squared`` names the spreads whose squares
-        must stay finite (see ``_SQUARED_INPUTS``)."""
+    def validate(self):
+        """Check the parameters that no library call checks before it uses them."""
         for name in ("hbar", "sigma1", "q1", "p1"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -108,19 +97,6 @@ class RunConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ValueError(f"output path must be a string, got {self.output_path!r}")
-        psi = self.psi
-        for name in squared:
-            value = getattr(psi, name)
-            if math.isinf(value * value):
-                source = (
-                    f"hbar/(2 sigma1) from --hbar {psi.hbar:g} and --sigma1 {psi.sigma1:g}"
-                    if name == "sigma_p"
-                    else f"--{name}"
-                )
-                raise ValueError(
-                    f"{name} = {value:g} ({source}) is too large: "
-                    f"its square overflows float64"
-                )
 
 
 def _json(payload) -> str:
@@ -131,9 +107,21 @@ def _json(payload) -> str:
 def _write_table(cfg: RunConfig, header: list, rows: list):
     """Emit a table as CSV or JSON to the output path (or stdout)."""
     if cfg.output_format == "json":
+        _check_columns(header, np.asarray(rows, dtype=float), "JSON")
         _write_text(cfg.output_path, _json([dict(zip(header, row)) for row in rows]))
     else:
         _write_csv(cfg.output_path, header, rows)
+
+
+def _check_columns(header: list, table: np.ndarray, output: str):
+    """Raise naming the column and row of the first NaN or infinity in ``table``."""
+    bad = ~np.isfinite(table)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(
+            f"column {header[col]!r} holds the non-finite value {table[row, col]} "
+            f"(row {row + 1}); {output} output must be finite"
+        )
 
 
 @contextlib.contextmanager
@@ -160,13 +148,7 @@ def _write_csv(path: str | None, header: list, rows):
     A non-finite value raises ValueError before the output is opened.
     """
     table = np.asarray(rows, dtype=float)
-    bad = ~np.isfinite(table)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise ValueError(
-            f"column {header[col]!r} holds the non-finite value {table[row, col]} "
-            f"(row {row + 1}); CSV output must be finite"
-        )
+    _check_columns(header, table, "CSV")
     with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         # one string per block keeps memory bounded whatever the row count
@@ -372,16 +354,10 @@ def _csv_lines(block) -> str:
     return "".join(pieces)
 
 
-def _balanced_probe(hbar: float) -> GaussianState:
-    """Zero-mean probe with every quadrature variance hbar/2 (vacuum-like)."""
-    return GaussianState(
-        modes=(2, 3), mean=np.zeros(4), cov=np.eye(4) * (hbar / 2.0), hbar=hbar
-    )
-
-
 def _model_for(cfg: RunConfig, nu: float):
     if cfg.family is ModelFamily.ARTHURS_KELLY:
-        return arthurs_kelly_model(_balanced_probe(cfg.hbar))
+        vacuum = GaussianState((2, 3), np.zeros(4), np.eye(4) * (cfg.hbar / 2.0), cfg.hbar)
+        return arthurs_kelly_model(vacuum)
     return build_model(cfg.family, nu, cfg.psi)
 
 
@@ -402,15 +378,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for nu in cfg.nu_grid:
         try:
             errs = qrms_errors(_model_for(cfg, nu), psi)
+            bo_res = branciard_ozawa_residual(errs, psi)
         except ValueError as exc:
             raise ValueError(f"at nu={nu:g}: {exc}") from None  # name the grid point
-        bo_res = branciard_ozawa_residual(errs, psi)
         rows.append(
             [
                 nu,
                 errs.eps_q,
                 errs.eps_p,
-                bo_res + psi.hbar**2 / 4.0,
+                bo_res + _square(psi.hbar) / 4.0,
                 bo_res,
                 heisenberg_product(errs),
                 ozawa_inequality_residual(errs, psi),
@@ -456,8 +432,6 @@ def cmd_sample(cfg: RunConfig, which: str, n: int) -> int:
         raise ValueError(
             f"unknown joint {which!r} (expected one of {sorted(JOINT_BUILDERS)})"
         )
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
     if len(cfg.nu_grid) != 1:
         raise ValueError("sample needs exactly one nu (use --nu)")
     nu = cfg.nu_grid[0]
@@ -513,7 +487,10 @@ def cmd_posterior(cfg: RunConfig, y=None, region=None) -> int:
     nu = cfg.nu_grid[0]
     psi = cfg.psi
     fam = PosteriorFamily(nu=nu, psi=psi)
-    target = psi.hbar**2 / 4.0
+    target = _square(psi.hbar) / 4.0
+    if math.isinf(target):  # from hbar ~ 1.34e154 on
+        inputs = dict(nu=nu, sigma1=psi.sigma1, hbar=psi.hbar)
+        raise _named_error("uncertainty_product_target", target, "overflows float64", inputs)
     if y is not None:
         state = posterior_state(fam, y)
         var_q, var_p = state.cov[0, 0], state.cov[1, 1]
@@ -639,7 +616,6 @@ def _resolve_config(args) -> RunConfig:
         return file_values.get(key, default)
 
     try:
-        nu_grid = None
         if args.nu is not None and args.nu_grid is not None:
             raise ValueError("--nu and --nu-grid are mutually exclusive")
         if args.nu is not None:
@@ -667,9 +643,7 @@ def _resolve_config(args) -> RunConfig:
     except (TypeError, AttributeError) as exc:
         # flags arrive typed from argparse, so only a file value can get here
         raise ValueError(f"config file {args.config} holds a value of the wrong type: {exc}")
-    cfg.validate(_SQUARED_INPUTS.get(args.command, ()))
-    if cfg.family not in FAMILY_PARAMETERS and cfg.family is not ModelFamily.ARTHURS_KELLY:
-        raise ValueError(f"family {cfg.family} is not runnable")
+    cfg.validate()
     return cfg
 
 
@@ -694,20 +668,13 @@ def main(argv=None) -> int:
             return cmd_sample(cfg, args.which, args.n)
         if args.command == "posterior":
             y = _parse_pair(args.y, 2, "--y") if args.y else None
-            if y is not None and not all(math.isfinite(v) for v in y):
-                raise ValueError(f"--y needs finite numbers, got {args.y!r}")
             region = None
             if args.region:
-                vals = _parse_pair(args.region, 4, "--region")
-                region = OutcomeRegion(*vals)
+                region = OutcomeRegion(*_parse_pair(args.region, 4, "--region"))
             return cmd_posterior(cfg, y=y, region=region)
         raise ValueError(f"unknown command {args.command!r}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:
-        # a finite input whose square (sigma1**2, sigma_p**2, ...) exceeds float64
-        print(f"error: an input overflows float64 ({exc})", file=sys.stderr)
         return 2
 
 

@@ -94,11 +94,11 @@ def joint_distribution(
     Raises:
         NonCommutingObservablesError: naming the offending pair and its
             commutator coefficient.
-        ValueError: if ``rows`` is not one 2-D block, if ``labels`` does
-            not name each row once, or if the rows' width is not the
-            state's coordinate count.
+        ValueError: if ``rows`` is not one 2-D block of at least one row,
+            if ``labels`` does not name each row once, or if the rows' width
+            is not the state's coordinate count.
     """
-    if rows.ndim != 2:
+    if rows.ndim != 2 or not len(rows):
         raise ValueError(f"rows must be one (k, n) block, got shape {rows.shape}")
     if labels is None:
         labels = [f"f{i}" for i in range(len(rows))]
@@ -397,20 +397,26 @@ def posterior_state(fam: PosteriorFamily, y) -> GaussianState:
     y = np.asarray(y, dtype=float)
     if y.shape != (2,):
         raise ValueError(f"outcome must be one pair (y1, y2), got shape {y.shape}")
+    inputs = dict(nu=fam.nu, sigma1=fam.psi.sigma1, hbar=fam.psi.hbar)
+    mean = _posterior_mean(fam, y, "outcome (y1, y2)", inputs)
+    variances = (("posterior Var(Q1)", fam.var_q), ("posterior Var(P1)", fam.var_p))
+    return _diagonal_state((1,), mean, variances, fam.psi.hbar, inputs)
+
+
+def _posterior_mean(fam: PosteriorFamily, y: np.ndarray, what: str, inputs: dict):
+    """``fam.mean_map(y)`` of one pair, refused as ``what`` where it is not finite."""
     with np.errstate(over="ignore"):  # an overflow is refused below, by name
         mean = fam.mean_map(y)
-    inputs = dict(nu=fam.nu, sigma1=fam.psi.sigma1, hbar=fam.psi.hbar)
     if not all(map(math.isfinite, mean.tolist())):
         given = ", ".join(f"{key}={val:g}" for key, val in inputs.items())
         y1, y2 = y.tolist()
         if not (math.isfinite(y1) and math.isfinite(y2)):
-            raise ValueError(f"outcome (y1, y2) = ({y1}, {y2}) is not finite ({given})")
+            raise ValueError(f"{what} = ({y1}, {y2}) is not finite ({given})")
         raise ValueError(
-            f"outcome (y1, y2) = ({y1:g}, {y2:g}) gives a posterior mean that "
+            f"{what} = ({y1:g}, {y2:g}) gives a posterior mean that "
             f"overflows float64 ({given})"
         )
-    variances = (("posterior Var(Q1)", fam.var_q), ("posterior Var(P1)", fam.var_p))
-    return _diagonal_state((1,), mean, variances, fam.psi.hbar, inputs)
+    return mean
 
 
 @dataclass(frozen=True)
@@ -592,7 +598,8 @@ def region_mixture_moments(
         ``(mean, cov)``: length-2 vector and 2x2 matrix over (Q1, P1).
 
     Raises:
-        ValueError: if the region carries no outcome probability.
+        ValueError: if the region carries no outcome probability, or naming
+            its mean outcome or a variance that overflows float64.
     """
     check_posterior_family(family)
     fam = PosteriorFamily(nu=nu, psi=psi)
@@ -602,8 +609,10 @@ def region_mixture_moments(
     mass_w, mean_w, var_w = _truncated_moments(psi.p1, sd_w, region.w_lo, region.w_hi)
     if mass_z * mass_w <= 0.0:
         raise ValueError(f"region {region} has zero outcome probability")
-    mean = fam.mean_map((mean_z, mean_w))
+    inputs = dict(nu=nu, sigma1=psi.sigma1, hbar=psi.hbar)
+    mean = _posterior_mean(fam, np.array([mean_z, mean_w]), "region mean outcome (z, w)", inputs)
     # dividing twice, as nu**2 underflows to 0 below nu ~ 1.5e-162
     var_q = fam.var_q + var_z / nu / nu
     var_p = fam.var_p + var_w / (1.0 - nu) / (1.0 - nu)
+    checked_variances((("region Var(Q1)", var_q), ("region Var(P1)", var_p)), **inputs)
     return mean, np.diag([var_q, var_p])

@@ -300,9 +300,21 @@ def branciard_ozawa_residual(errs: ErrorPair, psi: MinUncertaintyParams) -> floa
     Returns ``eps_q^2 sigma(P1)^2 + sigma(Q1)^2 eps_p^2 - hbar^2/4``;
     nonnegative for every valid measurement, zero exactly at minimum
     trade-off.
+
+    Raises:
+        ValueError: naming the errors, sigma1 and hbar if a term overflows.
     """
-    lhs = errs.eps_q**2 * psi.sigma_p**2 + psi.sigma_q**2 * errs.eps_p**2
-    return lhs - psi.hbar**2 / 4.0
+    try:
+        lhs = errs.eps_q**2 * psi.sigma_p**2 + psi.sigma_q**2 * errs.eps_p**2
+        residual = lhs - psi.hbar**2 / 4.0
+    except OverflowError:  # a float ** past float64 raises; a * or - gives inf
+        residual = math.inf
+    if not math.isfinite(residual):
+        raise ValueError(
+            f"the Branciard-Ozawa residual overflows float64 (eps_q={errs.eps_q:g}, "
+            f"eps_p={errs.eps_p:g}, sigma1={psi.sigma1:g}, hbar={psi.hbar:g})"
+        )
+    return residual
 
 
 def heisenberg_product(errs: ErrorPair) -> float:

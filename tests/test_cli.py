@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -765,6 +766,29 @@ def test_overflowing_outcome_is_named(nu, y):
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [
+        (
+            ("--family", "y0", "--sigma1=1e-12", "--q1=-1e308", "--nu=1e-16",
+             "--region=-1.7e308,inf,-inf,1e308", "--format", "json"),
+            "(-1e+308, 0) gives a posterior mean that overflows float64 "
+            "(nu=1e-16, sigma1=1e-12, hbar=1)",
+        ),
+        (
+            ("--family", "z", "--sigma1=1e12", "--p1=-1.7e308", "--nu=0.9999999999999999",
+             "--region=1e-12,inf,-inf,1e200"),
+            "(7.97885e+11, -1.7e+308) gives a posterior mean that overflows float64 "
+            "(nu=1, sigma1=1e+12, hbar=1)",
+        ),
+    ],
+)
+def test_overflowing_region_mean_is_named(capsys, argv, named):
+    code, out, err = run(capsys, "posterior", *argv)  # a numpy RuntimeWarning would raise here
+    assert (code, out) == (2, "")
+    assert err == f"error: region mean outcome (z, w) = {named}\n"
+
+
+@pytest.mark.parametrize(
     "flags",
     [
         ("--nu", "1e-300"),
@@ -789,15 +813,15 @@ def test_extreme_central_regions_exit_zero(flags):
     [
         (
             ("sweep", "--family", "z", "--sigma1", "1e200"),
-            ["sigma1 = 1e+200 (--sigma1)", "its square overflows float64"],
+            ["probe Var(Q2) = inf", "sigma1=1e+200"],
         ),
         (
             ("sweep", "--family", "ak", "--hbar", "1e300"),
-            ["hbar = 1e+300 (--hbar)", "its square overflows float64"],
+            ["packet Var(P1) = inf", "hbar=1e+300"],
         ),
         (
             ("check", "--family", "x", "--nu", "0.5", "--sigma1", "1e-160"),
-            ["sigma_p = 5e+159", "--hbar 1 and --sigma1 1e-160"],
+            ["probe Var(P2) = inf", "sigma1=1e-160"],
         ),
         (
             ("sample", "--family", "y0", "--nu", "0.5", "--sigma1", "1e154", "--n", "10"),
@@ -814,6 +838,23 @@ def test_extreme_central_regions_exit_zero(flags):
         (
             ("sweep", "--family", "z", "--nu", "0.5", "--sigma1", "1e-170", "--hbar", "1e-200"),
             ["probe Var(Q2) = 0 is not finite and positive"],
+        ),
+        (
+            ("check", "--family", "ak", "--nu", "0.5", "--hbar", "1e150"),
+            ["Branciard-Ozawa residual overflows float64", "sigma1=1, hbar=1e+150"],
+        ),
+        (
+            ("posterior", "--family", "z", "--nu", "0.5", "--sigma1", "10", "--hbar", "2e154",
+             "--y", "1,2"),
+            ["uncertainty_product_target = inf", "sigma1=10, hbar=2e+154"],
+        ),
+        (
+            ("posterior", "--family", "z", "--nu", "0.5", "--y=inf,0"),
+            ["outcome (y1, y2) = (inf, 0.0) is not finite (nu=0.5, sigma1=1, hbar=1)"],
+        ),
+        (
+            ("sample", "--nu", "0.5", "--n", "0"),
+            ["n must be at least 1, got 0"],
         ),
     ],
 )
@@ -839,14 +880,15 @@ def test_sweep_noise_mean_overflow_is_named(capsys, flag, name):
     assert f"{flag[2:]}=1e+308" in err
 
 
-@pytest.mark.parametrize("extra", [(), ("--family", "y0", "--q1=0.5")])
+@pytest.mark.parametrize("extra", [(), ("--family", "y0", "--q1=0.5"), ("--format=json",)])
 def test_frontier_at_zero_eps_q_is_refused_by_column(capsys, tmp_path, extra):
     # eps_q = sqrt(1 - nu) sigma1 rounds to 0 at sigma1 = 5e-324, where the
     # hyperbolas (hbar/2)/eps_q and (hbar/4)/eps_q divide by it
     path = tmp_path / "curve.csv"
     code, out, err = run(capsys, "frontier", "--sigma1=5e-324", *extra, "--out", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error: column '") and "CSV output must be finite" in err
+    output = "JSON" if "--format=json" in extra else "CSV"
+    assert err.startswith("error: column '") and f"{output} output must be finite" in err
     assert not path.exists()
 
 
@@ -917,3 +959,78 @@ def test_runtime_needs_no_scipy():
         env=_subprocess_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+# Edge values for every numeric flag: zero, the smallest subnormal, the
+# magnitudes where a square or a product leaves float64, the largest
+# finite values, the non-finite ones, and the nu edges.
+_EDGES = (
+    0.0, 5e-324, 1e-320, 1e-150, 1e150, 2e154, 1e-160, 1e160, 1e-200, 1e200,
+    1.7e308, -1.7e308, math.nan, math.inf, -math.inf,
+    1e-300, 1e-16, 0.5, 0.9999999999999999, 1.0, -1.0,
+)
+_edge = st.sampled_from(_EDGES).map(repr)
+# nu is drawn from the pool or from valid edges, so that runs also get past its range check
+_nu = _edge | st.sampled_from([5e-324, 1e-300, 1e-16, 0.01, 0.5, 0.9999999999999999]).map(repr)
+
+
+@st.composite
+def _argv(draw):
+    """One argv for ``cli.main``: a subcommand, a family and edge-valued flags."""
+    command = draw(st.sampled_from(["sweep", "check", "frontier", "sample", "posterior"]))
+    argv = [command, "--family", draw(st.sampled_from(["x", "y2", "y0", "z", "ak"]))]
+    if command in ("sweep", "frontier"):
+        grid = draw(st.lists(_nu, min_size=1, max_size=3))
+        argv.append("--nu-grid=" + ",".join(grid))
+    else:
+        argv.append("--nu=" + draw(_nu))
+    for flag in ("--hbar", "--sigma1", "--q1", "--p1"):
+        value = draw(st.none() | _edge)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    argv.append("--format=" + draw(st.sampled_from(["csv", "json"])))
+    if command == "sample":
+        argv += ["--which", draw(st.sampled_from(["meters", "q-pair", "p-pair"]))]
+        argv.append(f"--n={draw(st.integers(-1, 1000))}")
+    if command == "posterior":
+        if draw(st.booleans()):
+            argv.append("--y=" + ",".join(draw(st.lists(_edge, min_size=2, max_size=2))))
+        else:
+            argv.append("--region=" + ",".join(draw(st.lists(_edge, min_size=4, max_size=4))))
+    return argv
+
+
+def _assert_finite_output(text: str, is_json: bool):
+    if is_json:
+        strict_json(text)
+    else:
+        _, rows = parse_csv(text)
+        assert all(math.isfinite(v) for row in rows for v in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv(), to_file=st.booleans())
+def test_exit_code_contract_under_argv_fuzz(tmp_path_factory, argv, to_file):
+    path = tmp_path_factory.mktemp("fuzz") / "out.txt"
+    if to_file:
+        argv = [*argv, "--out", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and not path.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "not JSON compliant" not in err and "an input overflows float64" not in err
+        return
+    assert err == ""
+    table = argv[0] in ("sweep", "frontier")
+    json_out = not table or "--format=json" in argv
+    if out:
+        _assert_finite_output(out, json_out)
+    if to_file:
+        _assert_finite_output(path.read_text(encoding="utf-8"), json_out and argv[0] != "sample")

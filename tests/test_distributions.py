@@ -149,7 +149,7 @@ class TestJointDistribution:
             JointGaussian(("a", "b"), [0.0, bad], np.eye(2))
 
     @pytest.mark.parametrize("labels", [None, ("a", "b"), ("a", "b", "c")])
-    @pytest.mark.parametrize("shape", [(6,), (2, 3, 6)])
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 6), (0, 6)])
     def test_rows_must_be_one_block(self, labels, shape):
         # a stack of blocks is one law per block, which joint_distribution does
         # not build: it is refused by name before any other check
@@ -720,6 +720,26 @@ class TestRegionMixture:
         )
         assert cov[0, 0] == pytest.approx(1e308, rel=1e-15)
         assert cov[1, 1] == pytest.approx(7.5e-309, rel=1e-12, abs=0.0)
+
+    def test_overflowing_region_mean_is_named(self):
+        # the region's mean outcome is finite; dividing it by nu overflows
+        psi = MinUncertaintyParams(q1=-1e308, sigma1=1e-12)
+        region = OutcomeRegion(-1.7e308, math.inf, -math.inf, 1e308)
+        message = re.escape(
+            "region mean outcome (z, w) = (-1e+308, 0) gives a posterior mean that "
+            "overflows float64 (nu=1e-16, sigma1=1e-12, hbar=1)"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            region_mixture_moments(ModelFamily.Y0, 1e-16, psi, region)
+
+    def test_overflowing_region_variance_is_named(self):
+        # Var(Q1) = 1e308 fits, but the spread of the whole plane adds 2e308
+        psi = MinUncertaintyParams(sigma1=1e154)
+        message = re.escape(
+            "region Var(Q1) = inf is not finite and positive (nu=0.5, sigma1=1e+154, hbar=1)"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            region_mixture_moments(ModelFamily.Z, 0.5, psi, OutcomeRegion.full_plane())
 
     def test_zero_measure_region_rejected(self):
         region = OutcomeRegion(60.0, 70.0, -1.0, 1.0)

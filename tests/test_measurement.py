@@ -515,6 +515,17 @@ class TestTheoremConditions:
         assert report.cond_iii[2] == pytest.approx(1.0)
         assert not report.all_pass
 
+    def test_unrepresentable_bo_residual_is_named(self):
+        # hbar**2 overflows float64 from hbar ~ 1.34e154 on
+        psi = MinUncertaintyParams(sigma1=1e10, hbar=1e155)
+        probe = GaussianState(modes=(2, 3), mean=np.zeros(4), cov=5e154 * np.eye(4), hbar=1e155)
+        message = (
+            r"^the Branciard-Ozawa residual overflows float64 "
+            r"\(eps_q=\S+, eps_p=\S+, sigma1=1e\+10, hbar=1e\+155\)$"
+        )
+        with pytest.raises(ValueError, match=message):
+            check_theorem_conditions(arthurs_kelly_model(probe), psi)
+
     def test_equivalence_on_matched_models(self):
         rng = np.random.default_rng(7)
         psi = MinUncertaintyParams(q1=0.8, p1=0.2, sigma1=1.1)
