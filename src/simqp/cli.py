@@ -171,17 +171,25 @@ def _write_csv(path: str | None, header: list, rows):
 # (+-0, subnormals, |x| outside the range, near ties, a k misjudged next to a
 # power of ten) is formatted by "%" instead, so the output is "%.17g" by
 # construction.
+#
+# Cost.  The kernel runs once per _CSV_BLOCK_ROWS block, on all its values at
+# once: per-pass buffers cost a loop and, as many ~100 kB allocations, grew the
+# heap.  The four columns of 10^(16-k) are one table, built with the others on
+# first use, not per pass.  The 17 digits split with one int64 division and
+# the rest in int32.  The kernel fills every word of an ``np.empty`` block, so
+# ``tobytes()`` hands the text over as immutable ``bytes``, whose ``translate``
+# strips the NUL padding in about two thirds of the time ``bytearray``'s takes.
 _CSV_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split into 26-bit halves
 _CSV_TIE_MARGIN = 1e-9
 _CSV_CERTIFIED = (1e-280, 1e280)
+# floor(log10 |x|) of a certified x, with one step of slack for log10's error
+_CSV_K_RANGE = (-281, 281)
 _CSV_X_OFFSET = 300  # the per-exponent tables cover X = -300 .. 300
 # where word 0 and word 5 start in the kernel's word table (after the chunks)
 _CSV_PREFIX_AT = 10000
 _CSV_TAIL_AT = _CSV_PREFIX_AT + 2 * (2 * _CSV_X_OFFSET + 1)
-_CSV_PASS = 2048  # values per kernel pass: each work array stays at 16 kB
 
 
-@functools.lru_cache(maxsize=None)  # keyed by decimal exponent, < 600 entries
 def _pow10(e: int) -> tuple:
     """10^e as the double-double (hi, lo), with hi split as head + tail.
 
@@ -203,13 +211,14 @@ def _as_words(b):
 
 @functools.lru_cache(maxsize=None)
 def _csv_tables():
-    """The word tables of the text kernel, built once, on first use.
+    """The tables of the text kernel, built once, on first use.
 
     A value is six uint64 words (48 bytes) of text with NUL where unused:
     word 0 the sign, then "0." and up to three zeros for fixed notation at
     decimal exponent X < 0; words 1-4 the digits d0 .. d15, each followed by a
     slot that holds the '.' after digit X; word 5 d16, its slot, "e+XX" or
     "e+XXX" for scientific notation (X < -4 or X > 16), and the separator.
+    The powers table holds ``_pow10(16 - k)`` in column k - _CSV_K_RANGE[0].
     """
     x = np.arange(-_CSV_X_OFFSET, _CSV_X_OFFSET + 1)
     fixed = (x >= -4) & (x <= 16)
@@ -258,11 +267,14 @@ def _csv_tables():
     last21[0] = 0
     sep = np.zeros((2, 8), np.uint8)
     sep[:, 7] = [ord(","), ord("\n")]
+    low, high = _CSV_K_RANGE
+    pows = np.array([_pow10(16 - k) for k in range(low, high + 1)]).T.copy()
     return (
         table,
         _as_words(mask).reshape(17 * 21, 6),
         np.where(fixed, x, 0) + 4,  # the digit the '.' follows, + 4
         last21,
+        pows,
         _as_words(sep).ravel(),
     )
 
@@ -270,16 +282,12 @@ def _csv_tables():
 def _csv_words(x, out) -> np.ndarray:
     """Write the text of the flat values ``x`` into the (len(x), 6) words
     ``out`` and return the certified mask; other values' words are junk."""
-    table, mask, dot4, last21, _ = _csv_tables()
+    table, mask, dot4, last21, pows, _ = _csv_tables()
     a = np.abs(x)
     ok = (a >= _CSV_CERTIFIED[0]) & (a <= _CSV_CERTIFIED[1])
     a[~ok] = 1.0
     k = np.floor(np.log10(a)).astype(np.int64)
-    e = 16 - k
-    low = int(e.min())
-    pows = np.array([_pow10(j) for j in range(low, int(e.max()) + 1)])
-    e -= low
-    hi, head, tail, lo = (col.take(e) for col in pows.T)
+    hi, head, tail, lo = pows.take(k - _CSV_K_RANGE[0], axis=1)
     p = a * hi
     c = a * _CSV_SPLITTER
     ah = c - (c - a)
@@ -302,45 +310,45 @@ def _csv_words(x, out) -> np.ndarray:
     k += _CSV_X_OFFSET
     # word indices: (X, sign), the chunks of d0 .. d15, (X, d16)
     idx = np.empty((len(x), 6), np.intp)
-    q = n // 10
-    d16 = n - q * 10
+    idx[:, 1], idx[:, 2], idx[:, 3], chunk, d16 = _digit_split(n)
     idx[:, 0] = 2 * k + (x < 0) + _CSV_PREFIX_AT
-    idx[:, 5] = 10 * k + d16 + _CSV_TAIL_AT
-    hi8 = q // 10**8
-    lo8 = q - hi8 * 10**8
-    idx[:, 1] = hi8 // 10**4
-    idx[:, 2] = hi8 - idx[:, 1] * 10**4
-    idx[:, 3] = lo8 // 10**4
-    chunk = lo8 - idx[:, 3] * 10**4
     idx[:, 4] = chunk
+    idx[:, 5] = 10 * k + d16 + _CSV_TAIL_AT
     np.take(table, idx, out=out, mode="clip")
     # mask row 21 last + dot + 4 (see _csv_tables)
     mask_row = last21.take(chunk)
     mask_row[d16 != 0] = 21 * 16
     zero = np.flatnonzero(mask_row == 0)
-    if zero.size:  # d12 .. d16 all zero: count the rest of q's trailing zeros
-        qz = q[zero]
+    if zero.size:  # d12 .. d16 all zero: count the rest of n's trailing zeros
+        qz = n[zero] // 10
         mask_row[zero] = 21 * (11 - sum(qz % 10**j == 0 for j in range(5, 16)))
     mask_row += dot4.take(k)
     out &= mask.take(mask_row, axis=0, mode="clip")
     return ok
 
 
+def _digit_split(n) -> tuple:
+    """The 17-digit int64 ``n`` as its 4-digit chunks d0-d3, d4-d7, d8-d11,
+    d12-d15 and its last digit d16: one int64 division, the rest in int32."""
+    hi8 = n // 10**9
+    rest = (n - hi8 * 10**9).astype(np.int32)
+    hi8 = hi8.astype(np.int32)
+    lo8 = rest // 10
+    c0 = hi8 // 10**4
+    c2 = lo8 // 10**4
+    return c0, hi8 - c0 * 10**4, c2, lo8 - c2 * 10**4, rest - lo8 * 10
+
+
 def _csv_text(block) -> str:
     """The CSV lines of the finite 2-D ``block``, byte for byte ``%.17g``."""
-    step = max(1, _CSV_PASS // block.shape[1])
-    return "".join(_csv_lines(block[s : s + step]) for s in range(0, len(block), step))
-
-
-def _csv_lines(block) -> str:
-    """``_csv_text`` of one kernel pass of rows."""
     rows, ncol = block.shape
-    buf = bytearray(48 * block.size)
-    words = np.frombuffer(buf, np.uint64).reshape(rows, ncol, 6)
+    words = np.empty((rows, ncol, 6), np.uint64)  # the kernel writes every word
     ok = _csv_words(block.reshape(-1), words.reshape(-1, 6)).reshape(rows, ncol)
-    comma, newline = _csv_tables()[4]
+    comma, newline = _csv_tables()[5]
     words[:, :-1, 5] |= comma
     words[:, -1, 5] |= newline
+    buf = words.tobytes()
+    del words
     if ok.all():  # one flat reduction; the per-row one runs only when a value failed
         return buf.translate(None, b"\0").decode("ascii")
     fallback = np.flatnonzero(~ok.all(axis=1)).tolist()

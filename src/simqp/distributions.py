@@ -176,12 +176,10 @@ def _conditioning(cov: np.ndarray, given: list) -> tuple:
     ``cov`` has shape ``(..., d, d)``, one covariance per law.  At values
     ``y`` of the given components, a law's ``rest`` have mean
     ``mean[rest] + gain @ (y - mean[given])`` and covariance ``schur_cov``.
-    One gather reorders each covariance as ``[[V_rr, V_rg], [V_gr, V_gg]]``
-    and the blocks are views of it.
+    The blocks are views of :func:`_grouped`'s ``[[V_rr, V_rg], [V_gr, V_gg]]``.
     """
     rest = _rest(given, cov.shape[-1])
-    order = np.array(rest + given)
-    block = cov[..., order[:, None], order]
+    block = _grouped(cov, rest + given)
     r = len(rest)
     v_gg = block[..., r:, r:]
     v_gr = block[..., :r, r:].swapaxes(-1, -2)  # V_rg^T: unit stride along the contraction
@@ -191,6 +189,15 @@ def _conditioning(cov: np.ndarray, given: list) -> tuple:
         raise ValueError("conditioned block is singular; cannot condition on it")
     gain = np.linalg.solve(v_gg, v_gr).swapaxes(-1, -2)
     return rest, gain, block[..., :r, :r] - gain @ v_gr
+
+
+def _grouped(cov: np.ndarray, order: list) -> np.ndarray:
+    """Each covariance with its rows and columns in ``order``: one gather, or
+    ``cov`` itself where ``order`` is already ``0 .. d-1`` (no copy)."""
+    if order == list(range(len(order))):
+        return cov
+    index = np.array(order)
+    return cov[..., index[:, None], index]
 
 
 def conditional(joint: JointGaussian, given, values) -> JointGaussian:
@@ -310,7 +317,9 @@ def sample(joint: JointGaussian, n: int, seed: int) -> np.ndarray:
     root = _factor_covariance(joint.cov)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((int(n), joint.dim))
-    return joint.mean + z @ root.T
+    draws = z @ root.T
+    draws += joint.mean  # in place: the bits of mean + z @ root.T, one array fewer
+    return draws
 
 
 def meter_joint(

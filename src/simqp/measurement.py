@@ -19,6 +19,7 @@ import numpy as np
 from .dynamics import (
     PropagatedTransform,
     SolvableGenerator,
+    _gamma2_squared,
     expm_coefficients,
     propagate,
 )
@@ -146,8 +147,10 @@ def solve_couplings(nu: float, tau: float, gamma2: float, e: float) -> tuple:
     ``F = c1 + gamma2 c2`` with the :func:`expm_coefficients` of (E, tau).
 
     Raises:
-        ValueError: if nu is outside (0, 1), tau is not positive, or the
-            time factor F is not finite or vanishes (no solution).
+        ValueError: if nu is outside (0, 1), tau is not positive, the time
+            factor F is not finite or vanishes (no solution), or naming
+            (nu, tau, gamma2, E, F) where a coupling alpha underflows to 0 or
+            its partner b = -(gamma2^2 + E) / (2 alpha) overflows float64.
     """
     if not 0.0 < nu < 1.0:
         raise ValueError(f"nu must lie strictly between 0 and 1, got {nu}")
@@ -162,7 +165,19 @@ def solve_couplings(nu: float, tau: float, gamma2: float, e: float) -> tuple:
         raise ValueError(f"{given} is not finite; the couplings are undetermined")
     if abs(factor) < TOLERANCES["degenerate_factor"]:
         raise ValueError(f"{given} is degenerate; the couplings are undetermined")
-    return nu / factor, -(1.0 - nu) / factor
+    alphas = nu / factor, -(1.0 - nu) / factor
+    prod = -(_gamma2_squared(gamma2) + e) / 2.0  # b = prod / alpha, as from_couplings
+    for j, alpha in zip((1, 3), alphas):
+        if alpha == 0.0 or math.isinf(prod / alpha):
+            problem = (
+                f"alpha{j} underflows to 0" if alpha == 0.0
+                else f"b{j} = {prod / alpha:g} overflows float64 at alpha{j} = {alpha:g}"
+            )
+            raise ValueError(
+                f"coupling {problem} (nu={nu:g}, tau={tau:g}, gamma2={gamma2:g}, "
+                f"E={e:g}, F={factor:g})"
+            )
+    return alphas
 
 
 def build_model(

@@ -657,6 +657,47 @@ class TestCsvWriter:
         assert certified(draws.ravel()).all()
         assert cli._csv_text(draws) == percent_text(draws)
 
+    def test_power_table_covers_every_certified_exponent(self):
+        low, high = cli._CSV_K_RANGE
+        pows = cli._csv_tables()[4]
+        assert pows.shape == (4, high - low + 1)
+        assert np.isfinite(pows).all()
+        for k in range(low, high + 1):
+            assert pows[:, k - low].tolist() == list(cli._pow10(16 - k))
+        # the kernel's k = floor(log10 |x|) of a certified x, at the range's
+        # ends and at every power of ten inside it, with their ulp neighbours
+        lo, hi = cli._CSV_CERTIFIED
+        values = np.array(with_ulp_neighbours([lo, hi] + [float(f"1e{j}") for j in range(-280, 281)]))
+        k = np.floor(np.log10(values[(values >= lo) & (values <= hi)]))
+        assert low <= k.min() and k.max() <= high
+
+    def test_digit_split_matches_int64_arithmetic(self):
+        numbers = [
+            10**16,
+            10**17 - 2,
+            10**17 - 1,
+            int("1000" "9999" "0000" "9999" "5"),
+            int("9999" "0000" "9999" "0000" "0"),
+            int("1999" "9999" "9999" "9999" "9"),
+            int("1234" "5678" "9999" "9999" "9"),  # d8 .. d16 = 999999999
+            int("1234" "5678" "0000" "0000" "0"),  # d8 .. d16 = 0
+        ]
+        got = np.array(cli._digit_split(np.array(numbers, np.int64))).T.tolist()
+        for n, split in zip(numbers, got):
+            q, d16 = divmod(n, 10)
+            assert split == [q // 10**12, q // 10**8 % 10**4, q // 10**4 % 10**4, q % 10**4, d16]
+
+    def test_uncertified_values_inside_one_full_block(self):
+        # the "%" fallback rows sit inside one block-sized kernel pass
+        rng = np.random.default_rng(19)
+        block = rng.standard_normal((BLOCK, 2))
+        odd = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, EXACT_TIES[3], -EXACT_TIES[-1]]
+        rows = [0, BLOCK - 1, *rng.choice(np.arange(1, BLOCK - 1), 6, replace=False)]
+        for j, (row, value) in enumerate(zip(rows, odd)):
+            block[row, j % 2] = value
+        assert (~certified(block.ravel())).sum() == len(odd)
+        assert cli._csv_text(block) == percent_text(block)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_writes_nothing(self, tmp_path, bad):
         rows = np.ones((5, 3))
@@ -856,6 +897,14 @@ def test_extreme_central_regions_exit_zero(flags):
             ("sample", "--nu", "0.5", "--n", "0"),
             ["n must be at least 1, got 0"],
         ),
+        (
+            ("check", "--family", "x", "--nu=5e-324"),
+            ["coupling alpha1 underflows to 0 (nu=4.94066e-324", "E=1, F=2)"],
+        ),
+        (
+            ("check", "--family", "x", "--nu=1e-323"),
+            ["coupling b1 = -inf overflows float64", "(nu=9.88131e-324", "E=1, F=2)"],
+        ),
     ],
 )
 def test_out_of_range_inputs_are_named(capsys, argv, names):
@@ -897,7 +946,10 @@ def test_sweep_at_a_subnormal_nu_names_the_coupling(capsys):
     # RuntimeWarning would raise here
     code, out, err = run(capsys, "sweep", "--family", "x", "--q1=1", "--nu-grid=1e-320,0.5")
     assert (code, out) == (2, "")
-    assert err == "error: at nu=9.99989e-321: coupling b1 = -inf is not finite\n"
+    assert err == (
+        "error: at nu=9.99989e-321: coupling b1 = -inf overflows float64 at "
+        "alpha1 = 4.99994e-321 (nu=9.99989e-321, tau=1.5708, gamma2=1, E=1, F=2)\n"
+    )
 
 
 @pytest.mark.parametrize(

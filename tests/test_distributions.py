@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from conftest import FAMILIES, log_density, marginal
 
-from simqp.distributions import _conditioning, _normal_mass
+from simqp.distributions import _conditioning, _grouped, _normal_mass
 from simqp.phase_space import checked_covariance, packet_probe_moments, row_moments
 from simqp import (
     JointGaussian,
@@ -275,6 +275,15 @@ class TestConditional:
             assert rest == want[0]
             np.testing.assert_array_equal(gain[k], want[1])
             np.testing.assert_array_equal(schur[k], want[2])
+
+    def test_an_order_already_in_place_is_not_gathered(self):
+        # posterior_consistency conditions its (2, 3, 3) triples on [1, 2]:
+        # rest + given is 0, 1, 2, so the blocks are views of the stack itself
+        covs = np.random.default_rng(4).normal(size=(2, 3, 3))
+        assert _grouped(covs, [0, 1, 2]) is covs
+        grouped = _grouped(covs, [1, 0, 2])
+        assert not np.shares_memory(grouped, covs)
+        np.testing.assert_array_equal(grouped, covs[:, [1, 0, 2]][:, :, [1, 0, 2]])
 
 
 class TestGaussError:

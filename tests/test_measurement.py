@@ -309,6 +309,19 @@ class TestSolveCouplings:
         with pytest.raises(ValueError, match="degenerate"):
             solve_couplings(0.5, 2.0 * math.pi, 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "nu, problem",
+        [
+            (5e-324, "alpha1 underflows to 0"),
+            (1e-320, "b1 = -inf overflows float64 at alpha1 = 4.99994e-321"),
+        ],
+    )
+    def test_unrepresentable_coupling_names_nu(self, nu, problem):
+        # the X recipe: F = 2, so alpha1 = nu / 2 and b1 = -1 / alpha1
+        message = f"coupling {problem} (nu={nu:g}, tau=1.5708, gamma2=1, E=1, F=2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            solve_couplings(nu, math.pi / 2.0, 1.0, 1.0)
+
     @pytest.mark.parametrize("nu", [0.0, 1.0, 2.0])
     def test_nu_domain(self, nu):
         with pytest.raises(ValueError):
