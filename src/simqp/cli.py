@@ -49,7 +49,13 @@ from .distributions import (
     region_mixture_moments,
     sample,
 )
-from .phase_space import TOLERANCES, GaussianState, MinUncertaintyParams, _named_error, _square
+from .phase_space import (
+    TOLERANCES,
+    GaussianState,
+    MinUncertaintyParams,
+    _named_error,
+    _quarter_square,
+)
 
 DEFAULT_NU_GRID = [round(0.01 * k, 2) for k in range(1, 100)]
 
@@ -394,7 +400,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 nu,
                 errs.eps_q,
                 errs.eps_p,
-                bo_res + _square(psi.hbar) / 4.0,
+                bo_res + _quarter_square(psi.hbar),
                 bo_res,
                 heisenberg_product(errs),
                 ozawa_inequality_residual(errs, psi),
@@ -410,8 +416,16 @@ def cmd_check(cfg: RunConfig) -> int:
     if len(cfg.nu_grid) != 1:
         raise ValueError("check needs exactly one nu (use --nu)")
     nu = cfg.nu_grid[0]
-    report = check_theorem_conditions(_model_for(cfg, nu), cfg.psi)
-    payload = {"family": cfg.family.value, "nu": nu, **report.as_dict()}
+    model = _model_for(cfg, nu)
+    report = check_theorem_conditions(model, cfg.psi)
+    errs = qrms_errors(model, cfg.psi)  # the report's evaluation, read again
+    payload = {
+        "family": cfg.family.value,
+        "nu": nu,
+        "eps_q": errs.eps_q,
+        "eps_p": errs.eps_p,
+        **report.as_dict(),
+    }
     _write_text(cfg.output_path, _json(payload))
     return 0 if report.all_pass else 1
 
@@ -429,6 +443,21 @@ def cmd_frontier(cfg: RunConfig) -> int:
         rows.append([nu, eps_q, eps_p, *hyperbolas])
     _write_table(cfg, header, rows)
     return 0
+
+
+def _sample_covariance(draws: np.ndarray, mean: np.ndarray) -> list:
+    """``np.cov(draws.T, ddof=1)`` of the ``(n, d)`` draws, n > 1, with its bits.
+
+    ``mean`` is ``draws.mean(axis=0)``, the mean ``np.cov`` takes again on
+    the same memory order; the draws are centred in their own C order
+    rather than in a strided copy, and the same product is scaled by the
+    same ``1 / (n - 1)``.  The centred copy is freed on return, before
+    any output is written.
+    """
+    centred = draws - mean
+    cov = np.dot(centred.T, centred)
+    cov *= np.true_divide(1, len(draws) - 1)
+    return cov.tolist()
 
 
 def cmd_sample(cfg: RunConfig, which: str, n: int) -> int:
@@ -449,7 +478,7 @@ def cmd_sample(cfg: RunConfig, which: str, n: int) -> int:
 
     with np.errstate(all="ignore"):  # a value past float64 is refused below, by name
         emp_mean = draws.mean(axis=0)
-        emp_cov = np.cov(draws.T, ddof=1).tolist() if n > 1 else None
+        emp_cov = _sample_covariance(draws, emp_mean) if n > 1 else None
         diff = draws[:, 0] - draws[:, 1]
         emp_gauss = math.sqrt(float(np.mean(diff**2)))
         sd = np.sqrt(np.diag(joint.cov))
@@ -495,8 +524,8 @@ def cmd_posterior(cfg: RunConfig, y=None, region=None) -> int:
     nu = cfg.nu_grid[0]
     psi = cfg.psi
     fam = PosteriorFamily(nu=nu, psi=psi)
-    target = _square(psi.hbar) / 4.0
-    if math.isinf(target):  # from hbar ~ 1.34e154 on
+    target = _quarter_square(psi.hbar)
+    if math.isinf(target):  # from hbar ~ 2.68e154 on
         inputs = dict(nu=nu, sigma1=psi.sigma1, hbar=psi.hbar)
         raise _named_error("uncertainty_product_target", target, "overflows float64", inputs)
     if y is not None:

@@ -30,10 +30,12 @@ from .phase_space import (
     TOLERANCES,
     GaussianState,
     MinUncertaintyParams,
+    _quarter_square,
     all_finite,
     exceeds,
     make_min_uncertainty_state,
     make_probe_state,
+    max_abs,
     packet_probe_moments,
     quadratic_forms,
 )
@@ -292,6 +294,24 @@ def _noise_moments(
     return means, var_probe, explicit
 
 
+def _evaluation(m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams) -> tuple:
+    """:func:`_noise_moments` of ``m`` in ``psi``, computed once per model and packet.
+
+    The result is kept on the model, keyed by the identity of the frozen
+    ``psi`` (held with it, so the identity cannot be reused), and
+    :func:`qrms_errors` and :func:`check_theorem_conditions` read the same
+    lists.  The model and the packet are immutable, so a second call gets
+    what a recomputation would give; an evaluation that raises keeps
+    nothing, so it raises again.
+    """
+    kept = vars(m).get("_evaluation")
+    if kept is not None and kept[0] is psi:
+        return kept[1]
+    moments = _noise_moments(m, psi)
+    vars(m)["_evaluation"] = (psi, moments)  # frozen: through the instance dict
+    return moments
+
+
 def _error_pair(second) -> ErrorPair:
     """Errors from the squared errors ``(eps_q^2, eps_p^2)``."""
     return ErrorPair(math.sqrt(second[0]), math.sqrt(second[1]))
@@ -305,7 +325,7 @@ def qrms_errors(
     ``eps(Q1)^2 = <N_q^2>`` and ``eps(P1)^2 = <N_p^2>`` in the product of
     the system packet and the probe state.
     """
-    _, _, second = _noise_moments(m, psi)
+    _, _, second = _evaluation(m, psi)
     return _error_pair(second)
 
 
@@ -321,7 +341,7 @@ def branciard_ozawa_residual(errs: ErrorPair, psi: MinUncertaintyParams) -> floa
     """
     try:
         lhs = errs.eps_q**2 * psi.sigma_p**2 + psi.sigma_q**2 * errs.eps_p**2
-        residual = lhs - psi.hbar**2 / 4.0
+        residual = lhs - _quarter_square(psi.hbar)
     except OverflowError:  # a float ** past float64 raises; a * or - gives inf
         residual = math.inf
     if not math.isfinite(residual):
@@ -375,6 +395,19 @@ class TheoremReport:
     def all_pass(self) -> bool:
         return self.passes_i and self.passes_ii and self.passes_iii
 
+    @property
+    def margins(self) -> dict:
+        """Per condition, its largest ``|residual|`` over the ``condition``
+        bound (scale 1): a condition passes exactly when its margin is <= 1,
+        (iii) also needing a21 > 0 and b31 > 0.  A NaN residual gives a NaN
+        margin, which fails as the check does."""
+        bound = TOLERANCES["condition"]
+        return {
+            "i": max_abs(self.cond_i_residuals) / bound,
+            "ii": max_abs(self.cond_ii_residuals) / bound,
+            "iii": abs(self.cond_iii[2]) / bound,
+        }
+
     def as_dict(self) -> dict:
         return {
             "cond_i_residuals": list(self.cond_i_residuals),
@@ -390,6 +423,7 @@ class TheoremReport:
                 "iii": self.passes_iii,
                 "all": self.all_pass,
             },
+            "margins": self.margins,
             "bo_residual": self.bo_residual,
         }
 
@@ -406,7 +440,7 @@ def check_theorem_conditions(
     (iii) the meter weights satisfy a21 > 0, b31 > 0, a21 + b31 = 1.
     All three hold together exactly when the quadratic bound is saturated.
     """
-    (mean_q, mean_p), (var_probe_q, var_probe_p), second = _noise_moments(m, psi)
+    (mean_q, mean_p), (var_probe_q, var_probe_p), second = _evaluation(m, psi)
 
     a21, b31 = m.rows.take((0, 9)).tolist()  # the Q1 weight of Mq, the P1 weight of Mp
     weight = math.sqrt(abs(a21 * b31))

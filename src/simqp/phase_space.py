@@ -128,7 +128,7 @@ def checked_covariance(cov: np.ndarray, psd: str) -> np.ndarray:
             )
         _check_below_limit(largest)
     cov = 0.5 * (cov + transposed)
-    _check_spectra(np.linalg.eigvalsh(cov).reshape(-1, n).tolist(), psd)
+    _check_psd(cov, cov.reshape(-1, n * n).tolist(), psd)
     cov.setflags(write=False)
     return cov
 
@@ -139,17 +139,77 @@ def check_symmetric_covariance(cov: np.ndarray, matrices: list, psd: str) -> Non
     ``cov`` has shape ``(..., n, n)`` and equals its transpose bit for bit,
     as a mirrored :func:`row_moments` covariance or a 1x1 matrix does, and
     ``matrices`` holds each of its matrices as a flat list of floats.  Each
-    matrix is held finite, below 2**1023 and PSD to the ``psd`` entry; the
-    symmetry check has nothing to find.  A 1x1 matrix is its own
-    eigenvalue, as LAPACK returns it, so ``eigvalsh`` runs only for n > 1.
+    matrix is held finite, below 2**1023 and PSD to the ``psd`` entry
+    (:func:`_check_psd`); the symmetry check has nothing to find.
     """
     for entries in matrices:
         if not all_finite(entries):
             raise ValueError("covariance matrix is not symmetric: non-finite entries")
         _check_below_limit(max(map(abs, entries)))
+    _check_psd(cov, matrices, psd)
+
+
+def _check_psd(cov: np.ndarray, matrices: list, psd: str) -> None:
+    """Raise unless each matrix of the finite, bit-symmetric stack ``cov``
+    (flat float lists in ``matrices``) is PSD to the ``psd`` entry.
+
+    A 1x1 matrix is its own eigenvalue, as LAPACK returns it.  A 2x2 to 4x4
+    matrix that :func:`_certified_psd` accepts passes without LAPACK.  The
+    rest go, in their order, to ``eigvalsh`` and :func:`_check_spectra`, so
+    the first refusal and its message are those of an all-``eigvalsh`` check.
+    """
     n = cov.shape[-1]
-    spectra = matrices if n == 1 else np.linalg.eigvalsh(cov).reshape(-1, n).tolist()
-    _check_spectra(spectra, psd)
+    if n == 1:
+        _check_spectra(matrices, psd)
+        return
+    if n <= 4:
+        left = [k for k, entries in enumerate(matrices) if not _certified_psd(entries, n)]
+        if not left:
+            return
+        if len(left) < len(matrices):
+            cov = cov.reshape(-1, n, n)[left]
+    _check_spectra(np.linalg.eigvalsh(cov).reshape(-1, n).tolist(), psd)
+
+
+def _certified_psd(e: list, n: int) -> bool:
+    """Whether an unrolled LDL^T proves the symmetric ``n x n`` matrix of flat
+    entries ``e`` (n = 2, 3, 4, finite) passes both ``psd`` entries.
+
+    Every pivot ``d`` must come out > 0; a NaN or -inf one (an update that
+    overflowed) fails that test, and no pivot exceeds its diagonal entry.
+    With positive pivots the factors are exact for ``V + dV``, ``|dV| <=
+    g |L||D||L^T|`` with ``g = gamma_{n+1} = (n+1)u / (1 - (n+1)u)``, so
+    ``lambda_min(V) >= -n g / (1 - n g) * ||V||_2`` (the LDL^T form of
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    thm. 10.3, whose proof needs only that the factorisation runs to
+    completion; an underflow adds at most a few 2**-1074).  That is under 2.3e-15
+    ||V||_2 at n = 4; with eigvalsh's own backward error of a small
+    multiple of u ||V||_2 the LAPACK eigenvalues pass ``psd_law`` (1e-12),
+    and so ``psd_state``, times ``max(1, top eigenvalue)`` with room to
+    spare.  A False only sends the matrix to ``eigvalsh``.
+    """
+    d0 = e[0]
+    if not d0 > 0.0:
+        return False
+    w1 = e[n]  # column 0 below the diagonal: w1, w2, w3
+    l1 = w1 / d0
+    d1 = e[n + 1] - l1 * w1
+    if n == 2 or not d1 > 0.0:
+        return d1 > 0.0
+    w2 = e[2 * n]
+    l2 = w2 / d0
+    w21 = e[2 * n + 1] - l2 * w1
+    l21 = w21 / d1
+    d2 = e[2 * n + 2] - l2 * w2 - l21 * w21
+    if n == 3 or not d2 > 0.0:
+        return d2 > 0.0
+    w3 = e[12]
+    l3 = w3 / d0
+    w31 = e[13] - l3 * w1
+    l31 = w31 / d1
+    w32 = e[14] - l3 * w2 - l31 * w21
+    l32 = w32 / d2
+    return e[15] - l3 * w3 - l31 * w31 - l32 * w32 > 0.0
 
 
 def _check_below_limit(largest: float) -> None:
@@ -221,6 +281,14 @@ def _square(x: float) -> float:
         return x**2
     except OverflowError:
         return math.inf
+
+
+def _quarter_square(x: float) -> float:
+    """``x**2 / 4``; where ``x**2`` overflows, ``(x / 2)**2`` (finite for ``x``
+    up to about 2.68e154, as the ``hbar**2 / 4`` of a representable bound),
+    else ``inf``."""
+    square = _square(x)
+    return square / 4.0 if square < math.inf else _square(x / 2.0)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 import simqp
 from simqp import (
+    GaussianState,
     MinUncertaintyParams,
     ModelFamily,
+    arthurs_kelly_model,
     branciard_ozawa_residual,
     build_model,
     heisenberg_product,
@@ -33,6 +35,7 @@ from simqp import (
 )
 from simqp import cli
 from simqp.cli import main
+from simqp.phase_space import TOLERANCES
 
 
 def run(capsys, *argv):
@@ -123,6 +126,46 @@ class TestCheck:
         assert payload["passes"]["iii"] is False
         assert payload["cond_iii"]["sum_minus_one"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("family", ["x", "y2", "y0", "z", "ak"])
+    @pytest.mark.parametrize("q1", ["0.2", "1e-6"])
+    def test_errors_and_margins_are_reported(self, capsys, family, q1):
+        flags = ["--nu", "0.37", "--q1", q1, "--p1=-0.4", "--sigma1", "1.3", "--hbar", "0.8"]
+        code, out, _ = run(capsys, "check", "--family", family, *flags)
+        payload = strict_json(out)
+        psi = MinUncertaintyParams(q1=float(q1), p1=-0.4, sigma1=1.3, hbar=0.8)
+        if family == "ak":
+            vacuum = GaussianState((2, 3), np.zeros(4), np.eye(4) * 0.4, 0.8)
+            model = arthurs_kelly_model(vacuum)
+        else:
+            model = build_model(ModelFamily(family), 0.37, psi)
+        errs = qrms_errors(model, psi)
+        assert (payload["eps_q"], payload["eps_p"]) == (errs.eps_q, errs.eps_p)
+        bound = TOLERANCES["condition"]
+        margins = payload["margins"]
+        assert margins == {
+            "i": max(map(abs, payload["cond_i_residuals"])) / bound,
+            "ii": max(map(abs, payload["cond_ii_residuals"])) / bound,
+            "iii": abs(payload["cond_iii"]["sum_minus_one"]) / bound,
+        }
+        passes = payload["passes"]
+        assert passes["i"] == (margins["i"] <= 1.0)
+        assert passes["ii"] == (margins["ii"] <= 1.0)
+        a21, b31 = payload["cond_iii"]["a21"], payload["cond_iii"]["b31"]
+        assert passes["iii"] == (margins["iii"] <= 1.0 and a21 > 0.0 and b31 > 0.0)
+        assert code == (0 if passes["all"] else 1)
+        assert passes["all"] == (family != "ak")
+
+    def test_margin_agrees_with_the_check_at_its_edge(self):
+        bound = TOLERANCES["condition"]
+        for residual in (bound, np.nextafter(bound, 1.0), -bound, 0.5 * bound, math.nan):
+            report = simqp.TheoremReport(
+                cond_i_residuals=(residual, 0.0), cond_ii_residuals=(0.0, residual),
+                cond_iii=(0.5, 0.5, residual), passes_i=False, passes_ii=False,
+                passes_iii=False, bo_residual=0.0,
+            )
+            passes = abs(residual) <= bound
+            assert all((margin <= 1.0) == passes for margin in report.margins.values())
+
     def test_invalid_nu_writes_nothing(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code, _, err = run(
@@ -193,6 +236,19 @@ class TestSample:
         assert abs(summary["empirical_gauss_error"] - analytic) < 4.0 * se
         assert summary["low_confidence"] is False
         assert max(abs(z) for z in summary["mean_z_scores"]) < 5.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8193, 200000])
+    @pytest.mark.parametrize("which, builder", [("meters", meter_joint), ("p-pair", p_pair_joint)])
+    def test_summary_equals_numpy_mean_and_cov(self, capsys, n, which, builder):
+        code, out, _ = run(capsys, "sample", "--family", "z", "--nu", "0.3", "--which", which,
+                           "--n", str(n), "--seed", "9")
+        assert code == 0
+        summary = strict_json(out)
+        psi = MinUncertaintyParams()
+        draws = sample(builder(build_model(ModelFamily.Z, 0.3, psi), psi), n, 9)
+        assert summary["empirical_mean"] == draws.mean(axis=0).tolist()
+        expected = np.cov(draws.T, ddof=1).tolist() if n > 1 else None
+        assert summary["empirical_cov"] == expected
 
     def test_meter_pair_gauss_error_value(self, capsys):
         # meters joint at nu=1/2: Var(z)=0.5, Var(w)=0.125 independent,
@@ -885,11 +941,6 @@ def test_extreme_central_regions_exit_zero(flags):
             ["Branciard-Ozawa residual overflows float64", "sigma1=1, hbar=1e+150"],
         ),
         (
-            ("posterior", "--family", "z", "--nu", "0.5", "--sigma1", "10", "--hbar", "2e154",
-             "--y", "1,2"),
-            ["uncertainty_product_target = inf", "sigma1=10, hbar=2e+154"],
-        ),
-        (
             ("posterior", "--family", "z", "--nu", "0.5", "--y=inf,0"),
             ["outcome (y1, y2) = (inf, 0.0) is not finite (nu=0.5, sigma1=1, hbar=1)"],
         ),
@@ -912,6 +963,21 @@ def test_out_of_range_inputs_are_named(capsys, argv, names):
     assert (code, out) == (2, "")
     for name in names:
         assert name in err
+
+
+def test_posterior_in_the_hbar_band_is_the_closed_form(capsys):
+    # hbar**2 overflows from hbar ~ 1.34e154 on, but the target (hbar/2)**2 is
+    # finite up to about 2.68e154, and so is every value printed here
+    code, out, err = run(capsys, "posterior", "--family", "z", "--nu", "0.5",
+                         "--sigma1", "10", "--hbar", "2e154", "--y", "1,2")
+    assert (code, err) == (0, "")
+    report = strict_json(out)
+    var_q = 0.5 / 0.5 * 10.0**2
+    var_p = (2e154 / 2.0) ** 2 / var_q
+    assert report["mean"] == [1.0 / 0.5, 2.0 / 0.5]
+    assert (report["var_q"], report["var_p"]) == (var_q, var_p)
+    assert report["uncertainty_product"] == var_q * var_p
+    assert report["uncertainty_product_target"] == (2e154 / 2.0) ** 2
 
 
 @pytest.mark.parametrize("flag, name", [("--q1", "N_q"), ("--p1", "N_p")])

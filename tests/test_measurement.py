@@ -555,6 +555,57 @@ class TestTheoremConditions:
             assert report.all_pass == (abs(report.bo_residual) <= 1e-8)
 
 
+class TestOneEvaluation:
+    """qrms_errors and check_theorem_conditions share one noise-moment pass."""
+
+    PSI = MinUncertaintyParams(q1=0.3, p1=-0.7, sigma1=1.3, hbar=0.9)
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        real = measurement._noise_moments
+
+        def counting(m, psi):
+            calls.append(psi)
+            return real(m, psi)
+
+        monkeypatch.setattr(measurement, "_noise_moments", counting)
+        return calls
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_family_pipeline_evaluates_once(self, evaluations, family):
+        psi = self.PSI
+        model = build_model(family, 0.37, psi)
+        errs = qrms_errors(model, psi)
+        report = check_theorem_conditions(model, psi)
+        assert qrms_errors(model, psi) == errs
+        assert evaluations == [psi]
+        # a fresh model, and an equal but distinct packet, are evaluated
+        # afresh, with the same bits
+        fresh = build_model(family, 0.37, psi)
+        assert check_theorem_conditions(fresh, psi) == report
+        assert qrms_errors(fresh, psi) == errs
+        again = dataclasses.replace(psi)
+        assert check_theorem_conditions(model, again) == report
+        assert qrms_errors(model, again) == errs
+        assert evaluations == [psi, psi, again]
+
+    def test_a_failed_evaluation_keeps_nothing(self, monkeypatch):
+        real = measurement._noise_moments
+        failures = [RuntimeError("error routes disagree")]
+
+        def failing_once(m, psi):
+            if failures:
+                raise failures.pop()
+            return real(m, psi)
+
+        monkeypatch.setattr(measurement, "_noise_moments", failing_once)
+        model = build_model(ModelFamily.Z, 0.37, self.PSI)
+        with pytest.raises(RuntimeError, match="error routes disagree"):
+            qrms_errors(model, self.PSI)
+        assert check_theorem_conditions(model, self.PSI).all_pass
+
+
 class TestErrorPair:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Global rows, their commutators and moments, and Gaussian state constructors."""
 
+import functools
 import itertools
 import re
 from types import SimpleNamespace
@@ -23,6 +24,7 @@ from simqp.phase_space import (
     PACKET_SLOTS,
     PROBE_SLOTS,
     TOLERANCES,
+    _certified_psd,
     checked_covariance,
     packet_probe_moments,
     row_moments,
@@ -652,3 +654,138 @@ class TestRowMoments:
             assert mean[i] == float(c[i] @ state.mean)
             for j in range(i, 3):
                 assert cov[i, j] == cov[j, i] == c[i] @ state.cov @ c[j]
+
+
+PSD_ENTRIES = ("psd_state", "psd_law")
+
+# certificate draws: a spectrum of each kind, rotated and scaled by 10**k
+CERTIFICATE_KINDS = ("well-conditioned", "ill-conditioned", "rank-deficient",
+                     "indefinite -0.5 tol", "indefinite -2 tol")
+
+
+@functools.lru_cache(maxsize=None)
+def certificate_draws(seed: int, count: int) -> tuple:
+    """``count`` bit-symmetric ``(kind, matrix)`` pairs, n = 2 to 4.
+
+    Each spectrum has top eigenvalue 1 before the whole matrix is scaled
+    by 10**k, k uniform in [-300, 300]: positive in [0.1, 1]
+    (well-conditioned) or log-uniform down to 1e-16 (ill-conditioned),
+    with 1 to n - 1 zero eigenvalues (rank-deficient), or with smallest
+    eigenvalue -0.5 or -2 times the ``psd_state`` or ``psd_law`` bound
+    (indefinite).
+    """
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        kind = CERTIFICATE_KINDS[int(rng.integers(len(CERTIFICATE_KINDS)))]
+        if kind == "well-conditioned":
+            eig = rng.uniform(0.1, 1.0, size=n)
+        else:
+            eig = 10.0 ** rng.uniform(-16.0, 0.0, size=n)
+        eig[-1] = 1.0
+        if kind == "rank-deficient":
+            eig[: int(rng.integers(1, n))] = 0.0
+        elif kind.startswith("indefinite"):
+            factor = 0.5 if "-0.5" in kind else 2.0
+            eig[0] = -factor * TOLERANCES[PSD_ENTRIES[int(rng.integers(2))]]
+        basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        cov = (basis * eig) @ basis.T
+        cov = 0.5 * (cov + cov.T) * 10.0 ** int(rng.integers(-300, 301))
+        draws.append((kind, cov))
+    return tuple(draws)
+
+
+def eigvalsh_refusal(cov, psd: str):
+    """The message of an all-``eigvalsh`` PSD check of ``cov``, or None if it passes."""
+    eig = np.linalg.eigvalsh(cov).tolist()
+    if eig[0] < -TOLERANCES[psd] * max(1.0, eig[-1]):
+        return f"covariance matrix is not positive semidefinite (smallest eigenvalue {eig[0]:g})"
+    return None
+
+
+class TestPsdCertificate:
+    """The LDL^T certificate of 2x2 to 4x4 PSD checks only spares LAPACK."""
+
+    @pytest.mark.parametrize("seed", [20, 21])
+    def test_accepts_only_what_eigvalsh_passes(self, seed):
+        accepted = dict.fromkeys(CERTIFICATE_KINDS, 0)
+        for kind, cov in certificate_draws(seed, 6000):
+            if _certified_psd(cov.ravel().tolist(), len(cov)):
+                accepted[kind] += 1
+                for psd in PSD_ENTRIES:
+                    assert eigvalsh_refusal(cov, psd) is None, (kind, psd, cov)
+            else:
+                # a well-conditioned PD matrix factors with positive pivots at any scale
+                assert kind != "well-conditioned", cov
+        assert accepted["well-conditioned"] > 1000 and accepted["ill-conditioned"] > 500
+
+    @pytest.mark.parametrize("psd", PSD_ENTRIES)
+    def test_every_refusal_is_the_eigvalsh_one(self, psd):
+        draws = certificate_draws(22, 6000)
+        refused = 0
+        for _, cov in draws:
+            want = eigvalsh_refusal(cov, psd)
+            if want is None:
+                checked_covariance(cov, psd)
+                continue
+            refused += 1
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                checked_covariance(cov, psd)
+        assert refused > 200
+        # in a stack, the first refusal is the first matrix's that eigvalsh refuses
+        for n in (2, 3, 4):
+            same = [cov for _, cov in draws if len(cov) == n]
+            for start in range(0, len(same) - 8, 8):
+                stack = np.stack(same[start : start + 8])
+                wants = [eigvalsh_refusal(cov, psd) for cov in stack]
+                first = next((want for want in wants if want is not None), None)
+                if first is None:
+                    checked_covariance(stack, psd)
+                else:
+                    with pytest.raises(ValueError, match=f"^{re.escape(first)}$"):
+                        checked_covariance(stack, psd)
+
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            np.eye(5),  # no certificate past 4x4
+            np.diag([1.0, 0.0, 2.0]),  # a zero pivot
+            # l = 1e10 / 1e-300 overflows: pivot -inf; LAPACK's smallest
+            # eigenvalue, about -1e-287, passes
+            np.array([[1e-300, 1e10], [1e10, 1e307]]),
+            # l = inf meets w = 0: inf * 0 makes the last pivot NaN
+            np.array([[1e-300, 0.0, 1e10], [0.0, 1.0, 0.0], [1e10, 0.0, 1e307]]),
+        ],
+        ids=["n=5", "zero pivot", "overflowing pivot", "NaN pivot"],
+    )
+    def test_uncertified_matrices_fall_back_to_eigvalsh(self, monkeypatch, cov):
+        n = len(cov)
+        if n <= 4:
+            assert not _certified_psd(cov.ravel().tolist(), n)
+        seen = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            seen.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for psd in PSD_ENTRIES:
+            np.testing.assert_array_equal(checked_covariance(cov, psd), cov)
+        assert seen == [(n, n)] * 2
+
+    def test_only_uncertified_matrices_reach_eigvalsh(self, monkeypatch):
+        seen = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        singular = np.ones((2, 2))  # PSD, but its second pivot is 0
+        stack = np.stack([np.eye(2), singular, 2.0 * np.eye(2), 3.0 * singular])
+        checked_covariance(stack, "psd_law")
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], stack[[1, 3]])
