@@ -12,6 +12,13 @@ Every command is deterministic given its flags and seed.  Exit codes:
 0 success / all checks pass, 1 a check failed, 2 usage or validation
 error.  The only environment variable honored is ``SIMQP_OUT_DIR``,
 which re-bases relative ``--out`` paths.
+
+Each subcommand's parser names the function that runs it.  A run's
+settings are resolved once, by :func:`_resolve_config`: each setting of
+``SETTINGS`` comes from its flag, else from the ``--config`` file, else
+from its default; the file's values are checked against their JSON types
+first and every setting is range-checked after the merge.  The resulting
+:class:`RunConfig` builds the run's one packet on first use.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,40 +76,57 @@ JOINT_BUILDERS = {
 }
 
 
-@dataclass
+#: every setting a flag or a ``--config`` key gives, with its default; the
+#: nu grid is resolved on its own, from --nu, --nu-grid, "nu" and "nu_grid"
+SETTINGS = {
+    "hbar": 1.0,
+    "sigma1": 1.0,
+    "q1": 0.0,
+    "p1": 0.0,
+    "family": "y0",
+    "seed": 0,
+    "format": "csv",
+    "out": None,
+}
+
+
+def _is_number(value) -> bool:
+    """True for a JSON number (``json`` reads ``true`` and ``false`` as bools)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: the JSON type a config-file value must hold, by key: (its name, its test)
+_FILE_TYPES = {
+    **{key: ("a JSON number", _is_number) for key in ("hbar", "sigma1", "q1", "p1", "nu")},
+    "nu_grid": (
+        "a list of JSON numbers",
+        lambda value: isinstance(value, list) and all(map(_is_number, value)),
+    ),
+    "seed": ("a JSON integer", lambda value: _is_number(value) and isinstance(value, int)),
+}
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Resolved run parameters shared by all subcommands."""
+    """One run's settings, merged and range-checked once by :func:`_resolve_config`."""
 
-    hbar: float = 1.0
-    sigma1: float = 1.0
-    q1: float = 0.0
-    p1: float = 0.0
-    family: ModelFamily = ModelFamily.Y0
-    nu_grid: list = field(default_factory=lambda: list(DEFAULT_NU_GRID))
-    seed: int = 0
-    output_format: str = "csv"
-    output_path: str | None = None
+    family: ModelFamily
+    nu_grid: list
+    seed: int
+    output_format: str
+    output_path: str | None
+    packet: dict  # q1, p1, sigma1 and hbar: the arguments of ``psi``
 
-    @property
+    @functools.cached_property
     def psi(self) -> MinUncertaintyParams:
-        return MinUncertaintyParams(
-            q1=self.q1, p1=self.p1, sigma1=self.sigma1, hbar=self.hbar
-        )
+        """The run's one packet, built where a command first needs it, so that
+        the command's own argument checks still come before the packet's."""
+        return MinUncertaintyParams(**self.packet)
 
-    def validate(self):
-        """Check the parameters that no library call checks before it uses them."""
-        for name in ("hbar", "sigma1", "q1", "p1"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.nu_grid:
-            raise ValueError("nu grid is empty")
-        for nu in self.nu_grid:
-            if not 0.0 < nu < 1.0:
-                raise ValueError(f"nu values must lie strictly in (0, 1), got {nu}")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.output_path is not None and not isinstance(self.output_path, str):
-            raise ValueError(f"output path must be a string, got {self.output_path!r}")
+    def single_nu(self, command: str) -> float:
+        if len(self.nu_grid) != 1:
+            raise ValueError(f"{command} needs exactly one nu (use --nu)")
+        return self.nu_grid[0]
 
 
 def _json(payload) -> str:
@@ -370,12 +394,13 @@ def _csv_text(block) -> str:
 
 def _model_for(cfg: RunConfig, nu: float):
     if cfg.family is ModelFamily.ARTHURS_KELLY:
-        vacuum = GaussianState((2, 3), np.zeros(4), np.eye(4) * (cfg.hbar / 2.0), cfg.hbar)
+        hbar = cfg.packet["hbar"]
+        vacuum = GaussianState((2, 3), np.zeros(4), np.eye(4) * (hbar / 2.0), hbar)
         return arthurs_kelly_model(vacuum)
     return build_model(cfg.family, nu, cfg.psi)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig, args) -> int:
     """Error and residual columns per grid point; 0 iff the bound holds tight."""
     psi = cfg.psi
     header = [
@@ -394,7 +419,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             errs = qrms_errors(_model_for(cfg, nu), psi)
             bo_res = branciard_ozawa_residual(errs, psi)
         except ValueError as exc:
-            raise ValueError(f"at nu={nu:g}: {exc}") from None  # name the grid point
+            raise ValueError(f"at nu={nu}: {exc}") from None  # name the grid point
         rows.append(
             [
                 nu,
@@ -411,11 +436,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0 if worst <= TOLERANCES["sweep_residual"] else 1
 
 
-def cmd_check(cfg: RunConfig) -> int:
+def cmd_check(cfg: RunConfig, args) -> int:
     """Achievability-condition report at the single configured nu."""
-    if len(cfg.nu_grid) != 1:
-        raise ValueError("check needs exactly one nu (use --nu)")
-    nu = cfg.nu_grid[0]
+    nu = cfg.single_nu("check")
     model = _model_for(cfg, nu)
     report = check_theorem_conditions(model, cfg.psi)
     errs = qrms_errors(model, cfg.psi)  # the report's evaluation, read again
@@ -430,7 +453,7 @@ def cmd_check(cfg: RunConfig) -> int:
     return 0 if report.all_pass else 1
 
 
-def cmd_frontier(cfg: RunConfig) -> int:
+def cmd_frontier(cfg: RunConfig, args) -> int:
     """The bound curve in error coordinates plus both reference hyperbolas."""
     psi = cfg.psi
     header = ["nu", "eps_q", "eps_p", "eps_p_heisenberg", "eps_p_quarter"]
@@ -460,18 +483,17 @@ def _sample_covariance(draws: np.ndarray, mean: np.ndarray) -> list:
     return cov.tolist()
 
 
-def cmd_sample(cfg: RunConfig, which: str, n: int) -> int:
+def cmd_sample(cfg: RunConfig, args) -> int:
     """Draw from one of the named joints; samples to --out, summary to stdout.
 
     A summary value past float64 is refused by name before anything is written.
     """
+    which, n = args.which, args.n
     if which not in JOINT_BUILDERS:
         raise ValueError(
             f"unknown joint {which!r} (expected one of {sorted(JOINT_BUILDERS)})"
         )
-    if len(cfg.nu_grid) != 1:
-        raise ValueError("sample needs exactly one nu (use --nu)")
-    nu = cfg.nu_grid[0]
+    nu = cfg.single_nu("sample")
     model = _model_for(cfg, nu)
     joint = JOINT_BUILDERS[which](model, cfg.psi)
     draws = sample(joint, n, cfg.seed)
@@ -505,7 +527,7 @@ def cmd_sample(cfg: RunConfig, which: str, n: int) -> int:
             psi = cfg.psi
             raise ValueError(
                 f"the summary's {name} overflows float64 (which={which}, family="
-                f"{cfg.family.value}, nu={nu:g}, n={n}, q1={psi.q1:g}, p1={psi.p1:g}, "
+                f"{cfg.family.value}, nu={nu}, n={n}, q1={psi.q1:g}, p1={psi.p1:g}, "
                 f"sigma1={psi.sigma1:g}, hbar={psi.hbar:g})"
             )
     if cfg.output_path is not None:
@@ -514,14 +536,14 @@ def cmd_sample(cfg: RunConfig, which: str, n: int) -> int:
     return 0
 
 
-def cmd_posterior(cfg: RunConfig, y=None, region=None) -> int:
+def cmd_posterior(cfg: RunConfig, args) -> int:
     """Posterior moments at an outcome, or mixture moments over a region."""
+    y = _parse_pair(args.y, 2, "--y") if args.y else None
+    region = OutcomeRegion(*_parse_pair(args.region, 4, "--region")) if args.region else None
     if (y is None) == (region is None):
         raise ValueError("posterior needs exactly one of --y or --region")
-    if len(cfg.nu_grid) != 1:
-        raise ValueError("posterior needs exactly one nu (use --nu)")
+    nu = cfg.single_nu("posterior")
     check_posterior_family(cfg.family)
-    nu = cfg.nu_grid[0]
     psi = cfg.psi
     fam = PosteriorFamily(nu=nu, psi=psi)
     target = _quarter_square(psi.hbar)
@@ -560,22 +582,6 @@ def cmd_posterior(cfg: RunConfig, y=None, region=None) -> int:
     return 0
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--family", help="x | y2 | y0 | z | ak")
-    sub.add_argument("--nu", type=float, help="single grid point")
-    sub.add_argument(
-        "--nu-grid", help="comma-separated nu values (default: 0.01..0.99)"
-    )
-    sub.add_argument("--hbar", type=float)
-    sub.add_argument("--sigma1", type=float)
-    sub.add_argument("--q1", type=float)
-    sub.add_argument("--p1", type=float)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--format", dest="output_format", choices=("csv", "json"))
-    sub.add_argument("--out", dest="output_path", help="output file (default stdout)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simqp",
@@ -583,15 +589,28 @@ def build_parser() -> argparse.ArgumentParser:
         "Gaussian states",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (
-        ("sweep", "error trade-off table over a nu grid"),
-        ("check", "achievability-condition report at one nu"),
-        ("frontier", "bound curve and reference hyperbolas"),
-        ("sample", "Monte Carlo draws from a named joint"),
-        ("posterior", "posterior-state or region-mixture moments"),
+    for name, run, descr in (
+        ("sweep", cmd_sweep, "error trade-off table over a nu grid"),
+        ("check", cmd_check, "achievability-condition report at one nu"),
+        ("frontier", cmd_frontier, "bound curve and reference hyperbolas"),
+        ("sample", cmd_sample, "Monte Carlo draws from a named joint"),
+        ("posterior", cmd_posterior, "posterior-state or region-mixture moments"),
     ):
         sub = commands.add_parser(name, help=descr)
-        _add_common_flags(sub)
+        sub.set_defaults(run=run)
+        sub.add_argument("--config", help="JSON config file; flags override its values")
+        sub.add_argument("--family", help="x | y2 | y0 | z | ak")
+        sub.add_argument("--nu", type=float, help="single grid point")
+        sub.add_argument(
+            "--nu-grid", help="comma-separated nu values (default: 0.01..0.99)"
+        )
+        sub.add_argument("--hbar", type=float)
+        sub.add_argument("--sigma1", type=float)
+        sub.add_argument("--q1", type=float)
+        sub.add_argument("--p1", type=float)
+        sub.add_argument("--seed", type=int)
+        sub.add_argument("--format", choices=("csv", "json"))
+        sub.add_argument("--out", metavar="OUTPUT_PATH", help="output file (default stdout)")
         if name == "sample":
             sub.add_argument(
                 "--which",
@@ -607,81 +626,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_number(value) -> bool:
-    """True for a JSON number (``json`` reads ``true`` and ``false`` as bools)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_config_types(path: str, values: dict) -> None:
-    """Refuse, by key, a config value whose JSON type cannot be meant."""
-    for key in ("hbar", "sigma1", "q1", "p1", "nu"):
-        if key in values and not _is_number(values[key]):
+def _read_config(path: str) -> dict:
+    """The JSON object in ``path``, each value of a key in ``_FILE_TYPES``
+    checked to hold its JSON type."""
+    with open(path, encoding="utf-8") as fh:
+        values = json.load(fh)
+    if not isinstance(values, dict):
+        raise ValueError(
+            f"config file {path} must hold a JSON object, got {type(values).__name__}"
+        )
+    for key, (kind, holds) in _FILE_TYPES.items():
+        if key in values and not holds(values[key]):
             raise ValueError(
-                f"config file {path}: {key!r} must hold a JSON number, "
+                f"config file {path}: {key!r} must hold {kind}, "
                 f"got {json.dumps(values[key])}"
             )
-    grid = values.get("nu_grid", [])
-    if not isinstance(grid, list) or not all(_is_number(v) for v in grid):
-        raise ValueError(
-            f"config file {path}: 'nu_grid' must hold a list of JSON numbers, "
-            f"got {json.dumps(grid)}"
-        )
-    seed = values.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValueError(
-            f"config file {path}: 'seed' must hold a JSON integer, "
-            f"got {json.dumps(seed)}"
-        )
+    return values
 
 
 def _resolve_config(args) -> RunConfig:
-    """Merge config-file values under explicit flags."""
-    file_values = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        if not isinstance(file_values, dict):
-            raise ValueError(
-                f"config file {args.config} must hold a JSON object, "
-                f"got {type(file_values).__name__}"
-            )
-        _check_config_types(args.config, file_values)
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(key, default)
-
+    """Each setting from its flag, else from the ``--config`` file, else its
+    default; every value is then range-checked, once."""
+    file_values = _read_config(args.config) if args.config else {}
+    if args.nu is not None and args.nu_grid is not None:
+        raise ValueError("--nu and --nu-grid are mutually exclusive")
+    if args.nu is not None:
+        nu_grid = [args.nu]
+    elif args.nu_grid is not None:
+        nu_grid = [float(tok) for tok in args.nu_grid.split(",") if tok.strip()]
+    elif "nu" in file_values:
+        nu_grid = [float(file_values["nu"])]
+    else:
+        nu_grid = [float(v) for v in file_values.get("nu_grid", DEFAULT_NU_GRID)]
+    flags = vars(args)
+    values = {
+        key: file_values.get(key, default) if flags[key] is None else flags[key]
+        for key, default in SETTINGS.items()
+    }
+    packet = {key: float(values[key]) for key in ("hbar", "sigma1", "q1", "p1")}
     try:
-        if args.nu is not None and args.nu_grid is not None:
-            raise ValueError("--nu and --nu-grid are mutually exclusive")
-        if args.nu is not None:
-            nu_grid = [args.nu]
-        elif args.nu_grid is not None:
-            nu_grid = [float(tok) for tok in args.nu_grid.split(",") if tok.strip()]
-        elif "nu" in file_values:
-            nu_grid = [float(file_values["nu"])]
-        elif "nu_grid" in file_values:
-            nu_grid = [float(v) for v in file_values["nu_grid"]]
-        else:
-            nu_grid = list(DEFAULT_NU_GRID)
-
-        cfg = RunConfig(
-            hbar=float(pick(args.hbar, "hbar", 1.0)),
-            sigma1=float(pick(args.sigma1, "sigma1", 1.0)),
-            q1=float(pick(args.q1, "q1", 0.0)),
-            p1=float(pick(args.p1, "p1", 0.0)),
-            family=ModelFamily.from_string(pick(args.family, "family", "y0")),
-            nu_grid=nu_grid,
-            seed=int(pick(args.seed, "seed", 0)),
-            output_format=pick(args.output_format, "format", "csv"),
-            output_path=pick(args.output_path, "out", None),
-        )
-    except (TypeError, AttributeError) as exc:
-        # flags arrive typed from argparse, so only a file value can get here
+        family = ModelFamily.from_string(values["family"])
+    except AttributeError as exc:  # flags arrive as strings: only a file value gets here
         raise ValueError(f"config file {args.config} holds a value of the wrong type: {exc}")
-    cfg.validate()
-    return cfg
+    for name, value in packet.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not nu_grid:
+        raise ValueError("nu grid is empty")
+    for nu in nu_grid:
+        if not 0.0 < nu < 1.0:
+            raise ValueError(f"nu values must lie strictly in (0, 1), got {nu}")
+    if values["format"] not in ("csv", "json"):
+        raise ValueError(f"unknown output format {values['format']!r}")
+    if values["out"] is not None and not isinstance(values["out"], str):
+        raise ValueError(f"output path must be a string, got {values['out']!r}")
+    return RunConfig(family, nu_grid, values["seed"], values["format"], values["out"], packet)
 
 
 def _parse_pair(text: str, n: int, what: str) -> list:
@@ -694,22 +693,7 @@ def _parse_pair(text: str, n: int, what: str) -> list:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "check":
-            return cmd_check(cfg)
-        if args.command == "frontier":
-            return cmd_frontier(cfg)
-        if args.command == "sample":
-            return cmd_sample(cfg, args.which, args.n)
-        if args.command == "posterior":
-            y = _parse_pair(args.y, 2, "--y") if args.y else None
-            region = None
-            if args.region:
-                region = OutcomeRegion(*_parse_pair(args.region, 4, "--region"))
-            return cmd_posterior(cfg, y=y, region=region)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(_resolve_config(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

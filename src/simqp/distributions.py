@@ -27,6 +27,7 @@ from .phase_space import (
     _check_finite_mean,
     _checked_moments,
     _diagonal_state,
+    _given,
     _square,
     all_finite,
     check_symmetric_covariance,
@@ -153,13 +154,17 @@ def _check_commuting(qp: list, labels) -> None:
                 )
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is refused as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _rest(given: list, dim: int) -> list:
     """The components left by conditioning on ``given``, which must hold
     distinct integers in ``range(dim)`` and leave at least one."""
     seen = set()
     for i in given:
-        integer = isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-        if not integer or not 0 <= i < dim or i in seen:
+        if not _is_integer(i) or not 0 <= i < dim or i in seen:
             raise ValueError(
                 f"given index {i!r} is not a distinct integer in range({dim})"
             )
@@ -311,12 +316,20 @@ def sample(joint: JointGaussian, n: int, seed: int) -> np.ndarray:
 
     Returns:
         array of shape ``(n, dim)``.
+
+    Raises:
+        ValueError: naming ``n`` unless it is an integer of at least 1, or
+            ``seed`` unless it is a non-negative integer.
     """
+    if not _is_integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     root = _factor_covariance(joint.cov)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((int(n), joint.dim))
+    z = rng.standard_normal((n, joint.dim))
     draws = z @ root.T
     draws += joint.mean  # in place: the bits of mean + z @ root.T, one array fewer
     return draws
@@ -417,7 +430,7 @@ def _posterior_mean(fam: PosteriorFamily, y: np.ndarray, what: str, inputs: dict
     with np.errstate(over="ignore"):  # an overflow is refused below, by name
         mean = fam.mean_map(y)
     if not all(map(math.isfinite, mean.tolist())):
-        given = ", ".join(f"{key}={val:g}" for key, val in inputs.items())
+        given = _given(inputs)
         y1, y2 = y.tolist()
         if not (math.isfinite(y1) and math.isfinite(y2)):
             raise ValueError(f"{what} = ({y1}, {y2}) is not finite ({given})")
@@ -462,11 +475,12 @@ def posterior_consistency(
 
     Args:
         family: one of the families with a known posterior family.
-        outcomes: iterable of (z, w) meter outcomes; defaults to a 3x3
-            grid around the meter means.
+        outcomes: iterable of one or more (z, w) meter outcomes; defaults
+            to a 3x3 grid around the meter means.
 
     Raises:
-        ValueError: for a family without a posterior family, naming an
+        ValueError: for a family without a posterior family, if ``outcomes``
+            is empty or holds an outcome that is not a pair, naming an
             outcome that is not finite or whose conditional mean overflows,
             or from the checks of the laws.
     """
@@ -484,12 +498,18 @@ def posterior_consistency(
         outcomes = [
             (z + dz * sd_z, w + dw * sd_w) for dz in (-1.0, 0.0, 1.0) for dw in (-1.0, 0.0, 1.0)
         ]
-    y = np.array([(z, w) for z, w in outcomes], dtype=float).reshape(-1, 2)
+    outcomes = [tuple(pair) for pair in outcomes]
+    for pair in outcomes:
+        if len(pair) != 2:
+            raise ValueError(f"each outcome must be one (z, w) pair, got {pair!r}")
+    if not outcomes:
+        raise ValueError("outcomes is empty: a report over no outcome checks nothing")
+    y = np.array(outcomes, dtype=float)
     for z, w in y.tolist():
         if not (math.isfinite(z) and math.isfinite(w)):
             raise ValueError(
                 f"outcome (z, w) = ({z}, {w}) is not finite "
-                f"(family {family.value}, nu={nu:g})"
+                f"(family {family.value}, nu={nu})"
             )
     fam = PosteriorFamily(nu=nu, psi=psi)
 
@@ -507,17 +527,14 @@ def posterior_consistency(
         raise ValueError(
             f"outcome (z, w) = ({z:g}, {w:g}) is too large: its conditional mean, "
             f"or that mean's gap to the posterior family's, overflows float64 "
-            f"(family {family.value}, nu={nu:g})"
+            f"(family {family.value}, nu={nu})"
         )
-    max_var_dev = 0.0
-    if len(y):
-        max_var_dev = max(abs(var[0][0] - fam.var_q), abs(var[1][0] - fam.var_p))
     return PosteriorConsistencyReport(
         family=family,
         nu=nu,
         n_outcomes=len(y),
-        max_mean_deviation=max(gaps, default=0.0),
-        max_var_deviation=max_var_dev,
+        max_mean_deviation=max(gaps),
+        max_var_deviation=max(abs(var[0][0] - fam.var_q), abs(var[1][0] - fam.var_p)),
     )
 
 

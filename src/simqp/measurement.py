@@ -11,6 +11,7 @@ the trade-off bounds and the achievability conditions.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -176,7 +177,7 @@ def solve_couplings(nu: float, tau: float, gamma2: float, e: float) -> tuple:
                 else f"b{j} = {prod / alpha:g} overflows float64 at alpha{j} = {alpha:g}"
             )
             raise ValueError(
-                f"coupling {problem} (nu={nu:g}, tau={tau:g}, gamma2={gamma2:g}, "
+                f"coupling {problem} (nu={nu}, tau={tau:g}, gamma2={gamma2:g}, "
                 f"E={e:g}, F={factor:g})"
             )
     return alphas
@@ -209,7 +210,7 @@ def build_model(
     if exceeds("drift", a21 - nu) or exceeds("drift", a22 - recipe.kappa):
         raise RuntimeError(
             f"propagated weights (a21={a21:g}, a22={a22:g}) drifted from "
-            f"(nu={nu:g}, kappa={recipe.kappa:g})"
+            f"(nu={nu}, kappa={recipe.kappa:g})"
         )
     return m
 
@@ -294,22 +295,17 @@ def _noise_moments(
     return means, var_probe, explicit
 
 
+@functools.lru_cache(maxsize=1)
 def _evaluation(m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams) -> tuple:
-    """:func:`_noise_moments` of ``m`` in ``psi``, computed once per model and packet.
+    """:func:`_noise_moments` of ``m`` in ``psi``, kept for the last pair asked.
 
-    The result is kept on the model, keyed by the identity of the frozen
-    ``psi`` (held with it, so the identity cannot be reused), and
-    :func:`qrms_errors` and :func:`check_theorem_conditions` read the same
-    lists.  The model and the packet are immutable, so a second call gets
-    what a recomputation would give; an evaluation that raises keeps
+    The model compares by identity, and the cache holds it, so its identity
+    cannot be reused; the frozen packet compares by value.  So
+    :func:`qrms_errors` and :func:`check_theorem_conditions` of one model in
+    one packet read the same lists, and an evaluation that raises keeps
     nothing, so it raises again.
     """
-    kept = vars(m).get("_evaluation")
-    if kept is not None and kept[0] is psi:
-        return kept[1]
-    moments = _noise_moments(m, psi)
-    vars(m)["_evaluation"] = (psi, moments)  # frozen: through the instance dict
-    return moments
+    return _noise_moments(m, psi)
 
 
 def _error_pair(second) -> ErrorPair:

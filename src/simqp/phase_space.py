@@ -259,9 +259,16 @@ def _checked_moments(mean, cov, labels: tuple, psd: str) -> tuple:
     return mean, cov
 
 
+def _given(inputs: dict) -> str:
+    """``inputs`` as ``key=value`` text: nu in full, as ``:g`` would print an
+    edge nu as 0 or 1, and every other value by ``:g``."""
+    return ", ".join(
+        f"{key}={val}" if key == "nu" else f"{key}={val:g}" for key, val in inputs.items()
+    )
+
+
 def _named_error(name: str, value: float, problem: str, inputs: dict) -> ValueError:
-    given = ", ".join(f"{key}={val:g}" for key, val in inputs.items())
-    return ValueError(f"{name} = {value:g} {problem} ({given})")
+    return ValueError(f"{name} = {value:g} {problem} ({_given(inputs)})")
 
 
 def checked_variances(variances, **inputs) -> None:

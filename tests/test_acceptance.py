@@ -351,7 +351,8 @@ def test_criterion_9_arthurs_kelly_comparator():
 
 
 def test_criterion_10_fuzz_bounds():
-    start = time.perf_counter()
+    # CPU time of this process: another process on the machine cannot stretch it
+    start = time.process_time()
     rng = np.random.default_rng(77007700)
     worst_bo = math.inf
     worst_oz = math.inf
@@ -360,7 +361,7 @@ def test_criterion_10_fuzz_bounds():
         errs = qrms_errors(m, PSI)
         worst_bo = min(worst_bo, branciard_ozawa_residual(errs, PSI))
         worst_oz = min(worst_oz, ozawa_inequality_residual(errs, PSI))
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     report(
         "10 fuzz-bounds",
         worst_bo >= -1e-9 and worst_oz >= -1e-9 and elapsed < 30.0,

@@ -33,7 +33,7 @@ from simqp import (
     qrms_errors,
     sample,
 )
-from simqp import cli
+from simqp import cli, measurement
 from simqp.cli import main
 from simqp.phase_space import TOLERANCES
 
@@ -179,6 +179,19 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--nu-grid", "0.2,0.4")
         assert code == 2
         assert "one nu" in err
+
+    def test_one_packet_one_evaluation(self, capsys, monkeypatch):
+        calls = []
+        real = measurement._noise_moments
+
+        def counting(m, psi):
+            calls.append(psi)
+            return real(m, psi)
+
+        monkeypatch.setattr(measurement, "_noise_moments", counting)
+        code, _, _ = run(capsys, "check", "--family", "y2", "--nu", "0.5")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestFrontier:
@@ -875,7 +888,7 @@ def test_overflowing_outcome_is_named(nu, y):
             ("--family", "z", "--sigma1=1e12", "--p1=-1.7e308", "--nu=0.9999999999999999",
              "--region=1e-12,inf,-inf,1e200"),
             "(7.97885e+11, -1.7e+308) gives a posterior mean that overflows float64 "
-            "(nu=1, sigma1=1e+12, hbar=1)",
+            "(nu=0.9999999999999999, sigma1=1e+12, hbar=1)",
         ),
     ],
 )
@@ -950,11 +963,15 @@ def test_extreme_central_regions_exit_zero(flags):
         ),
         (
             ("check", "--family", "x", "--nu=5e-324"),
-            ["coupling alpha1 underflows to 0 (nu=4.94066e-324", "E=1, F=2)"],
+            ["coupling alpha1 underflows to 0 (nu=5e-324", "E=1, F=2)"],
         ),
         (
             ("check", "--family", "x", "--nu=1e-323"),
-            ["coupling b1 = -inf overflows float64", "(nu=9.88131e-324", "E=1, F=2)"],
+            ["coupling b1 = -inf overflows float64", "(nu=1e-323", "E=1, F=2)"],
+        ),
+        (
+            ("sweep", "--family", "y2", "--nu-grid", "0.5,0.999999999"),
+            ["at nu=0.999999999: S^3 != -E S"],
         ),
     ],
 )
@@ -1013,8 +1030,8 @@ def test_sweep_at_a_subnormal_nu_names_the_coupling(capsys):
     code, out, err = run(capsys, "sweep", "--family", "x", "--q1=1", "--nu-grid=1e-320,0.5")
     assert (code, out) == (2, "")
     assert err == (
-        "error: at nu=9.99989e-321: coupling b1 = -inf overflows float64 at "
-        "alpha1 = 4.99994e-321 (nu=9.99989e-321, tau=1.5708, gamma2=1, E=1, F=2)\n"
+        "error: at nu=1e-320: coupling b1 = -inf overflows float64 at "
+        "alpha1 = 4.99994e-321 (nu=1e-320, tau=1.5708, gamma2=1, E=1, F=2)\n"
     )
 
 
@@ -1069,6 +1086,16 @@ for argv in (
     if code != 0:
         sys.exit(f"{argv[0]} exited {code}")
 """
+
+
+def test_runtime_checks_pass_through_the_module():
+    # the checks the CI runtime job runs against the installed console script
+    script = Path(__file__).with_name("runtime_checks.py")
+    done = subprocess.run(
+        [sys.executable, str(script), sys.executable, "-m", "simqp.cli"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-3000:]
 
 
 def test_runtime_needs_no_scipy():

@@ -367,10 +367,26 @@ class TestSample:
         draws = sample(joint, 1000, seed=2)
         np.testing.assert_allclose(draws[:, 0], draws[:, 1], atol=1e-12)
 
-    def test_n_must_be_positive(self):
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (0, 1, "n must be at least 1, got 0"),
+            (2.5, 1, "n must be an integer, got 2.5"),
+            (True, 1, "n must be an integer, got True"),
+            (3, -1, "seed must be a non-negative integer, got -1"),
+            (3, 1.0, "seed must be a non-negative integer, got 1.0"),
+            (3, False, "seed must be a non-negative integer, got False"),
+        ],
+    )
+    def test_n_must_be_positive(self, n, seed, message):
         joint = JointGaussian(("a",), [0.0], [[1.0]])
-        with pytest.raises(ValueError):
-            sample(joint, 0, seed=1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample(joint, n, seed=seed)
+
+    def test_numpy_integers_are_accepted(self):
+        joint = JointGaussian(("a",), [0.0], [[1.0]])
+        draws = sample(joint, np.int64(3), seed=np.uint32(5))
+        np.testing.assert_array_equal(draws, sample(joint, 3, seed=5))
 
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(ValueError, match="semidefinite"):
@@ -578,6 +594,18 @@ class TestPosteriorConsistency:
         with pytest.raises(ValueError, match=message):
             posterior_consistency(family, 0.37, PSI, outcomes=[(0.1, 0.2), outcome])
 
+    @pytest.mark.parametrize(
+        "outcomes, message",
+        [
+            ([(1.0,)], r"^each outcome must be one \(z, w\) pair, got \(1.0,\)$"),
+            ([(0.1, 0.2), (1.0, 2.0, 3.0)], r"pair, got \(1.0, 2.0, 3.0\)$"),
+            ([], r"^outcomes is empty"),
+        ],
+    )
+    def test_outcomes_must_be_pairs(self, outcomes, message):
+        with pytest.raises(ValueError, match=message):
+            posterior_consistency(ModelFamily.Z, 0.37, PSI, outcomes=outcomes)
+
     def test_matches_per_outcome_conditionals(self):
         """Reference: one full ``conditional`` law per outcome and joint."""
 
@@ -624,6 +652,10 @@ class TestPosteriorConsistency:
             outcomes = None if n is None else [
                 tuple(rng.normal(scale=3.0 * psi.sigma1, size=2)) for _ in range(n)
             ]
+            if n == 0:  # a report over no outcome would read as a pass
+                with pytest.raises(ValueError, match="^outcomes is empty"):
+                    posterior_consistency(family, nu, psi, outcomes)
+                continue
             report = posterior_consistency(family, nu, psi, outcomes)
             want = per_outcome_report(family, nu, psi, outcomes)
             got = (

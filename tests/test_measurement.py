@@ -318,7 +318,7 @@ class TestSolveCouplings:
     )
     def test_unrepresentable_coupling_names_nu(self, nu, problem):
         # the X recipe: F = 2, so alpha1 = nu / 2 and b1 = -1 / alpha1
-        message = f"coupling {problem} (nu={nu:g}, tau=1.5708, gamma2=1, E=1, F=2)"
+        message = f"coupling {problem} (nu={nu}, tau=1.5708, gamma2=1, E=1, F=2)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             solve_couplings(nu, math.pi / 2.0, 1.0, 1.0)
 
