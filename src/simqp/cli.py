@@ -95,9 +95,12 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+#: the config-file keys read as one float64 each
+_FLOAT_KEYS = ("hbar", "sigma1", "q1", "p1", "nu")
+
 #: the JSON type a config-file value must hold, by key: (its name, its test)
 _FILE_TYPES = {
-    **{key: ("a JSON number", _is_number) for key in ("hbar", "sigma1", "q1", "p1", "nu")},
+    **{key: ("a JSON number", _is_number) for key in _FLOAT_KEYS},
     "nu_grid": (
         "a list of JSON numbers",
         lambda value: isinstance(value, list) and all(map(_is_number, value)),
@@ -548,8 +551,7 @@ def cmd_posterior(cfg: RunConfig, args) -> int:
     fam = PosteriorFamily(nu=nu, psi=psi)
     target = _quarter_square(psi.hbar)
     if math.isinf(target):  # from hbar ~ 2.68e154 on
-        inputs = dict(nu=nu, sigma1=psi.sigma1, hbar=psi.hbar)
-        raise _named_error("uncertainty_product_target", target, "overflows float64", inputs)
+        raise _named_error("uncertainty_product_target", target, "overflows float64", fam.inputs)
     if y is not None:
         state = posterior_state(fam, y)
         var_q, var_p = state.cov[0, 0], state.cov[1, 1]
@@ -628,7 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config(path: str) -> dict:
     """The JSON object in ``path``, each value of a key in ``_FILE_TYPES``
-    checked to hold its JSON type."""
+    checked to hold its JSON type, and each number read as a float checked
+    to fit float64 (JSON integers have no bound)."""
     with open(path, encoding="utf-8") as fh:
         values = json.load(fh)
     if not isinstance(values, dict):
@@ -641,6 +644,11 @@ def _read_config(path: str) -> dict:
                 f"config file {path}: {key!r} must hold {kind}, "
                 f"got {json.dumps(values[key])}"
             )
+    for key in _FLOAT_KEYS + ("nu_grid",):
+        try:  # a JSON integer has no bound
+            np.asarray(values.get(key, ()), dtype=float)
+        except OverflowError:
+            raise ValueError(f"config file {path}: {key!r} overflows float64") from None
     return values
 
 

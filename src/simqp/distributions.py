@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import evolved_rows
 from .measurement import (
     POSTERIOR_FAMILIES,
     LinearSimultaneousMeasurement,
@@ -97,7 +98,8 @@ def joint_distribution(
             commutator coefficient.
         ValueError: if ``rows`` is not one 2-D block of at least one row,
             if ``labels`` does not name each row once, or if the rows' width
-            is not the state's coordinate count.
+            is not the state's coordinate count ``n`` or ``cov`` is not
+            ``(n, n)``.
     """
     if rows.ndim != 2 or not len(rows):
         raise ValueError(f"rows must be one (k, n) block, got shape {rows.shape}")
@@ -113,9 +115,10 @@ def _checked_laws(rows: np.ndarray, mean: np.ndarray, cov: np.ndarray, labels) -
     one state ``(mean, cov)``, one law per block, named by ``labels``.
 
     Each law gets every check of the :class:`JointGaussian` constructor.
-    Its covariance is mirrored from one triangle by :func:`row_moments`,
-    so it is its own symmetrization and goes straight to
-    :func:`check_symmetric_covariance`.
+    The shapes of ``rows``, ``cov`` and ``labels`` are checked on entry,
+    before any product.  Each covariance is mirrored from one triangle by
+    :func:`row_moments`, so it is its own symmetrization and goes straight
+    to :func:`check_symmetric_covariance`.
     """
     if rows.shape[-1:] != mean.shape:
         raise ValueError(
@@ -123,6 +126,11 @@ def _checked_laws(rows: np.ndarray, mean: np.ndarray, cov: np.ndarray, labels) -
             f"shape {mean.shape}"
         )
     *stack, d, n = rows.shape
+    if cov.shape != (n, n):
+        raise ValueError(
+            f"cov of shape {cov.shape} is not the covariance of a state with "
+            f"mean of shape {mean.shape}"
+        )
     if len(labels) != d:
         raise ValueError(f"dimension mismatch: {len(labels)} labels for {d} rows")
     count = math.prod(stack)  # laws in the stack; reshape(-1, ...) fails at d = 0
@@ -130,10 +138,6 @@ def _checked_laws(rows: np.ndarray, mean: np.ndarray, cov: np.ndarray, labels) -
     for block in qp.reshape(count, d, d).tolist():
         _check_commuting(block, labels)
     means, covs = row_moments(rows, mean, cov)
-    if covs.shape != means.shape + (d,):
-        raise ValueError(
-            f"dimension mismatch: {d} labels, mean {means.shape}, cov {covs.shape}"
-        )
     check_symmetric_covariance(covs, covs.reshape(count, d * d).tolist(), "psd_law")
     for law_mean in means.reshape(count, d).tolist():
         _check_finite_mean(law_mean, labels)
@@ -335,12 +339,16 @@ def sample(joint: JointGaussian, n: int, seed: int) -> np.ndarray:
     return draws
 
 
+def _model_state(m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams) -> tuple:
+    """``(mu, V)`` of psi x probe, the state every joint of ``m`` is taken in."""
+    return packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
+
+
 def meter_joint(
     m: LinearSimultaneousMeasurement, psi: MinUncertaintyParams
 ) -> JointGaussian:
     """Joint law of the two meters (Q2(tau), P3(tau)) in psi x probe."""
-    mu, v = packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
-    return joint_distribution(m.rows, mu, v, ("Q2(tau)", "P3(tau)"))
+    return joint_distribution(m.rows, *_model_state(m, psi), ("Q2(tau)", "P3(tau)"))
 
 
 def q_pair_joint(
@@ -348,8 +356,7 @@ def q_pair_joint(
 ) -> JointGaussian:
     """Joint law of the target and its meter, (Q1(0), Q2(tau))."""
     rows = np.array((TARGET_ROWS[0], m.rows[0]))
-    mu, v = packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
-    return joint_distribution(rows, mu, v, ("Q1(0)", "Q2(tau)"))
+    return joint_distribution(rows, *_model_state(m, psi), ("Q1(0)", "Q2(tau)"))
 
 
 def p_pair_joint(
@@ -357,8 +364,7 @@ def p_pair_joint(
 ) -> JointGaussian:
     """Joint law of the target and its meter, (P1(0), P3(tau))."""
     rows = np.array((TARGET_ROWS[1], m.rows[1]))
-    mu, v = packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
-    return joint_distribution(rows, mu, v, ("P1(0)", "P3(tau)"))
+    return joint_distribution(rows, *_model_state(m, psi), ("P1(0)", "P3(tau)"))
 
 
 def check_posterior_family(family: ModelFamily) -> None:
@@ -383,6 +389,8 @@ class PosteriorFamily:
     psi: MinUncertaintyParams
     var_q: float = field(init=False, repr=False, compare=False)
     var_p: float = field(init=False, repr=False, compare=False)
+    #: what a refusal of the family's values names: nu, sigma1 and hbar
+    inputs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.nu < 1.0:
@@ -393,7 +401,7 @@ class PosteriorFamily:
         var_p = _square(self.psi.hbar / 2.0) / var_q
         checked_variances((("posterior Var(P1)", var_p),), **inputs)
         # frozen: the derived fields go in through the instance dict
-        vars(self).update(var_q=var_q, var_p=var_p)
+        vars(self).update(var_q=var_q, var_p=var_p, inputs=inputs)
 
     def mean_map(self, y) -> np.ndarray:
         """Affine map ((y1-(1-nu)q1)/nu, (y2-nu p1)/(1-nu)) of y, shape (2, ...)."""
@@ -419,18 +427,17 @@ def posterior_state(fam: PosteriorFamily, y) -> GaussianState:
     y = np.asarray(y, dtype=float)
     if y.shape != (2,):
         raise ValueError(f"outcome must be one pair (y1, y2), got shape {y.shape}")
-    inputs = dict(nu=fam.nu, sigma1=fam.psi.sigma1, hbar=fam.psi.hbar)
-    mean = _posterior_mean(fam, y, "outcome (y1, y2)", inputs)
+    mean = _posterior_mean(fam, y, "outcome (y1, y2)")
     variances = (("posterior Var(Q1)", fam.var_q), ("posterior Var(P1)", fam.var_p))
-    return _diagonal_state((1,), mean, variances, fam.psi.hbar, inputs)
+    return _diagonal_state((1,), mean, variances, fam.psi.hbar, fam.inputs)
 
 
-def _posterior_mean(fam: PosteriorFamily, y: np.ndarray, what: str, inputs: dict):
+def _posterior_mean(fam: PosteriorFamily, y: np.ndarray, what: str):
     """``fam.mean_map(y)`` of one pair, refused as ``what`` where it is not finite."""
     with np.errstate(over="ignore"):  # an overflow is refused below, by name
         mean = fam.mean_map(y)
     if not all(map(math.isfinite, mean.tolist())):
-        given = _given(inputs)
+        given = _given(fam.inputs)
         y1, y2 = y.tolist()
         if not (math.isfinite(y1) and math.isfinite(y2)):
             raise ValueError(f"{what} = ({y1}, {y2}) is not finite ({given})")
@@ -454,6 +461,11 @@ class PosteriorConsistencyReport:
     @property
     def max_deviation(self) -> float:
         return max(self.max_mean_deviation, self.max_var_deviation)
+
+
+#: the evolved rows of the triples (Q1(tau), Q2(tau), P3(tau)) and
+#: (P1(tau), Q2(tau), P3(tau)): each target, then the meters
+_POSTERIOR_TRIPLES = np.array([[0, 1, 5], [3, 1, 5]])
 
 
 def posterior_consistency(
@@ -486,25 +498,21 @@ def posterior_consistency(
     """
     check_posterior_family(family)
     m = build_model(family, nu, psi)
-    rows = np.zeros((2, 3, 6))
-    rows[0, 0, :3] = m.transform.a[0]  # Q1(tau): row 0 of A on the positions
-    rows[1, 0, 3:] = m.transform.b[0]  # P1(tau): row 0 of B on the momenta
-    rows[:, 1:] = m.rows  # the meters Q2(tau) and P3(tau)
-    mu, v = packet_probe_moments(make_min_uncertainty_state(psi), m.probe)
-    means, covs = _checked_laws(rows, mu, v, ("f0", "f1", "f2"))
+    rows = evolved_rows(m.transform).take(_POSTERIOR_TRIPLES, axis=0)
+    means, covs = _checked_laws(rows, *_model_state(m, psi), ("f0", "f1", "f2"))
     if outcomes is None:  # 3x3 grid at the meter means +/- one spread (first triple)
         _, z, w = means[0].tolist()
         sd_z, sd_w = math.sqrt(covs[0, 1, 1]), math.sqrt(covs[0, 2, 2])
         outcomes = [
             (z + dz * sd_z, w + dw * sd_w) for dz in (-1.0, 0.0, 1.0) for dw in (-1.0, 0.0, 1.0)
         ]
-    outcomes = [tuple(pair) for pair in outcomes]
-    for pair in outcomes:
-        if len(pair) != 2:
-            raise ValueError(f"each outcome must be one (z, w) pair, got {pair!r}")
-    if not outcomes:
+    outcomes = list(outcomes)  # read a second time only to name one that fails
+    y = _outcome_array(outcomes)
+    if y is None:
+        for pair in outcomes:
+            if _outcome_array([pair]) is None:
+                raise ValueError(f"each outcome must be one (z, w) pair, got {pair!r}")
         raise ValueError("outcomes is empty: a report over no outcome checks nothing")
-    y = np.array(outcomes, dtype=float)
     for z, w in y.tolist():
         if not (math.isfinite(z) and math.isfinite(w)):
             raise ValueError(
@@ -536,6 +544,16 @@ def posterior_consistency(
         max_mean_deviation=max(gaps),
         max_var_deviation=max(abs(var[0][0] - fam.var_q), abs(var[1][0] - fam.var_p)),
     )
+
+
+def _outcome_array(outcomes: list) -> np.ndarray | None:
+    """The ``(k, 2)`` floats of ``outcomes``, each read as ``tuple(pair)``, or
+    None if there is none or one is not a pair of numbers."""
+    try:
+        y = np.array([tuple(pair) for pair in outcomes], dtype=float)
+    except (TypeError, ValueError):  # not iterable (1.0, None), or not numbers ("a", "b")
+        return None
+    return y if y.shape[1:] == (2,) else None
 
 
 @dataclass(frozen=True)
@@ -595,10 +613,9 @@ def _truncated_moments(mean: float, sd: float, lo: float, hi: float) -> tuple:
     mass = _normal_mass(a, b)
     if mass <= 0.0:
         return 0.0, math.nan, math.nan
-    pdf_a = _normal_pdf(a) if math.isfinite(a) else 0.0
-    pdf_b = _normal_pdf(b) if math.isfinite(b) else 0.0
-    edge_a = a * pdf_a if math.isfinite(a) else 0.0
-    edge_b = b * pdf_b if math.isfinite(b) else 0.0
+    pdf_a, pdf_b = _normal_pdf(a), _normal_pdf(b)  # 0.0 at an infinite bound
+    edge_a = a * pdf_a if pdf_a else 0.0  # not inf * 0.0, which is NaN
+    edge_b = b * pdf_b if pdf_b else 0.0
     shift = (pdf_a - pdf_b) / mass
     var_factor = 1.0 + (edge_a - edge_b) / mass - shift**2
     return mass, mean + sd * shift, _square(sd) * var_factor
@@ -624,8 +641,10 @@ def region_mixture_moments(
         ``(mean, cov)``: length-2 vector and 2x2 matrix over (Q1, P1).
 
     Raises:
-        ValueError: if the region carries no outcome probability, or naming
-            its mean outcome or a variance that overflows float64.
+        ValueError: if the outcome mass of either axis of the region is 0
+            in float64 (a product of two tiny masses may underflow; it is
+            not tested), or naming its mean outcome or a variance that
+            overflows float64.
     """
     check_posterior_family(family)
     fam = PosteriorFamily(nu=nu, psi=psi)
@@ -633,12 +652,11 @@ def region_mixture_moments(
     sd_w = math.sqrt(1.0 - nu) * psi.sigma_p
     mass_z, mean_z, var_z = _truncated_moments(psi.q1, sd_z, region.z_lo, region.z_hi)
     mass_w, mean_w, var_w = _truncated_moments(psi.p1, sd_w, region.w_lo, region.w_hi)
-    if mass_z * mass_w <= 0.0:
+    if mass_z <= 0.0 or mass_w <= 0.0:
         raise ValueError(f"region {region} has zero outcome probability")
-    inputs = dict(nu=nu, sigma1=psi.sigma1, hbar=psi.hbar)
-    mean = _posterior_mean(fam, np.array([mean_z, mean_w]), "region mean outcome (z, w)", inputs)
+    mean = _posterior_mean(fam, np.array([mean_z, mean_w]), "region mean outcome (z, w)")
     # dividing twice, as nu**2 underflows to 0 below nu ~ 1.5e-162
     var_q = fam.var_q + var_z / nu / nu
     var_p = fam.var_p + var_w / (1.0 - nu) / (1.0 - nu)
-    checked_variances((("region Var(Q1)", var_q), ("region Var(P1)", var_p)), **inputs)
+    checked_variances((("region Var(Q1)", var_q), ("region Var(P1)", var_p)), **fam.inputs)
     return mean, np.diag([var_q, var_p])

@@ -21,6 +21,7 @@ from .dynamics import (
     PropagatedTransform,
     SolvableGenerator,
     _gamma2_squared,
+    evolved_rows,
     expm_coefficients,
     propagate,
 )
@@ -32,6 +33,7 @@ from .phase_space import (
     GaussianState,
     MinUncertaintyParams,
     _quarter_square,
+    _square,
     all_finite,
     exceeds,
     make_min_uncertainty_state,
@@ -100,20 +102,20 @@ class LinearSimultaneousMeasurement:
 
     The meters ``Mq`` and ``Mp`` are compared against Q1 and P1.  ``rows``
     holds them as one read-only ``(2, 6)`` block of global rows.  For the
-    linear models they are Q2(tau) and P3(tau), rows 1 and 5 of
-    :func:`evolved_rows`; the Arthurs-Kelly comparator supplies its own
-    block and carries no generator/transform.  Construction checks the
-    probe modes, the block's shape and finiteness, the meters' commutator
-    and tau.
+    linear models they are Q2(tau) and P3(tau), ``evolved_rows(transform)[1::4]``,
+    and the measurement time is ``transform.tau``; the Arthurs-Kelly
+    comparator supplies its own block and carries no generator/transform.
+    ``generator`` and ``transform`` are keyword-only.  Construction checks
+    the probe modes, the block's shape and finiteness and the meters'
+    commutator.
     """
 
     probe: GaussianState
     rows: np.ndarray
-    tau: float
     generator: SolvableGenerator | None = None
     transform: PropagatedTransform | None = None
 
-    def __init__(self, probe, rows, tau, generator=None, transform=None):
+    def __init__(self, probe, rows, *, generator=None, transform=None):
         if probe.modes != (2, 3):
             raise ValueError(f"probe must live on modes (2, 3), got {probe.modes}")
         rows = np.array(rows, dtype=float)
@@ -132,15 +134,11 @@ class LinearSimultaneousMeasurement:
         c = qp[0][1] - qp[1][0]
         if exceeds("commutator", c):
             raise ValueError(f"meters do not commute: [Mq, Mp] = i*hbar*{c:g}")
-        if not tau > 0:
-            raise ValueError(f"tau must be positive, got {tau}")
         rows.setflags(write=False)
         # the class is frozen, so the fields go in through the instance dict:
         # a generated __init__ would pay one object.__setattr__ per field,
         # on every model built
-        vars(self).update(
-            probe=probe, rows=rows, tau=tau, generator=generator, transform=transform
-        )
+        vars(self).update(probe=probe, rows=rows, generator=generator, transform=transform)
 
 
 def solve_couplings(nu: float, tau: float, gamma2: float, e: float) -> tuple:
@@ -221,13 +219,11 @@ def measurement_from_parts(
     """Wire an arbitrary solvable generator to an arbitrary probe state.
 
     The model reads ``Q2(tau)`` and ``P3(tau)``, rows 1 and 5 of the
-    evolved block.
+    evolved block (a view, which the model copies).
     """
     transform = propagate(gen)
-    rows = np.zeros((2, 6))
-    rows[0, :3] = transform.a[1]  # Q2(tau): row 1 of A on the positions
-    rows[1, 3:] = transform.b[2]  # P3(tau): row 2 of B on the momenta
-    return LinearSimultaneousMeasurement(probe, rows, transform.tau, gen, transform)
+    rows = evolved_rows(transform)[1::4]
+    return LinearSimultaneousMeasurement(probe, rows, generator=gen, transform=transform)
 
 
 #: the Arthurs-Kelly meters ``Q1 + Q2 + P3/2`` and ``P1 - P2/2 + Q3`` as global rows
@@ -245,7 +241,7 @@ def arthurs_kelly_model(probe: GaussianState) -> LinearSimultaneousMeasurement:
     independent of the system state and always satisfy the multiplicative
     error bound eps_q * eps_p >= hbar/2.
     """
-    return LinearSimultaneousMeasurement(probe, _ARTHURS_KELLY_ROWS, tau=1.0)
+    return LinearSimultaneousMeasurement(probe, _ARTHURS_KELLY_ROWS)
 
 
 def _noise_moments(
@@ -335,11 +331,8 @@ def branciard_ozawa_residual(errs: ErrorPair, psi: MinUncertaintyParams) -> floa
     Raises:
         ValueError: naming the errors, sigma1 and hbar if a term overflows.
     """
-    try:
-        lhs = errs.eps_q**2 * psi.sigma_p**2 + psi.sigma_q**2 * errs.eps_p**2
-        residual = lhs - _quarter_square(psi.hbar)
-    except OverflowError:  # a float ** past float64 raises; a * or - gives inf
-        residual = math.inf
+    lhs = _square(errs.eps_q) * _square(psi.sigma_p) + _square(psi.sigma_q) * _square(errs.eps_p)
+    residual = lhs - _quarter_square(psi.hbar)
     if not math.isfinite(residual):
         raise ValueError(
             f"the Branciard-Ozawa residual overflows float64 (eps_q={errs.eps_q:g}, "

@@ -303,7 +303,6 @@ def measurement_from_matrix(r: np.ndarray, tau: float, probe: GaussianState):
     return LinearSimultaneousMeasurement(
         probe=probe,
         rows=evolved_rows(transform)[[1, 5]],
-        tau=transform.tau,
         transform=transform,
     )
 

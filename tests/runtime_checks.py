@@ -2,7 +2,9 @@
 
 Each command runs in a fresh process.  Its exit code must be the expected
 one, and its stderr must hold no traceback, no warning and no refusal that
-leaves the value unnamed.  Then two ``sample --out`` files must equal
+leaves the value unnamed.  A config file holding an integer past float64
+must be refused by its key (exit 2), with or without the flag that
+overrides it.  Then two ``sample --out`` files must equal
 ``np.savetxt(fmt="%.17g")`` byte for byte, and a sample summary's moments
 must equal numpy's own, bit for bit.
 
@@ -33,6 +35,8 @@ EXPECTED_CODES = [
     (2, "check --nu 2"),
     (0, "posterior --family z --nu 0.5 --y 0.1,0.2"),
     (0, "posterior --family y0 --nu 0.4 --region=-1,1,-1,1"),
+    # each outcome mass is about 2.7e-176: only their product underflows
+    (0, "posterior --family y0 --nu 0.5 --region=20,21,10,11"),
     (0, "sample --nu 0.5 --which p-pair --n 1000 --out p.csv"),
     (2, "posterior --family z --nu 0.3 --y=1e308,0"),
     # hbar**2 overflows here, but hbar**2/4 = (hbar/2)**2 does not
@@ -51,6 +55,11 @@ EXPECTED_CODES = [
     (2, "posterior --family y0 --sigma1=1e-12 --q1=-1e308 --nu=1e-16 "
         "--region=-1.7e308,inf,-inf,1e308 --format json"),
 ]
+
+# a config integer that float64 cannot hold is refused by its key as the file
+# is read (exit 2), also where a flag overrides that key
+BIG_CONFIG = '{"sigma1": 1' + "0" * 400 + "}"
+CONFIG_RUNS = ["sweep --config big.json", "sweep --sigma1 2 --config big.json"]
 
 # an even row count on the meters, an odd one (a part block) on another joint
 SAMPLE_RUNS = [
@@ -81,6 +90,18 @@ def check_exit_codes(command: list) -> None:
             raise CheckFailed(f"'{args}' refused without naming the value")
     if os.path.exists("o.csv"):
         raise CheckFailed("a refused sample wrote its --out file")
+
+
+def check_config_overflow(command: list) -> None:
+    with open("big.json", "w", encoding="utf-8") as fh:
+        fh.write(BIG_CONFIG)
+    for args in CONFIG_RUNS:
+        done = run(command, args.split())
+        sys.stderr.write(done.stderr)
+        if done.returncode != 2:
+            raise CheckFailed(f"'{args}' exited {done.returncode}, expected 2")
+        if "Traceback" in done.stderr or "'sigma1'" not in done.stderr:
+            raise CheckFailed(f"'{args}' did not refuse by the key 'sigma1'")
 
 
 def check_sample_files(command: list) -> None:
@@ -122,13 +143,14 @@ def main(argv: list) -> int:
         os.chdir(tmp)
         try:
             check_exit_codes(command)
+            check_config_overflow(command)
             check_sample_files(command)
         except CheckFailed as exc:
             print(f"FAILED: {exc}", file=sys.stderr)
             return 1
         finally:
             os.chdir(home)
-    print(f"all {len(EXPECTED_CODES) + len(SAMPLE_RUNS)} runtime checks passed")
+    print(f"all {len(EXPECTED_CODES) + len(CONFIG_RUNS) + len(SAMPLE_RUNS)} runtime checks passed")
     return 0
 
 

@@ -491,6 +491,34 @@ class TestConfigFile:
         assert code == 2
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "key, value, argv",
+        [
+            ("sigma1", "1" + "0" * 400, ["sweep"]),
+            ("q1", "1" + "0" * 400, ["check", "--nu", "0.5"]),
+            ("nu", "1" + "0" * 400, ["sweep"]),
+            ("nu_grid", "[0.5, -1" + "0" * 400 + "]", ["sweep"]),
+            # refused as the file is read, so a flag does not hide it
+            ("sigma1", "1" + "0" * 400, ["sweep", "--sigma1", "2"]),
+            ("nu", "1" + "0" * 400, ["sweep", "--nu", "0.5"]),
+        ],
+    )
+    def test_config_integer_past_float64_names_its_key(self, capsys, tmp_path, key, value, argv):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"{key}": {value}}}')
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: config file {cfg}: {key!r} overflows float64\n"
+
+    def test_unknown_config_format_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown output format 'xml'\n"
+
     def test_flags_override_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"family": "z", "nu": 0.25, "sigma1": 2.0}))

@@ -143,6 +143,15 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match=message):
             joint_distribution(np.eye(6)[:1], state.mean, state.cov)
 
+    @pytest.mark.parametrize("shape", [(5, 5), (6,), (6, 5), (1, 6, 6)])
+    def test_cov_shape_mismatch_names_both_shapes(self, shape):
+        # refused before any product, not as numpy's matmul error
+        message = re.escape(
+            f"cov of shape {shape} is not the covariance of a state with mean of shape (6,)"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            joint_distribution(np.eye(6)[[0, 1]], np.zeros(6), np.ones(shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_mean_is_named(self, bad):
         with pytest.raises(ValueError, match=rf"^mean of 'b' is {bad}: it must be finite$"):
@@ -220,6 +229,11 @@ class TestConditional:
         message = rf"given index {index} is not a distinct integer in range\(2\)"
         with pytest.raises(ValueError, match=message):
             conditional(joint, given=given, values=values)
+
+    def test_value_count_must_match_the_indices(self):
+        joint = q_pair_joint(build_model(ModelFamily.Y0, 0.5, PSI), PSI)
+        with pytest.raises(ValueError, match=r"^expected 1 values, got shape \(2,\)$"):
+            conditional(joint, [1], [1.0, 2.0])
 
     def test_numpy_integer_index_accepted(self):
         joint = q_pair_joint(build_model(ModelFamily.Y0, 0.5, PSI), PSI)
@@ -494,6 +508,11 @@ class TestPosteriorStates:
         with pytest.raises(ValueError, match=message):
             PosteriorFamily(nu=nu, psi=psi)
 
+    @pytest.mark.parametrize("nu", [0.0, 1.0, math.nan])
+    def test_nu_outside_the_open_interval_is_refused(self, nu):
+        with pytest.raises(ValueError, match=rf"^nu must lie strictly between 0 and 1, got {nu}$"):
+            PosteriorFamily(nu=nu, psi=PSI)
+
     def test_variances_are_computed_once_with_the_formula_bits(self):
         psi = MinUncertaintyParams(q1=0.3, p1=-0.2, sigma1=1.3, hbar=0.7)
         fam = PosteriorFamily(nu=0.37, psi=psi)
@@ -600,6 +619,9 @@ class TestPosteriorConsistency:
             ([(1.0,)], r"^each outcome must be one \(z, w\) pair, got \(1.0,\)$"),
             ([(0.1, 0.2), (1.0, 2.0, 3.0)], r"pair, got \(1.0, 2.0, 3.0\)$"),
             ([], r"^outcomes is empty"),
+            ([1.0], r"^each outcome must be one \(z, w\) pair, got 1.0$"),
+            ([(0.1, 0.2), None], r"^each outcome must be one \(z, w\) pair, got None$"),
+            ([("a", "b")], r"^each outcome must be one \(z, w\) pair, got \('a', 'b'\)$"),
         ],
     )
     def test_outcomes_must_be_pairs(self, outcomes, message):
@@ -781,6 +803,24 @@ class TestRegionMixture:
         )
         with pytest.raises(ValueError, match=f"^{message}$"):
             region_mixture_moments(ModelFamily.Z, 0.5, psi, OutcomeRegion.full_plane())
+
+    def test_region_whose_masses_multiply_to_zero_is_answered(self):
+        # each axis holds a mass of about 2.7e-176; only their product underflows.
+        # References: the truncated-normal moments in 50-digit arithmetic.
+        region = OutcomeRegion(20.0, 21.0, 10.0, 11.0)
+        mean, cov = region_mixture_moments(ModelFamily.Y0, 0.5, PSI, region)
+        np.testing.assert_allclose(
+            mean, [40.04987577410839, 20.024937887054197], rtol=1e-12, atol=0
+        )
+        np.testing.assert_allclose(
+            np.diag(cov), [1.0024814428213134, 0.25062036070532834], rtol=1e-9, atol=0
+        )
+
+    def test_region_whose_own_mass_underflows_is_refused(self):
+        # the z-mass itself is 0 in float64, though the truncated mean is about 60
+        region = OutcomeRegion(30.0, 31.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match=r"has zero outcome probability$"):
+            region_mixture_moments(ModelFamily.Y0, 0.5, PSI, region)
 
     def test_zero_measure_region_rejected(self):
         region = OutcomeRegion(60.0, 70.0, -1.0, 1.0)

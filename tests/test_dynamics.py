@@ -150,9 +150,11 @@ class TestSolvableGenerator:
             # X recipe's a1 does at nu = 1e-320
             (lambda: SolvableGenerator.from_couplings(5e-321, 1.0, 1.0, 1.0, math.pi / 2),
              "coupling b1 = -inf is not finite"),
+            (lambda: SolvableGenerator.from_couplings(0.0, 1.0, 0.0, 0.0, 1.0),
+             "alpha1 and alpha3 must be nonzero"),
         ],
         ids=["tau-inf", "sinh-overflows", "tau-inf-trig", "tau-squared-overflows",
-             "time-factor", "gamma2-inf", "e-nan", "coupling-overflows"],
+             "time-factor", "gamma2-inf", "e-nan", "coupling-overflows", "alpha1-zero"],
     )
     def test_large_or_infinite_inputs_are_refused_by_name(self, build, message):
         # the suite turns a RuntimeWarning into an error, so none may escape either

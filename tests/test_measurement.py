@@ -32,6 +32,7 @@ from simqp import (
     branciard_ozawa_residual,
     build_model,
     check_theorem_conditions,
+    evolved_rows,
     heisenberg_product,
     measurement_from_parts,
     ozawa_inequality_residual,
@@ -77,7 +78,6 @@ class TestNoiseOperators:
         m = LinearSimultaneousMeasurement(
             probe=random_pure_probe(np.random.default_rng(0)),
             rows=np.eye(6)[[1, 5]],
-            tau=1.0,
         )
         n_q, n_p = m.rows - TARGET_ROWS
         np.testing.assert_allclose(n_q[:3], [-1.0, 1.0, 0.0])
@@ -88,7 +88,7 @@ class TestMeasurementConstructor:
     def test_rows_are_a_read_only_copy(self):
         rows = np.eye(6)[[1, 5]]
         probe = random_pure_probe(np.random.default_rng(0))
-        m = LinearSimultaneousMeasurement(probe=probe, rows=rows, tau=1.0)
+        m = LinearSimultaneousMeasurement(probe=probe, rows=rows)
         assert not m.rows.flags.writeable
         assert rows.flags.writeable
         np.testing.assert_array_equal(m.rows, rows)
@@ -97,13 +97,13 @@ class TestMeasurementConstructor:
     def test_rejects_a_block_of_the_wrong_shape(self, shape):
         probe = random_pure_probe(np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"meter rows must have shape \(2, 6\)"):
-            LinearSimultaneousMeasurement(probe=probe, rows=np.zeros(shape), tau=1.0)
+            LinearSimultaneousMeasurement(probe=probe, rows=np.zeros(shape))
 
     def test_rejects_non_commuting_meters(self):
         probe = random_pure_probe(np.random.default_rng(0))
         # Q2 and P2 are a canonical pair
         with pytest.raises(ValueError, match=r"do not commute: \[Mq, Mp\] = i\*hbar\*1$"):
-            LinearSimultaneousMeasurement(probe=probe, rows=np.eye(6)[[1, 4]], tau=1.0)
+            LinearSimultaneousMeasurement(probe=probe, rows=np.eye(6)[[1, 4]])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_rows_by_meter_and_column(self, bad):
@@ -113,8 +113,25 @@ class TestMeasurementConstructor:
         rows[1, 4] = bad
         message = rf"^meter Mp has coefficient {bad} in column 4: it must be finite$"
         with pytest.raises(ValueError, match=message):
-            LinearSimultaneousMeasurement(probe=probe, rows=rows, tau=1.0)
+            LinearSimultaneousMeasurement(probe=probe, rows=rows)
 
+
+    def test_has_no_tau_and_takes_generator_and_transform_by_keyword(self):
+        # the time is the transform's; a positional tau fails instead of
+        # landing in generator
+        probe = random_pure_probe(np.random.default_rng(0))
+        rows = np.eye(6)[[1, 5]]
+        with pytest.raises(TypeError):
+            LinearSimultaneousMeasurement(probe, rows, 1.0)
+        assert not hasattr(LinearSimultaneousMeasurement(probe, rows), "tau")
+        m = build_model(ModelFamily.Z, 0.37, PSI)
+        assert not hasattr(m, "tau")
+        assert m.transform.tau == math.log(2.0)
+
+    def test_meters_are_rows_1_and_5_of_the_evolved_block(self):
+        m = build_model(ModelFamily.X, 0.3, PSI)
+        np.testing.assert_array_equal(m.rows, evolved_rows(m.transform)[[1, 5]])
+        assert m.rows.flags.owndata and not m.rows.flags.writeable
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("k", range(12))
@@ -125,7 +142,7 @@ class TestMeasurementConstructor:
         meter, column = ("Mq", "Mp")[k // 6], k % 6
         message = rf"^meter {meter} has coefficient {bad} in column {column}: it must be finite$"
         with pytest.raises(ValueError, match=message):
-            LinearSimultaneousMeasurement(probe=probe, rows=rows, tau=1.0)
+            LinearSimultaneousMeasurement(probe=probe, rows=rows)
 
 
 def random_measurement_and_oracle(rng, psi):
@@ -200,7 +217,6 @@ class TestQrmsErrors:
         perturbed = LinearSimultaneousMeasurement(
             probe=shifted_probe(m.probe, 0, delta),
             rows=m.rows,
-            tau=m.tau,
             generator=m.generator,
             transform=m.transform,
         )
@@ -348,7 +364,7 @@ class TestSolveCouplings:
 class TestBuildModel:
     def test_x_recipe(self):
         m = build_model(ModelFamily.X, 0.5, PSI)
-        assert m.tau == pytest.approx(math.pi / 2.0)
+        assert m.transform.tau == pytest.approx(math.pi / 2.0)
         assert m.transform.a[1, 0] == pytest.approx(0.5, abs=1e-14)
         assert m.transform.a[1, 1] == pytest.approx(2.0, abs=1e-14)
 
@@ -408,7 +424,7 @@ class TestGeneralGenerator:
             by_parts = measurement_from_parts(gen, probe)
             by_matrix = measurement_from_matrix(gen.s, gen.tau, probe)
             assert by_matrix.generator is None
-            assert by_matrix.tau == by_parts.tau
+            assert by_matrix.transform.tau == by_parts.transform.tau
             np.testing.assert_allclose(by_matrix.rows, by_parts.rows, rtol=0, atol=1e-12)
 
     def test_fuzz_bounds_hold(self):
@@ -508,7 +524,6 @@ class TestTheoremConditions:
         perturbed = LinearSimultaneousMeasurement(
             probe=shifted_probe(m.probe, 0, 1.0),
             rows=m.rows,
-            tau=m.tau,
             generator=m.generator,
             transform=m.transform,
         )
@@ -538,6 +553,30 @@ class TestTheoremConditions:
         )
         with pytest.raises(ValueError, match=message):
             check_theorem_conditions(arthurs_kelly_model(probe), psi)
+
+    @pytest.mark.parametrize(
+        "errs, named",
+        [(ErrorPair(1e200, 1.0), "eps_q=1e+200, eps_p=1"), (ErrorPair(1.0, 1e160), "eps_q=1, eps_p=1e+160")],
+    )
+    def test_an_overflowing_squared_error_is_named(self, errs, named):
+        # eps**2 leaves float64 here: the residual is refused, not raised as OverflowError
+        message = re.escape(
+            f"the Branciard-Ozawa residual overflows float64 ({named}, sigma1=1, hbar=1)"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            branciard_ozawa_residual(errs, PSI)
+
+    def test_disagreeing_error_routes_are_refused(self, monkeypatch):
+        # the direct second moment, the one quadratic form in the whole 6x6 V, drifts by 1
+        real = measurement.quadratic_forms
+
+        def drifting(rows, cov):
+            values = real(rows, cov)
+            return [v + 1.0 for v in values] if cov.shape == (6, 6) else values
+
+        monkeypatch.setattr(measurement, "quadratic_forms", drifting)
+        with pytest.raises(RuntimeError, match=r"^error routes disagree: representation "):
+            qrms_errors(build_model(ModelFamily.Z, 0.37, PSI), PSI)
 
     def test_equivalence_on_matched_models(self):
         rng = np.random.default_rng(7)
