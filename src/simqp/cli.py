@@ -61,7 +61,7 @@ from .phase_space import (
     GaussianState,
     MinUncertaintyParams,
     _named_error,
-    _quarter_square,
+    _square,
 )
 
 DEFAULT_NU_GRID = [round(0.01 * k, 2) for k in range(1, 100)]
@@ -428,7 +428,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
                 nu,
                 errs.eps_q,
                 errs.eps_p,
-                bo_res + _quarter_square(psi.hbar),
+                bo_res + _square(psi.hbar / 2.0),
                 bo_res,
                 heisenberg_product(errs),
                 ozawa_inequality_residual(errs, psi),
@@ -505,7 +505,7 @@ def cmd_sample(cfg: RunConfig, args) -> int:
         emp_mean = draws.mean(axis=0)
         emp_cov = _sample_covariance(draws, emp_mean) if n > 1 else None
         diff = draws[:, 0] - draws[:, 1]
-        emp_gauss = math.sqrt(float(np.mean(diff**2)))
+        emp_gauss = math.sqrt(float(np.mean(diff * diff)))
         sd = np.sqrt(np.diag(joint.cov))
         z_scores = (emp_mean - joint.mean) / (sd / math.sqrt(n))
     summary = {
@@ -549,7 +549,7 @@ def cmd_posterior(cfg: RunConfig, args) -> int:
     check_posterior_family(cfg.family)
     psi = cfg.psi
     fam = PosteriorFamily(nu=nu, psi=psi)
-    target = _quarter_square(psi.hbar)
+    target = _square(psi.hbar / 2.0)
     if math.isinf(target):  # from hbar ~ 2.68e154 on
         raise _named_error("uncertainty_product_target", target, "overflows float64", fam.inputs)
     if y is not None:

@@ -547,10 +547,11 @@ def posterior_consistency(
 
 
 def _outcome_array(outcomes: list) -> np.ndarray | None:
-    """The ``(k, 2)`` floats of ``outcomes``, each read as ``tuple(pair)``, or
-    None if there is none or one is not a pair of numbers."""
+    """The ``(k, 2)`` floats of the list ``outcomes`` in one ``np.array``
+    call, or None if there is none or one is not a pair of numbers (a
+    two-digit string, a dict or a set is none)."""
     try:
-        y = np.array([tuple(pair) for pair in outcomes], dtype=float)
+        y = np.array(outcomes, dtype=float)
     except (TypeError, ValueError):  # not iterable (1.0, None), or not numbers ("a", "b")
         return None
     return y if y.shape[1:] == (2,) else None
@@ -617,7 +618,7 @@ def _truncated_moments(mean: float, sd: float, lo: float, hi: float) -> tuple:
     edge_a = a * pdf_a if pdf_a else 0.0  # not inf * 0.0, which is NaN
     edge_b = b * pdf_b if pdf_b else 0.0
     shift = (pdf_a - pdf_b) / mass
-    var_factor = 1.0 + (edge_a - edge_b) / mass - shift**2
+    var_factor = 1.0 + (edge_a - edge_b) / mass - _square(shift)
     return mass, mean + sd * shift, _square(sd) * var_factor
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import TOLERANCES, _square, all_finite, check_deviation, exceeds, max_abs
+from .phase_space import _square, all_finite, check_deviation, exceeds, max_abs
 
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
@@ -23,6 +23,9 @@ _EYE3.setflags(write=False)
 # sinh(x) leaves float64 past |x| = 710.4758...; up to here it stays below
 # the largest float64 by a relative 8e-4, far beyond its rounding error
 _SINH_LIMIT = 710.475
+
+# expm_coefficients takes its series below this t^2 |E|: x^4/120 < ulp(1)/4
+_SERIES_LIMIT = math.sqrt(30 * math.ulp(1.0))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -127,16 +130,23 @@ def _gamma2_squared(gamma2: float) -> float:
 def expm_coefficients(e: float, t: float) -> tuple:
     """``(c1, c2)`` with ``e^{tM} = I + c1 M + c2 M^2`` whenever ``M^3 = -E M``.
 
-    ``c2 = (1 - cos x)/E`` with ``x = t sqrt(E)`` is taken as
-    ``sin(x) tan(x/2)/E``, which does not cancel at small ``x``; likewise
-    for the hyperbolic branch.  Both are Python floats: where the closed
-    form leaves float64 they are inf or NaN, with no numpy warning, and the
-    callers refuse them by name.
+    With ``x = t sqrt|E|`` and ``s`` the sign of ``E``, ``c1 = sin(x)/sqrt(E)``
+    and ``c2 = (1 - cos x)/E``, taken as ``sin(x) tan(x/2)/E``, which does
+    not cancel at small ``x``; likewise with sinh and tanh for ``E < 0``.
+    Below ``x^2 = sqrt(30 ulp(1))``, about 8.2e-8, the first dropped terms
+    ``x^4/120`` and ``x^4/360`` are under half an ulp, and the series
+    ``c1 = t (1 - s x^2/6)``, ``c2 = t^2/2 (1 - s x^2/12)`` is taken
+    instead, where the closed forms would divide underflowed products by a
+    tiny ``E``.  ``E = 0`` lands there with ``x = 0``: exactly
+    ``(t, t^2/2)``, also where ``t^2`` overflows.
+    Both are Python floats: where the closed form leaves float64 they are
+    inf or NaN, with no numpy warning, and the callers refuse them by name.
     """
-    if abs(e) < TOLERANCES["e_zero"]:
-        return t, 0.5 * _square(t)
     root = math.sqrt(abs(e))
     x = t * root
+    x2 = math.copysign(_square(x), e)  # s x^2
+    if abs(x2) < _SERIES_LIMIT:
+        return t * (1.0 - x2 / 6.0), 0.5 * _square(t) * (1.0 - x2 / 12.0)
     if e > 0.0:
         if not math.isfinite(x):  # sin(x) has no limit
             return math.nan, math.nan

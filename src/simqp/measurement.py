@@ -32,7 +32,6 @@ from .phase_space import (
     TOLERANCES,
     GaussianState,
     MinUncertaintyParams,
-    _quarter_square,
     _square,
     all_finite,
     exceeds,
@@ -332,7 +331,7 @@ def branciard_ozawa_residual(errs: ErrorPair, psi: MinUncertaintyParams) -> floa
         ValueError: naming the errors, sigma1 and hbar if a term overflows.
     """
     lhs = _square(errs.eps_q) * _square(psi.sigma_p) + _square(psi.sigma_q) * _square(errs.eps_p)
-    residual = lhs - _quarter_square(psi.hbar)
+    residual = lhs - _square(psi.hbar / 2.0)
     if not math.isfinite(residual):
         raise ValueError(
             f"the Branciard-Ozawa residual overflows float64 (eps_q={errs.eps_q:g}, "

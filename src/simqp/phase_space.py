@@ -39,7 +39,6 @@ TOLERANCES = {
     "identity": 1e-12,  # solvable pattern, couplings, E, S^3 + E S; max(1, |compared|)
     "transform": 1e-10,  # entries of A B^T - I, det(A) - 1, det(B) - 1; 1
     "drift": 1e-10,  # a21 - nu and a22 - kappa after build_model propagates; 1
-    "e_zero": 1e-14,  # |E| below this takes the E = 0 branch; 1
     "degenerate_factor": 1e-12,  # |F| below this leaves the couplings undetermined; 1
     "sweep_residual": 1e-8,  # sweep passes while its largest signed BO residual is <= it; 1
 }
@@ -86,11 +85,6 @@ def check_deviation(deviation: list, name: str, message: str, scale: float = 1.0
         if not math.isfinite(worst):
             raise ValueError(f"{message}: non-finite entries")
         raise ValueError(f"{message} (max deviation {worst:g})")
-
-
-def check_close(actual, expected, name: str, message: str, scale: float = 1.0) -> None:
-    """:func:`check_deviation` of the arrays ``actual - expected``."""
-    check_deviation(np.subtract(actual, expected).ravel().tolist(), name, message, scale)
 
 
 def checked_covariance(cov: np.ndarray, psd: str) -> np.ndarray:
@@ -283,19 +277,9 @@ def checked_variances(variances, **inputs) -> None:
 
 
 def _square(x: float) -> float:
-    """``x**2``, or ``inf`` where that overflows float64."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
-def _quarter_square(x: float) -> float:
-    """``x**2 / 4``; where ``x**2`` overflows, ``(x / 2)**2`` (finite for ``x``
-    up to about 2.68e154, as the ``hbar**2 / 4`` of a representable bound),
-    else ``inf``."""
-    square = _square(x)
-    return square / 4.0 if square < math.inf else _square(x / 2.0)
+    """``x * x``: the correctly rounded square (``inf`` where it overflows
+    float64), which libm's ``pow`` behind ``x**2`` is not bound to be."""
+    return x * x
 
 
 @dataclass(frozen=True)
@@ -494,14 +478,9 @@ def make_probe_state(
         raise ValueError(f"nu must lie strictly between 0 and 1, got {nu}")
     if kappa == 0.0:
         raise ValueError("kappa must be nonzero")
-    s2 = _square(psi.sigma1)
-    k2 = _square(kappa)
     quarter_h2 = _square(psi.hbar / 2.0)
-    if k2:
-        var_q2 = nu * (1.0 - nu) * s2 / (2.0 * k2)
-    else:  # kappa**2 underflows: the same variance, without squaring kappa alone
-        var_q2 = nu * (1.0 - nu) / 2.0 * _square(psi.sigma1 / kappa)
-    var_q3 = 2.0 * k2 * s2 / (nu * (1.0 - nu))
+    var_q2 = nu * (1.0 - nu) / 2.0 * _square(psi.sigma1 / kappa)
+    var_q3 = 2.0 * _square(kappa) * _square(psi.sigma1) / (nu * (1.0 - nu))
     inputs = dict(nu=nu, kappa=kappa, sigma1=psi.sigma1, hbar=psi.hbar)
     positions = (("probe Var(Q2)", var_q2), ("probe Var(Q3)", var_q3))
     checked_variances(positions, **inputs)

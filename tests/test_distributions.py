@@ -622,6 +622,9 @@ class TestPosteriorConsistency:
             ([1.0], r"^each outcome must be one \(z, w\) pair, got 1.0$"),
             ([(0.1, 0.2), None], r"^each outcome must be one \(z, w\) pair, got None$"),
             ([("a", "b")], r"^each outcome must be one \(z, w\) pair, got \('a', 'b'\)$"),
+            (["12"], r"^each outcome must be one \(z, w\) pair, got '12'$"),
+            ([{0.1: "a", 0.2: "b"}], r"pair, got \{0.1: 'a', 0.2: 'b'\}$"),
+            ([{1.0, 2.0}], r"^each outcome must be one \(z, w\) pair, got \{1.0, 2.0\}$"),
         ],
     )
     def test_outcomes_must_be_pairs(self, outcomes, message):

@@ -261,7 +261,8 @@ class TestClosedFormPropagator:
 
 
 class TestZeroBranchEdge:
-    """E on both sides of the E = 0 branch switch (|E| < 1e-14)."""
+    """E near 0, where (c1, c2) switch from their closed forms to their
+    series below t^2 |E| = sqrt(30 ulp(1))."""
 
     @pytest.mark.parametrize("e", [-1e-13, -5e-15, 0.0, 5e-15, 1e-13])
     @pytest.mark.parametrize(
@@ -279,6 +280,35 @@ class TestZeroBranchEdge:
         np.testing.assert_allclose(
             transform.b, numeric_expm(-gen.s.T, tau), rtol=0, atol=1e-13
         )
+
+    @staticmethod
+    def closed_forms(e, t):
+        """(c1, c2) by sin, tan or sinh, tanh alone, at any E != 0."""
+        root = math.sqrt(abs(e))
+        x = t * root
+        if e > 0.0:
+            return math.sin(x) / root, math.sin(x) * math.tan(x / 2.0) / e
+        return math.sinh(x) / root, math.sinh(x) * math.tanh(x / 2.0) / -e
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_coefficients_follow_the_closed_forms_near_zero(self, sign):
+        cases = [(9e-15, 1e6)] + [(e, 1.0) for e in np.geomspace(1e-300, 1e-8, 300).tolist()]
+        for magnitude, t in cases:
+            got = expm_coefficients(sign * magnitude, t)
+            want = self.closed_forms(sign * magnitude, t)
+            for g, w in zip(got, want):
+                assert math.isclose(g, w, rel_tol=1e-15), (sign * magnitude, t, got, want)
+
+    @pytest.mark.parametrize("e", [5e-324, -5e-324])
+    @pytest.mark.parametrize("t", [1.0, math.log(2.0), 3.0, 1e6])
+    def test_smallest_subnormal_e_gives_the_e_zero_limit(self, e, t):
+        c1, c2 = expm_coefficients(e, t)
+        assert abs(c1 - t) <= math.ulp(t)
+        assert abs(c2 - t * t / 2.0) <= math.ulp(t * t / 2.0)
+
+    @pytest.mark.parametrize("e", [0.0, -0.0])
+    def test_zero_e_keeps_a_square_that_overflows(self, e):
+        assert expm_coefficients(e, 1e200) == (1e200, math.inf)
 
 
 def _propagate_twice(gen):

@@ -54,7 +54,7 @@ from simqp.measurement import (
 )
 from simqp.phase_space import (
     TOLERANCES,
-    check_close,
+    check_deviation,
     checked_covariance,
     packet_probe_moments,
 )
@@ -65,6 +65,11 @@ CONDITION_ATOL = TOLERANCES["condition"]
 ERROR_ROUTE_ATOL = TOLERANCES["error_route"]
 
 EYE3 = np.eye(3)
+
+
+def check_close(actual, expected, name: str, message: str, scale: float = 1.0) -> None:
+    """:func:`check_deviation` of the arrays ``actual - expected``."""
+    check_deviation(np.subtract(actual, expected).ravel().tolist(), name, message, scale)
 
 
 # ------------------------------------------------------------------ oracle

@@ -1,8 +1,11 @@
 """Global rows, their commutators and moments, and Gaussian state constructors."""
 
 import functools
+import io
 import itertools
 import re
+import tokenize
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -220,6 +223,34 @@ class TestMinUncertaintyState:
     def test_invalid_params_rejected(self, sigma1, hbar):
         with pytest.raises(ValueError):
             MinUncertaintyParams(0.0, 0.0, sigma1, hbar)
+
+    def test_variances_are_correctly_rounded_squares(self):
+        """``x * x`` is the correctly rounded square; libm's ``pow`` behind
+        ``x**2`` misses it for about one float in a thousand."""
+        rng = np.random.default_rng(20211)
+        for sigma1 in (10.0 ** rng.uniform(-150.0, 150.0, 10_000)).tolist():
+            psi = MinUncertaintyParams(sigma1=sigma1)
+            var_q, var_p = np.diag(make_min_uncertainty_state(psi).cov).tolist()
+            assert (var_q, var_p) == (sigma1 * sigma1, psi.sigma_p * psi.sigma_p), sigma1
+
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "simqp").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_square_goes_through_pow(path):
+    """Every square is ``_square(x)`` or ``x * x``: no ``** 2`` token pair."""
+    tokens = [
+        token for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        if token.type in (tokenize.OP, tokenize.NUMBER, tokenize.NAME)
+    ]
+    stray = [
+        power.start[0]
+        for power, exponent in zip(tokens, tokens[1:])
+        if power.string == "**" and exponent.type == tokenize.NUMBER
+        and float(exponent.string) == 2.0
+    ]
+    assert not stray, f"{path.name}: ** 2 on lines {stray}"
 
 
 class TestMoments:
