@@ -10,6 +10,8 @@ per-outcome post-measurement states and their region-restricted mixtures.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -567,6 +569,9 @@ class OutcomeRegion:
     w_hi: float
 
     def __post_init__(self):
+        for name, bound in vars(self).items():
+            if not isinstance(bound, numbers.Real):
+                raise ValueError(f"region bound {name} must be a real number, got {bound!r}")
         if not (self.z_lo < self.z_hi and self.w_lo < self.w_hi):
             raise ValueError(
                 f"region must have nonempty interior: "
@@ -642,10 +647,11 @@ def region_mixture_moments(
         ``(mean, cov)``: length-2 vector and 2x2 matrix over (Q1, P1).
 
     Raises:
-        ValueError: if the outcome mass of either axis of the region is 0
-            in float64 (a product of two tiny masses may underflow; it is
-            not tested), or naming its mean outcome or a variance that
-            overflows float64.
+        ValueError: naming the axis whose outcome mass in the region is
+            below the smallest normal float64 (a subnormal mass has lost the
+            digits the moments divide by; a product of two normal masses may
+            underflow, it is not tested), or naming its mean outcome or a
+            variance that overflows float64.
     """
     check_posterior_family(family)
     fam = PosteriorFamily(nu=nu, psi=psi)
@@ -653,8 +659,12 @@ def region_mixture_moments(
     sd_w = math.sqrt(1.0 - nu) * psi.sigma_p
     mass_z, mean_z, var_z = _truncated_moments(psi.q1, sd_z, region.z_lo, region.z_hi)
     mass_w, mean_w, var_w = _truncated_moments(psi.p1, sd_w, region.w_lo, region.w_hi)
-    if mass_z <= 0.0 or mass_w <= 0.0:
-        raise ValueError(f"region {region} has zero outcome probability")
+    for axis, mass in (("z", mass_z), ("w", mass_w)):
+        if mass < sys.float_info.min:
+            raise ValueError(
+                f"region {region} has outcome mass {mass:g} on the {axis} axis, below "
+                f"the smallest normal float64 {sys.float_info.min:g}"
+            )
     mean = _posterior_mean(fam, np.array([mean_z, mean_w]), "region mean outcome (z, w)")
     # dividing twice, as nu**2 underflows to 0 below nu ~ 1.5e-162
     var_q = fam.var_q + var_z / nu / nu

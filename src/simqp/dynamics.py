@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import _square, all_finite, check_deviation, exceeds, max_abs
+from .phase_space import _square, check_deviation, exceeds
 
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
@@ -30,17 +30,19 @@ _SERIES_LIMIT = math.sqrt(30 * math.ulp(1.0))
 
 @dataclass(frozen=True, eq=False, init=False)
 class SolvableGenerator:
-    """Generator in the closed-form-solvable class.
+    """Generator in the closed-form-solvable class, built from its couplings.
 
-    The matrix has the constrained sparsity pattern::
+    :meth:`from_couplings` is the only constructor.  It writes the matrix::
 
         [[0,  b1, a3],
          [a1, g2, 0 ],
          [b3, 0, -g2]]
 
-    with ``a1 b1 = a3 b3 = -(g2^2 + E)/2``, which forces ``S^3 = -E S``.
-    Construction rejects a non-finite tau, E, g2 or coupling, and anything
-    violating the pattern or the coupling products; it never silently
+    with ``b_j = -(g2^2 + E)/(2 a_j)``, so ``a1 b1 = a3 b3 = -(g2^2 + E)/2``
+    and ``S^3 = -E S`` hold by construction.  It refuses a zero a1 or a3, a
+    g2 whose square overflows, a tau that is not positive, a non-finite
+    tau, E or g2, and a non-finite coupling, each by name, and then checks
+    ``S^3 = -E S`` to the ``identity`` tolerance; it never silently
     reclassifies ``E``.
     """
 
@@ -49,82 +51,56 @@ class SolvableGenerator:
     gamma2: float
     tau: float
 
-    def __init__(self, s, e, gamma2, tau):
-        s = np.asarray(s, dtype=float)
-        if s.shape != (3, 3):
-            raise ValueError(f"generator must be 3x3, got {s.shape}")
+    @classmethod
+    def from_couplings(
+        cls, alpha1: float, alpha3: float, gamma2: float, e: float, tau: float
+    ) -> "SolvableGenerator":
+        """Build the generator from (a1, a3, g2, E) and tau, deriving b1 and b3."""
+        if alpha1 == 0.0 or alpha3 == 0.0:
+            raise ValueError("alpha1 and alpha3 must be nonzero")
+        prod = _coupling_product(gamma2, e)
+        b1, b3 = prod / alpha1, prod / alpha3
         if not tau > 0:
             raise ValueError(f"tau must be positive, got {tau}")
         for name, value in (("tau", tau), ("E", e), ("gamma2", gamma2)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        g2, e = float(gamma2), float(e)
-        entries = s.ravel().tolist()
-        s00, b1, a3, a1, s11, s12, b3, s21, s22 = entries
-        g2_scale = max(1.0, abs(g2))  # each entry is held to max(1, |expected|)
-        pattern = ((0, 0, s00, 0.0, 1.0), (1, 2, s12, 0.0, 1.0), (2, 1, s21, 0.0, 1.0),
-                   (1, 1, s11, g2, g2_scale), (2, 2, s22, -g2, g2_scale))
-        for i, j, got, want, scale in pattern:
-            if exceeds("identity", got - want, scale):
-                raise ValueError(
-                    f"entry ({i},{j})={got:g} breaks the solvable pattern "
-                    f"(expected {want:g})"
-                )
-        prod = a1 * b1
-        scale = max(1.0, abs(prod), abs(a3 * b3))
-        if exceeds("identity", prod - a3 * b3, scale):
-            raise ValueError(
-                f"coupling products differ: a1*b1={prod:g}, a3*b3={a3 * b3:g}"
-            )
-        if exceeds("identity", prod + (_gamma2_squared(g2) + e) / 2.0, max(1.0, abs(prod))):
-            raise ValueError(
-                f"E={e:g} is inconsistent with a1*b1={prod:g} and gamma2={g2:g}"
-            )
-        # an infinite coupling (b1 = prod/a1 at a subnormal a1) passes the
-        # checks above, whose scale it makes infinite; s @ s would warn on it
-        if not all_finite([a1, b1, a3, b3]):
-            for name, value in (("a1", a1), ("b1", b1), ("a3", a3), ("b3", b3)):
-                if not math.isfinite(value):
-                    raise ValueError(f"coupling {name} = {value} is not finite")
+        # an overflowing coupling (b1 at a subnormal a1) is named before
+        # s @ s, which would warn on it
+        for name, value in (("a1", alpha1), ("b1", b1), ("a3", alpha3), ("b3", b3)):
+            if not math.isfinite(value):
+                raise ValueError(f"coupling {name} = {value} is not finite")
+        # one flat tuple: numpy reads it faster than nested rows
+        flat = np.array((0.0, b1, alpha3, alpha1, gamma2, 0.0, b3, 0.0, -gamma2))
+        entries = flat.tolist()
+        s = flat.reshape(3, 3)
         s2 = s @ s
         # S^3 - (-E S) on Python floats; max |E s_ij| is |E| max |s_ij| exactly
         cubed = (s2 @ s).ravel().tolist()
-        scale = max(1.0, abs(e) * max_abs(entries))
+        e = float(e)
+        scale = max(1.0, abs(e) * max(map(abs, entries)))
         deviation = [c + e * x for c, x in zip(cubed, entries)]
         check_deviation(deviation, "identity", "S^3 != -E S", scale)
         # [[S, -S^T], [S^2, (S^2)^T]]: the generators of A and B and their
         # squares, stacked as propagate uses them
         powers = np.array(((s, -s.T), (s2, s2.T)))
         powers.setflags(write=False)
+        gen = object.__new__(cls)
         # frozen: the fields go in through the instance dict
-        vars(self).update(s=powers[0, 0], _powers=powers, e=e, gamma2=g2, tau=float(tau))
-
-    @classmethod
-    def from_couplings(
-        cls, alpha1: float, alpha3: float, gamma2: float, e: float, tau: float
-    ) -> "SolvableGenerator":
-        """Build the generator from (a1, a3, g2, E), deriving b1 and b3.
-
-        The products ``a1 b1 = a3 b3 = -(g2^2 + E)/2`` fix the remaining
-        couplings once a1 and a3 are chosen (both must be nonzero).
-        """
-        if alpha1 == 0.0 or alpha3 == 0.0:
-            raise ValueError("alpha1 and alpha3 must be nonzero")
-        prod = -(_gamma2_squared(gamma2) + e) / 2.0
-        b1 = prod / alpha1
-        b3 = prod / alpha3
-        # one flat tuple: numpy reads it faster than nested rows
-        s = np.array((0.0, b1, alpha3, alpha1, gamma2, 0.0, b3, 0.0, -gamma2))
-        return cls(s.reshape(3, 3), e, gamma2, tau)
+        vars(gen).update(
+            s=powers[0, 0], _powers=powers, e=e, gamma2=float(gamma2), tau=float(tau)
+        )
+        return gen
 
 
-def _gamma2_squared(gamma2: float) -> float:
-    """``gamma2**2``, refusing by name a finite ``gamma2`` whose square
-    overflows float64 (an infinite one is refused as not finite)."""
+def _coupling_product(gamma2: float, e: float) -> float:
+    """``-(gamma2^2 + E)/2``, the product ``a_j b_j`` of both coupling pairs,
+    refusing by name a finite ``gamma2`` whose square overflows float64 (an
+    infinite one is refused as not finite where it is used)."""
     square = _square(gamma2)
     if math.isinf(square) and math.isfinite(gamma2):
         raise ValueError(f"gamma2 = {gamma2:g} is too large: its square overflows float64")
-    return square
+    return -(square + e) / 2.0
 
 
 def expm_coefficients(e: float, t: float) -> tuple:

@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import (
     PropagatedTransform,
     SolvableGenerator,
-    _gamma2_squared,
+    _coupling_product,
     evolved_rows,
     expm_coefficients,
     propagate,
@@ -166,7 +166,7 @@ def solve_couplings(nu: float, tau: float, gamma2: float, e: float) -> tuple:
     if abs(factor) < TOLERANCES["degenerate_factor"]:
         raise ValueError(f"{given} is degenerate; the couplings are undetermined")
     alphas = nu / factor, -(1.0 - nu) / factor
-    prod = -(_gamma2_squared(gamma2) + e) / 2.0  # b = prod / alpha, as from_couplings
+    prod = _coupling_product(gamma2, e)  # b = prod / alpha, as from_couplings
     for j, alpha in zip((1, 3), alphas):
         if alpha == 0.0 or math.isinf(prod / alpha):
             problem = (

@@ -36,7 +36,7 @@ TOLERANCES = {
     "commutator": 1e-12,  # an R Omega R^T entry of two meters or joint rows; 1
     "error_route": 1e-12,  # gap of the two noise second moments; max(1, |representation|)
     "condition": 1e-9,  # each achievability-condition residual; 1
-    "identity": 1e-12,  # solvable pattern, couplings, E, S^3 + E S; max(1, |compared|)
+    "identity": 1e-12,  # entries of S^3 + E S; max(1, |E| max |s_ij|)
     "transform": 1e-10,  # entries of A B^T - I, det(A) - 1, det(B) - 1; 1
     "drift": 1e-10,  # a21 - nu and a22 - kappa after build_model propagates; 1
     "degenerate_factor": 1e-12,  # |F| below this leaves the couplings undetermined; 1

@@ -813,22 +813,44 @@ class TestRegionMixture:
         region = OutcomeRegion(20.0, 21.0, 10.0, 11.0)
         mean, cov = region_mixture_moments(ModelFamily.Y0, 0.5, PSI, region)
         np.testing.assert_allclose(
-            mean, [40.04987577410839, 20.024937887054197], rtol=1e-12, atol=0
-        )
-        np.testing.assert_allclose(
-            np.diag(cov), [1.0024814428213134, 0.25062036070532834], rtol=1e-9, atol=0
+            [*mean, *np.diag(cov)],
+            [40.049875774108394, 20.024937887054197, 1.0024814428213133, 0.25062036070532832],
+            rtol=2e-10, atol=0,
         )
 
-    def test_region_whose_own_mass_underflows_is_refused(self):
-        # the z-mass itself is 0 in float64, though the truncated mean is about 60
-        region = OutcomeRegion(30.0, 31.0, -1.0, 1.0)
-        with pytest.raises(ValueError, match=r"has zero outcome probability$"):
+    @pytest.mark.parametrize(
+        "bounds, axis, mass",
+        [
+            # a subnormal mass: answering would put Var(Q1) 2.6% off
+            ((27.0, 28.0, -1.0, 1.0), "z", "2.61855e-319"),
+            # the z-mass itself is 0 in float64, though the truncated mean is about 60
+            ((30.0, 31.0, -1.0, 1.0), "z", "0"),
+            ((60.0, 70.0, -1.0, 1.0), "z", "0"),
+            ((-1.0, 1.0, 27.0, 28.0), "w", "0"),
+        ],
+    )
+    def test_region_whose_own_mass_is_not_normal_is_refused(self, bounds, axis, mass):
+        region = OutcomeRegion(*bounds)
+        message = re.escape(
+            f"region {region} has outcome mass {mass} on the {axis} axis, below "
+            "the smallest normal float64 2.22507e-308"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
             region_mixture_moments(ModelFamily.Y0, 0.5, PSI, region)
 
-    def test_zero_measure_region_rejected(self):
-        region = OutcomeRegion(60.0, 70.0, -1.0, 1.0)
-        with pytest.raises(ValueError, match="zero"):
-            region_mixture_moments(ModelFamily.Y0, 0.5, PSI, region)
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("lo, hi", [(6.0, 7.0), (8.0, 9.0), (9.0, 10.0), (9.0, math.inf)])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_tail_regions_within_ten_spreads_are_answered(self, axis, lo, hi, side):
+        # the benchmark's tail regions: one axis 6-9 spreads out (or a
+        # half-line past 9), the other axis open
+        nu = 0.3
+        sd = (math.sqrt(nu) * PSI.sigma1, math.sqrt(1.0 - nu) * PSI.sigma_p)[axis]
+        bounds = [-math.inf, math.inf, -math.inf, math.inf]
+        bounds[2 * axis : 2 * axis + 2] = sorted((side * lo * sd, side * hi * sd))
+        mean, cov = region_mixture_moments(ModelFamily.Z, nu, PSI, OutcomeRegion(*bounds))
+        assert np.isfinite(mean).all() and (np.diag(cov) > 0.0).all()
+        assert math.copysign(1.0, mean[axis]) == side
 
     def test_unsupported_family(self):
         with pytest.raises(ValueError, match="posterior"):
@@ -839,6 +861,28 @@ class TestRegionMixture:
     def test_empty_interior_rejected(self):
         with pytest.raises(ValueError, match="interior"):
             OutcomeRegion(1.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("bad", ["a", None, 1j, np.complex128(1.0)])
+    def test_bound_that_is_not_a_real_number_is_refused_by_name(self, k, bad):
+        bounds = [-1.0, 1.0, -1.0, 1.0]
+        bounds[k] = bad
+        name = ("z_lo", "z_hi", "w_lo", "w_hi")[k]
+        message = re.escape(f"region bound {name} must be a real number, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            OutcomeRegion(*bounds)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (-1, 1, -1, 1),
+            (np.float64(-1.0), np.int64(1), np.float32(-1.0), np.inf),
+            (-math.inf, math.inf, -math.inf, math.inf),
+        ],
+    )
+    def test_real_bounds_are_accepted(self, bounds):
+        region = OutcomeRegion(*bounds)
+        assert [region.z_lo, region.z_hi, region.w_lo, region.w_hi] == list(bounds)
 
 
 class TestNormalMass:

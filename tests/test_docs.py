@@ -1,9 +1,14 @@
-"""The README's library quickstart runs, and every exported name exists."""
+"""The README's library quickstart runs, its refusal examples print what it
+shows, and every exported name exists."""
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import simqp
+from simqp import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +35,23 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from simqp import *", namespace)
     assert set(simqp.__all__) <= set(namespace)
+
+
+def refusal_examples() -> list:
+    """``(argv, error line)`` of each ``$ simqp`` run in README's refusal block."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("A finite input that float64 cannot carry", 1)[1]
+    block = re.search(r"```text\n(.*?)```", section, re.DOTALL).group(1)
+    lines = block.splitlines()
+    return [
+        (shlex.split(line)[2:], error)
+        for line, error in zip(lines, lines[1:])
+        if line.startswith("$ simqp ")
+    ]
+
+
+@pytest.mark.parametrize("argv, error", refusal_examples(), ids=lambda v: " ".join(v)[:40])
+def test_readme_refusal_examples(argv, error, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == error
