@@ -608,23 +608,30 @@ def _normal_mass(a: float, b: float) -> float:
     return 0.5 * (math.erf(b / _SQRT2) - math.erf(a / _SQRT2))
 
 
-def _truncated_moments(mean: float, sd: float, lo: float, hi: float) -> tuple:
-    """(mass, mean, variance) of a normal truncated to [lo, hi].
+def _truncated_moments(
+    region: OutcomeRegion, axis: str, mean: float, sd: float, lo: float, hi: float
+) -> tuple:
+    """(mean, variance) of a normal truncated to [lo, hi], the ``axis`` side of ``region``.
 
     Standard one-dimensional truncated-normal formulas; infinite bounds
-    contribute vanishing boundary terms.
+    contribute vanishing boundary terms.  A mass below the smallest normal
+    float64 is refused, naming the region and the axis: a subnormal mass
+    has lost the digits the moments divide by.
     """
     a = (lo - mean) / sd
     b = (hi - mean) / sd
     mass = _normal_mass(a, b)
-    if mass <= 0.0:
-        return 0.0, math.nan, math.nan
+    if mass < sys.float_info.min:
+        raise ValueError(
+            f"region {region} has outcome mass {mass:g} on the {axis} axis, below "
+            f"the smallest normal float64 {sys.float_info.min:g}"
+        )
     pdf_a, pdf_b = _normal_pdf(a), _normal_pdf(b)  # 0.0 at an infinite bound
     edge_a = a * pdf_a if pdf_a else 0.0  # not inf * 0.0, which is NaN
     edge_b = b * pdf_b if pdf_b else 0.0
     shift = (pdf_a - pdf_b) / mass
     var_factor = 1.0 + (edge_a - edge_b) / mass - _square(shift)
-    return mass, mean + sd * shift, _square(sd) * var_factor
+    return mean + sd * shift, _square(sd) * var_factor
 
 
 def region_mixture_moments(
@@ -657,14 +664,8 @@ def region_mixture_moments(
     fam = PosteriorFamily(nu=nu, psi=psi)
     sd_z = math.sqrt(nu) * psi.sigma1
     sd_w = math.sqrt(1.0 - nu) * psi.sigma_p
-    mass_z, mean_z, var_z = _truncated_moments(psi.q1, sd_z, region.z_lo, region.z_hi)
-    mass_w, mean_w, var_w = _truncated_moments(psi.p1, sd_w, region.w_lo, region.w_hi)
-    for axis, mass in (("z", mass_z), ("w", mass_w)):
-        if mass < sys.float_info.min:
-            raise ValueError(
-                f"region {region} has outcome mass {mass:g} on the {axis} axis, below "
-                f"the smallest normal float64 {sys.float_info.min:g}"
-            )
+    mean_z, var_z = _truncated_moments(region, "z", psi.q1, sd_z, region.z_lo, region.z_hi)
+    mean_w, var_w = _truncated_moments(region, "w", psi.p1, sd_w, region.w_lo, region.w_hi)
     mean = _posterior_mean(fam, np.array([mean_z, mean_w]), "region mean outcome (z, w)")
     # dividing twice, as nu**2 underflows to 0 below nu ~ 1.5e-162
     var_q = fam.var_q + var_z / nu / nu

@@ -51,6 +51,9 @@ class SolvableGenerator:
     gamma2: float
     tau: float
 
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a SolvableGenerator is built by SolvableGenerator.from_couplings")
+
     @classmethod
     def from_couplings(
         cls, alpha1: float, alpha3: float, gamma2: float, e: float, tau: float

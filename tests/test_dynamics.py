@@ -85,8 +85,13 @@ class TestBuildGenerator:
 class TestSolvableGenerator:
     def test_has_no_matrix_constructor(self):
         s = frozen_generator(ModelFamily.X, 0.5)
-        with pytest.raises(TypeError):
+        message = "^a SolvableGenerator is built by SolvableGenerator.from_couplings$"
+        with pytest.raises(TypeError, match=message):
             SolvableGenerator(s=s, e=1.0, gamma2=1.0, tau=math.pi / 2)
+        with pytest.raises(TypeError, match=message):
+            SolvableGenerator(s, 1.0, 1.0, math.pi / 2)
+        with pytest.raises(TypeError, match=message):
+            SolvableGenerator()
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("nu", [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
