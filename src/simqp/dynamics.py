@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import _square, check_deviation, exceeds
+from .phase_space import TOLERANCES, _square, all_finite
 
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
@@ -26,6 +26,10 @@ _SINH_LIMIT = 710.475
 
 # expm_coefficients takes its series below this t^2 |E|: x^4/120 < ulp(1)/4
 _SERIES_LIMIT = math.sqrt(30 * math.ulp(1.0))
+
+# the spacing of the subnormal floats: a product or quotient that underflows
+# is off by at most half of it, whatever the size of its operands
+_SUBNORMAL = math.ulp(0.0)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -38,12 +42,16 @@ class SolvableGenerator:
          [a1, g2, 0 ],
          [b3, 0, -g2]]
 
-    with ``b_j = -(g2^2 + E)/(2 a_j)``, so ``a1 b1 = a3 b3 = -(g2^2 + E)/2``
-    and ``S^3 = -E S`` hold by construction.  It refuses a zero a1 or a3, a
-    g2 whose square overflows, a tau that is not positive, a non-finite
-    tau, E or g2, and a non-finite coupling, each by name, and then checks
-    ``S^3 = -E S`` to the ``identity`` tolerance; it never silently
-    reclassifies ``E``.
+    with ``b_j = -(g2^2 + E)/(2 a_j)``, so ``a1 b1 = a3 b3 = -(g2^2 + E)/2``.
+    For a traceless S, Cayley-Hamilton gives ``S^3 + E S = sigma S + delta I``
+    exactly, with ``sigma = a1 b1 + a3 b3 + g2^2 + E`` and
+    ``delta = g2 (a1 b1 - a3 b3)``, so ``S^3 = -E S`` holds once both
+    scalars vanish.  It refuses a zero a1 or a3, a g2 whose square
+    overflows, a tau that is not positive, a non-finite tau, E or g2, a
+    non-finite coupling and an S^2 that overflows, each by name, and then
+    holds sigma and ``delta / g2 = a1 b1 - a3 b3`` to the ``identity`` entry
+    times the sum of their terms' magnitudes, plus what a coupling or
+    product that underflows may add; it never silently reclassifies ``E``.
     """
 
     s: np.ndarray
@@ -58,7 +66,11 @@ class SolvableGenerator:
     def from_couplings(
         cls, alpha1: float, alpha3: float, gamma2: float, e: float, tau: float
     ) -> "SolvableGenerator":
-        """Build the generator from (a1, a3, g2, E) and tau, deriving b1 and b3."""
+        """Build the generator from (a1, a3, g2, E) and tau, deriving b1 and b3.
+
+        The class docstring lists what it refuses, in order, and how sigma
+        and ``delta / g2`` stand in for the matrix ``S^3 + E S``.
+        """
         if alpha1 == 0.0 or alpha3 == 0.0:
             raise ValueError("alpha1 and alpha3 must be nonzero")
         prod = _coupling_product(gamma2, e)
@@ -68,22 +80,21 @@ class SolvableGenerator:
         for name, value in (("tau", tau), ("E", e), ("gamma2", gamma2)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        # an overflowing coupling (b1 at a subnormal a1) is named before
-        # s @ s, which would warn on it
         for name, value in (("a1", alpha1), ("b1", b1), ("a3", alpha3), ("b3", b3)):
             if not math.isfinite(value):
                 raise ValueError(f"coupling {name} = {value} is not finite")
         # one flat tuple: numpy reads it faster than nested rows
-        flat = np.array((0.0, b1, alpha3, alpha1, gamma2, 0.0, b3, 0.0, -gamma2))
-        entries = flat.tolist()
-        s = flat.reshape(3, 3)
-        s2 = s @ s
-        # S^3 - (-E S) on Python floats; max |E s_ij| is |E| max |s_ij| exactly
-        cubed = (s2 @ s).ravel().tolist()
-        e = float(e)
-        scale = max(1.0, abs(e) * max(map(abs, entries)))
-        deviation = [c + e * x for c, x in zip(cubed, entries)]
-        check_deviation(deviation, "identity", "S^3 != -E S", scale)
+        s = np.array((0.0, b1, alpha3, alpha1, gamma2, 0.0, b3, 0.0, -gamma2)).reshape(3, 3)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+            s2 = s @ s
+        if not all_finite(s2.ravel().tolist()):
+            raise ValueError("S^2 is not finite: a product of two couplings overflows float64")
+        e, p1, p3 = float(e), alpha1 * b1, alpha3 * b3
+        # b_j = prod / a_j off by half a subnormal spacing is a_j b_j off by |a_j| times it
+        tiny = (abs(alpha1) + abs(alpha3) + 4.0) * _SUBNORMAL
+        _check_sum("identity", "S^3 != -E S: sigma", (p1, p3, _square(gamma2), e), tiny)
+        # delta / g2, which cannot overflow where delta's own terms g2 a_j b_j can
+        _check_sum("identity", "S^3 != -E S: delta / gamma2 = a1 b1 - a3 b3", (p1, -p3), tiny)
         # [[S, -S^T], [S^2, (S^2)^T]]: the generators of A and B and their
         # squares, stacked as propagate uses them
         powers = np.array(((s, -s.T), (s2, s2.T)))
@@ -94,6 +105,16 @@ class SolvableGenerator:
             s=powers[0, 0], _powers=powers, e=e, gamma2=float(gamma2), tau=float(tau)
         )
         return gen
+
+
+def _check_sum(name: str, label: str, terms: tuple, floor: float) -> None:
+    """Refuse the sum of ``terms`` unless it is at most ``TOLERANCES[name]``
+    times the sum of their magnitudes plus ``floor``, what underflow may
+    add; a NaN or inf sum always fails."""
+    residual = sum(terms)
+    bound = TOLERANCES[name] * sum(map(abs, terms)) + floor
+    if not abs(residual) <= bound:
+        raise ValueError(f"{label} = {residual:g} exceeds its rounding bound {bound:g}")
 
 
 def _coupling_product(gamma2: float, e: float) -> float:
@@ -135,63 +156,59 @@ def expm_coefficients(e: float, t: float) -> tuple:
     return sinh / root, sinh * float(np.tanh(x / 2.0)) / (-e)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PropagatedTransform:
     """The pair ``A = e^{tau S}``, ``B = e^{-tau S^T}`` at measurement time.
 
-    ``ab`` is the read-only ``(2, 3, 3)`` stack ``[A, B]``; ``a`` and ``b``
-    are views of it.  Construction checks that the pair preserves the
-    canonical commutation relations (``A B^T = I``) and stays in SL(3).
+    :func:`propagate` is the only constructor.  ``ab`` is the read-only
+    ``(2, 3, 3)`` stack ``[A, B]``; ``a`` and ``b`` are views of it.  Since
+    ``S^3 = -E S``, the closed form gives ``A B^T - I = r S^2`` and
+    ``det A = det B = 1 - E r`` exactly, with ``r = 2 c2 - c1^2 - E c2^2``,
+    so the pair preserves the canonical commutation relations and stays in
+    SL(3) once ``r`` vanishes.
     """
 
+    ab: np.ndarray
     a: np.ndarray
     b: np.ndarray
     tau: float
 
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.shape != (3, 3) or b.shape != (3, 3):
-            raise ValueError("A and B must both be 3x3")
-        _check_pair(self, np.array((a, b)), self.tau)
-
-
-def _check_pair(transform: PropagatedTransform, ab: np.ndarray, tau: float) -> None:
-    """Check the stack ``ab = [A, B]`` and store it, with ``tau``, on ``transform``."""
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    ab.setflags(write=False)  # before its views are taken, so they inherit it
-    a, b = ab[0], ab[1]
-    deviation = (a @ b.T).ravel().tolist()  # A B^T - I; I has scale 1
-    for k in (0, 4, 8):
-        deviation[k] -= 1.0
-    check_deviation(deviation, "transform", "A B^T != I")
-    # one batched LU call; a cofactor expansion would cancel at large ||A||
-    for name, det in zip("AB", np.linalg.det(ab).tolist()):
-        if exceeds("transform", det - 1.0):
-            raise ValueError(f"det({name}) = {det:g} != 1")
-    vars(transform).update(ab=ab, a=a, b=b, tau=float(tau))
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a PropagatedTransform is built by propagate")
 
 
 def propagate(gen: SolvableGenerator) -> PropagatedTransform:
     """Evaluate both closed-form factors at the generator's own tau.
 
     ``B = e^{-tau S^T}`` is the closed form at ``-S^T``, whose square is
-    ``(S^2)^T``, so one ``S^2`` and one pair of coefficients, refused if
-    not finite, build the stack ``[A, B]``.
+    ``(S^2)^T``, so one ``S^2`` and one pair of coefficients build the
+    stack ``[A, B]``; a stack that leaves float64 is refused with its
+    coefficients.  ``r = 2 c2 - c1^2 - E c2^2`` is then held to the
+    ``transform`` entry times ``2|c2| + c1^2 + |E| c2^2``, plus what a
+    square or product that underflows may add.
     """
     c1, c2 = expm_coefficients(gen.e, gen.tau)
-    if not (math.isfinite(c1) and math.isfinite(c2)):
+    powers = gen._powers  # indexed: unpacking an array costs more
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+        ab = c1 * powers[0]  # I + c1 [S, -S^T] + c2 [S^2, (S^2)^T], in that order
+        ab += _EYE3
+        ab += c2 * powers[1]
+    if not all_finite(ab.ravel().tolist()):
         raise ValueError(
             f"e^(tau S) overflows float64 at tau={gen.tau:g}, E={gen.e:g}: "
             f"its coefficients are (c1, c2) = ({c1:g}, {c2:g})"
         )
-    powers = gen._powers  # indexed: unpacking an array costs more
-    ab = c1 * powers[0]  # I + c1 [S, -S^T] + c2 [S^2, (S^2)^T], in that order
-    ab += _EYE3
-    ab += c2 * powers[1]
-    transform = object.__new__(PropagatedTransform)  # the stack is checked as built
-    _check_pair(transform, ab, gen.tau)
+    # A B^T - I = r S^2.  r is homogeneous: (c1, c2, E) -> (k c1, k^2 c2, E / k^2)
+    # scales it by k^2, so past 2^500 a power of two k keeps c1^2 and E c2^2 in
+    # float64 (a refusal then prints r and its bound times k^2)
+    big = max(abs(c1), abs(c2))
+    k = 1.0 if big < 2.0**500 else math.ldexp(1.0, -math.frexp(big)[1])
+    c1, c2 = c1 * k, c2 * k
+    r = (2.0 * c2 * k, -_square(c1), -gen.e * c2 * c2)  # (-E c2) c2: no 0 * inf at E = 0
+    _check_sum("transform", "A B^T != I: r", r, (4.0 + abs(c2)) * _SUBNORMAL)
+    ab.setflags(write=False)  # before its views are taken, so they inherit it
+    transform = object.__new__(PropagatedTransform)
+    vars(transform).update(ab=ab, a=ab[0], b=ab[1], tau=gen.tau)
     return transform
 
 

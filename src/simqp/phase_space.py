@@ -36,8 +36,12 @@ TOLERANCES = {
     "commutator": 1e-12,  # an R Omega R^T entry of two meters or joint rows; 1
     "error_route": 1e-12,  # gap of the two noise second moments; max(1, |representation|)
     "condition": 1e-9,  # each achievability-condition residual; 1
-    "identity": 1e-12,  # entries of S^3 + E S; max(1, |E| max |s_ij|)
-    "transform": 1e-10,  # entries of A B^T - I, det(A) - 1, det(B) - 1; 1
+    # sigma and delta / g2 of S^3 + E S = sigma S + delta I; the sum of each one's
+    # terms' magnitudes, plus (|a1| + |a3| + 4) subnormal spacings for underflow
+    "identity": 1e-12,
+    # r of A B^T - I = r S^2 (det A - 1 = det B - 1 = -E r); 2|c2| + c1^2 + |E| c2^2,
+    # plus (4 + |c2|) subnormal spacings for underflow
+    "transform": 1e-10,
     "drift": 1e-10,  # a21 - nu and a22 - kappa after build_model propagates; 1
     "degenerate_factor": 1e-12,  # |F| below this leaves the couplings undetermined; 1
     "sweep_residual": 1e-8,  # sweep passes while its largest signed BO residual is <= it; 1
@@ -71,20 +75,6 @@ def max_abs(values: list) -> float:
     if all_finite(values):
         return max(map(abs, values))
     return math.nan if any(map(math.isnan, values)) else math.inf
-
-
-def check_deviation(deviation: list, name: str, message: str, scale: float = 1.0) -> None:
-    """Raise ``ValueError(message)`` if ``max |deviation|`` exceeds ``name``.
-
-    The closeness test behind the transform identity checks, through
-    :func:`exceeds` at the caller's natural ``scale``, on the entries of
-    ``actual - expected`` as Python floats; a NaN or inf entry always fails.
-    """
-    worst = max_abs(deviation)
-    if exceeds(name, worst, scale):
-        if not math.isfinite(worst):
-            raise ValueError(f"{message}: non-finite entries")
-        raise ValueError(f"{message} (max deviation {worst:g})")
 
 
 def checked_covariance(cov: np.ndarray, psd: str) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared helpers: random model generators, frozen closed-form matrices,
-and the test-only oracles (numeric exponential, general generators, the
-marginal and log-density of a joint law, the meter-weight bound function
-and the Arthurs-Kelly errors)."""
+and the test-only oracles (numeric exponential, general generators and the
+entry-by-entry checks of a transform pair, the marginal and log-density of
+a joint law, the meter-weight bound function and the Arthurs-Kelly
+errors)."""
 
 import math
 from dataclasses import dataclass
@@ -25,7 +26,8 @@ from simqp import (
     qrms_errors,
     solve_couplings,
 )
-from simqp.dynamics import evolved_rows, expm_coefficients
+from simqp.dynamics import _coupling_product, evolved_rows, expm_coefficients
+from simqp.phase_space import exceeds, max_abs
 
 FAMILIES = (ModelFamily.X, ModelFamily.Y2, ModelFamily.Y0, ModelFamily.Z)
 
@@ -290,6 +292,85 @@ def numeric_expm(m: np.ndarray, t: float = 1.0) -> np.ndarray:
     return result
 
 
+def check_deviation(deviation: list, name: str, message: str, scale: float = 1.0) -> None:
+    """Raise ``ValueError(message)`` if ``max |deviation|`` exceeds ``name``.
+
+    The closeness test behind the matrix checks below, through
+    :func:`exceeds` at the caller's natural ``scale``, on the entries of
+    ``actual - expected`` as Python floats; a NaN or inf entry always fails.
+    """
+    worst = max_abs(deviation)
+    if exceeds(name, worst, scale):
+        if not math.isfinite(worst):
+            raise ValueError(f"{message}: non-finite entries")
+        raise ValueError(f"{message} (max deviation {worst:g})")
+
+
+def check_cubic_identity(s: np.ndarray, e: float) -> None:
+    """``S^3 = -E S`` entry by entry, to the ``identity`` entry times
+    ``max(1, |E| max |s_ij|)``: the matrix form of the library's scalar
+    sigma and delta checks, which reads the rounding of ``S^3`` as well."""
+    entries = s.ravel().tolist()
+    cubed = (s @ s @ s).ravel().tolist()
+    scale = max(1.0, abs(e) * max(map(abs, entries)))
+    deviation = [c + e * x for c, x in zip(cubed, entries)]
+    check_deviation(deviation, "identity", "S^3 != -E S", scale)
+
+
+def check_pair(ab: np.ndarray) -> None:
+    """``A B^T = I`` entry by entry and ``det A = det B = 1`` by one batched
+    LU call, all to the ``transform`` entry at scale 1: the matrix form of
+    the library's scalar ``r`` check, which reads the rounding of both
+    products as well."""
+    a, b = ab[0], ab[1]
+    deviation = (a @ b.T).ravel().tolist()  # A B^T - I; I has scale 1
+    for k in (0, 4, 8):
+        deviation[k] -= 1.0
+    check_deviation(deviation, "transform", "A B^T != I")
+    for name, det in zip("AB", np.linalg.det(ab).tolist()):
+        if exceeds("transform", det - 1.0):
+            raise ValueError(f"det({name}) = {det:g} != 1")
+
+
+def checked_transform(a, b, tau: float) -> PropagatedTransform:
+    """A :class:`PropagatedTransform` of any 3x3 pair, built once
+    :func:`check_pair` passes it (``propagate`` builds only closed forms)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != (3, 3) or b.shape != (3, 3):
+        raise ValueError("A and B must both be 3x3")
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    ab = np.array((a, b))
+    ab.setflags(write=False)  # before its views are taken, so they inherit it
+    check_pair(ab)
+    transform = object.__new__(PropagatedTransform)
+    vars(transform).update(ab=ab, a=ab[0], b=ab[1], tau=float(tau))
+    return transform
+
+
+def matrix_checked_stack(alpha1, alpha3, gamma2, e, tau) -> np.ndarray:
+    """``[A, B]`` of couplings that pass ``from_couplings``' input checks, as
+    ``propagate`` computes it, decided by the matrix checks instead of the
+    scalar ones: :func:`check_cubic_identity`, then :func:`check_pair`.
+
+    Raises ``ValueError`` where they refuse, and never warns.
+    """
+    prod = _coupling_product(gamma2, e)
+    s = np.array((0.0, prod / alpha1, alpha3, alpha1, gamma2, 0.0, prod / alpha3, 0.0, -gamma2))
+    s = s.reshape(3, 3)
+    with np.errstate(all="ignore"):
+        s2 = s @ s
+        check_cubic_identity(s, float(e))
+        c1, c2 = expm_coefficients(float(e), float(tau))
+        powers = np.array(((s, -s.T), (s2, s2.T)))
+        ab = c1 * powers[0]
+        ab += np.eye(3)
+        ab += c2 * powers[1]
+        check_pair(ab)
+    return ab
+
+
 def measurement_from_matrix(r: np.ndarray, tau: float, probe: GaussianState):
     """Wire a general (not necessarily solvable) generator to a probe.
 
@@ -297,9 +378,7 @@ def measurement_from_matrix(r: np.ndarray, tau: float, probe: GaussianState):
     the canonical commutation relations is still enforced on construction.
     """
     r = np.asarray(r, dtype=float)
-    transform = PropagatedTransform(
-        a=numeric_expm(r, tau), b=numeric_expm(-r.T, tau), tau=tau
-    )
+    transform = checked_transform(numeric_expm(r, tau), numeric_expm(-r.T, tau), tau)
     return LinearSimultaneousMeasurement(
         probe=probe,
         rows=evolved_rows(transform)[[1, 5]],

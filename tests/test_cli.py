@@ -997,10 +997,6 @@ def test_extreme_central_regions_exit_zero(flags):
             ("check", "--family", "x", "--nu=1e-323"),
             ["coupling b1 = -inf overflows float64", "(nu=1e-323", "E=1, F=2)"],
         ),
-        (
-            ("sweep", "--family", "y2", "--nu-grid", "0.5,0.999999999"),
-            ["at nu=0.999999999: S^3 != -E S"],
-        ),
     ],
 )
 def test_out_of_range_inputs_are_named(capsys, argv, names):
@@ -1008,6 +1004,32 @@ def test_out_of_range_inputs_are_named(capsys, argv, names):
     assert (code, out) == (2, "")
     for name in names:
         assert name in err
+
+
+@pytest.mark.parametrize(
+    "family, nu",
+    [("x", 1e-8), ("x", 1e-12), ("x", 1 - 1e-9), ("x", 1e-300), ("x", 1 - 1e-12),
+     ("y2", 0.999999999)],
+)
+def test_edge_nu_is_answered_with_the_closed_form_errors(capsys, family, nu):
+    # the matrix forms of S^3 = -E S and A B^T = I read the rounding of their
+    # 3x3 products here; sigma, delta and r each read the model
+    code, out, err = run(capsys, "check", "--family", family, "--nu", repr(nu))
+    assert (code, err) == (0, "")
+    report = strict_json(out)
+    assert report["passes"]["all"] is True
+    assert math.isclose(report["eps_q"], math.sqrt(1.0 - nu), rel_tol=1e-15)
+    assert math.isclose(report["eps_p"], math.sqrt(nu) / 2.0, rel_tol=1e-15)
+
+
+def test_sweep_to_an_edge_nu_exits_0(capsys):
+    code, out, err = run(capsys, "sweep", "--family", "y2", "--nu-grid", "0.5,0.999999999")
+    assert (code, err) == (0, "")
+    header, rows = parse_csv(out)
+    assert [row[0] for row in rows] == [0.5, 0.999999999]
+    eps_q, eps_p = header.index("eps_q"), header.index("eps_p")
+    assert math.isclose(rows[1][eps_q], math.sqrt(1.0 - 0.999999999), rel_tol=1e-15)
+    assert math.isclose(rows[1][eps_p], math.sqrt(0.999999999) / 2.0, rel_tol=1e-15)
 
 
 def test_posterior_in_the_hbar_band_is_the_closed_form(capsys):

@@ -13,10 +13,12 @@ from conftest import (
     FAMILIES,
     InteractionParams,
     build_generator,
+    checked_transform,
     closed_form_propagator,
     frozen_generator,
     frozen_transform_a,
     frozen_transform_b,
+    matrix_checked_stack,
     numeric_expm,
     random_solvable_generator,
     symplectic_products,
@@ -30,6 +32,7 @@ from simqp import (
     propagate,
     solve_couplings,
 )
+from simqp import dynamics
 from simqp.dynamics import expm_coefficients
 
 FAMILY_TAUS = {
@@ -99,8 +102,9 @@ class TestSolvableGenerator:
         family_generator(family, nu)  # asserts gen.s == the frozen matrix
 
     def test_couplings_fill_the_pattern_exactly(self):
-        # what construction no longer re-checks: the pattern zeros, the
-        # diagonal and both coupling products, over six decades of a1 and a3
+        # what construction does not re-check: the pattern zeros, the
+        # diagonal and both coupling products, over six decades of a1 and a3;
+        # sigma and delta refuse none of these couplings
         rng = np.random.default_rng(20261020)
         n = 10_000
         signs = rng.choice([-1.0, 1.0], (2, n))
@@ -109,22 +113,58 @@ class TestSolvableGenerator:
         gamma2 = rng.uniform(-3.0, 3.0, n).tolist()
         es = rng.uniform(-5.0, 5.0, n).tolist()
         taus = rng.uniform(0.1, 3.0, n).tolist()
-        refused = 0
         for a1, a3, g2, e, tau in zip(alpha1, alpha3, gamma2, es, taus):
-            try:
-                s = SolvableGenerator.from_couplings(a1, a3, g2, e, tau).s.tolist()
-            except ValueError as exc:
-                # the S^3 check's bound does not scale with ||S||^3 (ROADMAP A)
-                assert str(exc).startswith("S^3 != -E S (max deviation "), exc
-                refused += 1
-                continue
+            s = SolvableGenerator.from_couplings(a1, a3, g2, e, tau).s.tolist()
             assert [s[0][0], s[1][2], s[2][1]] == [0.0, 0.0, 0.0]
             assert (s[1][1], s[2][2]) == (g2, -g2)
             assert (s[1][0], s[0][2]) == (a1, a3)
             prod = -(g2 * g2 + e) / 2.0
             for product in (s[1][0] * s[0][1], s[0][2] * s[2][0]):
                 assert abs(product - prod) <= 2.0 * math.ulp(prod), (a1, a3, g2, e)
-        assert refused <= 10
+
+    @pytest.mark.parametrize(
+        "couplings",
+        [(1e200, 1e200, 0.0, -1.0, 1.0), (1e160, 1e160, 0.5, 1.0, 1.0),
+         (1e-200, 1e-200, 0.0, 1.0, 1.0), (1e155, -1e155, 1.0, 1.0, 1.0)],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_square_that_overflows_is_refused_by_name(self, couplings):
+        # a1 a3 or b1 b3 leaves float64 in S^2 while every coupling is finite
+        message = "S^2 is not finite: a product of two couplings overflows float64"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SolvableGenerator.from_couplings(*couplings)
+
+    @pytest.mark.parametrize(
+        "skew1, skew3, name",
+        [(1e-9, 0.0, "sigma"), (1e-9, -1e-9, "delta / gamma2 = a1 b1 - a3 b3")],
+    )
+    def test_coupling_products_that_differ_are_refused(self, skew1, skew3, name):
+        # b_j = prod / a_j taken off by skew_j relative, through an a_j whose
+        # reflected division skews its quotient: a1 b1 and a3 b3 differ by
+        # 1e-9 relative; with opposite skews sigma still vanishes and delta not
+        class Skewed(float):
+            def __rtruediv__(self, other):
+                return other / float(self) * (1.0 + self.skew)
+
+        a1, a3 = Skewed(0.25), Skewed(-0.25)
+        a1.skew, a3.skew = skew1, skew3
+        with pytest.raises(ValueError, match=f"^{re.escape(f'S^3 != -E S: {name} = ')}"):
+            SolvableGenerator.from_couplings(a1, a3, 1.0, 1.0, math.pi / 2)
+        a1.skew = a3.skew = 0.0
+        SolvableGenerator.from_couplings(a1, a3, 1.0, 1.0, math.pi / 2)
+
+    @pytest.mark.parametrize(
+        "couplings",
+        [(1e10, 1e-10, 0.0, 1e-316, 2.0),  # b1 = -5e-327 underflows to -0
+         (1.0, 1.0, 0.0, 0.0, 1e-158),  # c1^2 and c2 subnormal: r = -5e-324
+         (5e-324, 1.0, 0.0, 0.0, 1.0)],
+    )
+    def test_couplings_that_underflow_are_accepted(self, couplings):
+        # the matrix checks pass these, and so must sigma, delta and r: their
+        # bounds allow each product or quotient that underflows to be off by
+        # half a subnormal spacing, times what multiplies it afterwards
+        got = propagate(SolvableGenerator.from_couplings(*couplings)).ab
+        assert got.tobytes() == matrix_checked_stack(*couplings).tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["a1", "a3"])
@@ -335,14 +375,104 @@ class TestPropagateSharesOneSquare:
             assert np.array_equal(transform.b, b), (k, e)
 
     def test_large_norm_generator_keeps_unit_determinants(self):
-        # ||A|| is about 569 here: an LU determinant is 1 to 1e-10, while a
-        # 3x3 cofactor expansion cancels to |det A - 1| of order 1e-8
+        # ||A|| is about 569 here.  The rounding of A's entries moves det A
+        # and A B^T - I by up to a few ulp times ||A|| ||B|| (B = A^-T), so
+        # both are held to a bound of that scale, which holds for any
+        # faithful sin, tan, sinh and tanh, not to an absolute one
         gen = SolvableGenerator.from_couplings(
             4.20337341083468, 3.680015046681608, -0.39368287242212796,
             -17.837206618423735, 1.6683877611056739,
         )
         transform = propagate(gen)
-        assert np.linalg.norm(transform.a, 2) > 500.0
+        a, b = transform.a, transform.b
+        norms = np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+        assert np.linalg.norm(a, 2) > 500.0
+        bound = 16.0 * np.finfo(float).eps * norms
+        assert np.abs(a @ b.T - np.eye(3)).max() <= bound
+        for det in np.linalg.det(transform.ab).tolist():
+            assert abs(det - 1.0) <= bound
+
+    def test_perturbed_coefficients_are_refused_by_r(self, monkeypatch):
+        # (c1, c2) off by 1e-9 relative: r = 2 c2 - c1^2 - E c2^2 no longer
+        # vanishes, and A B^T = I fails by r S^2.  Z's c1 = 3/4, c2 = 1/4 move r
+        # at first order in both (X's c2 = 1/E would not: dr/dc2 = 2 - 2 E c2)
+        gen = family_generator(ModelFamily.Z, 0.5)
+        exact = dynamics.expm_coefficients(gen.e, gen.tau)
+        for skew in ((1.0 + 1e-9, 1.0), (1.0, 1.0 + 1e-9)):
+            moved = tuple(c * k for c, k in zip(exact, skew))
+            monkeypatch.setattr(dynamics, "expm_coefficients", lambda e, t, moved=moved: moved)
+            message = r"^A B\^T != I: r = .* exceeds its rounding bound"
+            with pytest.raises(ValueError, match=message):
+                propagate(gen)
+        monkeypatch.undo()
+        propagate(gen)
+
+
+# the input checks that from_couplings makes before S is built, what the
+# matrix checks run behind as well
+INPUT_REFUSALS = (
+    "alpha1 and alpha3 must be nonzero", "gamma2 = ", "tau must be", "E must be",
+    "gamma2 must be", "coupling ",
+)
+
+
+def differential_couplings(rng, n):
+    """``n`` coupling tuples ``(a1, a3, g2, E, tau)``: |a_j|, tau and |E|
+    log-uniform over 1e-320...1e300 with zeros, |g2| up to 1e150, random
+    signs; a third are ordinary couplings, and a tenth have a tiny |E|,
+    couplings near sqrt|E| and tau sqrt|E| up to 8, where c1^2 and E c2^2
+    overflow while A and B do not; plus the three edges named below."""
+
+    def spread(low, high, zeros):
+        values = 10.0 ** rng.uniform(low, high, n) * rng.choice([-1.0, 1.0], n)
+        return np.where(rng.random(n) < zeros, 0.0, values)
+
+    alpha1, alpha3 = spread(-320, 300, 0.02), spread(-320, 300, 0.02)
+    gamma2, es = spread(-320, 150, 0.2), spread(-320, 300, 0.2)
+    taus = np.abs(spread(-320, 300, 0.02))
+    ordinary = rng.random(n) < 1 / 3
+    alpha1[ordinary] = spread(-8, 8, 0.0)[ordinary]
+    alpha3[ordinary] = spread(-8, 8, 0.0)[ordinary]
+    gamma2[ordinary] = rng.uniform(-3.0, 3.0, n)[ordinary]
+    es[ordinary] = rng.uniform(-5.0, 5.0, n)[ordinary]
+    taus[ordinary] = rng.uniform(0.1, 3.0, n)[ordinary]
+    tiny = ~ordinary & (rng.random(n) < 0.15)
+    scale = np.sqrt(np.abs(spread(-320, -280, 0.0)))  # sqrt|E|
+    es[tiny] = (scale * scale * rng.choice([-1.0, 1.0], n))[tiny]
+    alpha1[tiny] = (scale * spread(-1, 1, 0.0))[tiny]
+    alpha3[tiny] = (scale * spread(-1, 1, 0.0))[tiny]
+    gamma2[tiny] = (scale * spread(-3, -1, 0.5))[tiny]
+    taus[tiny] = (rng.uniform(0.0, 8.0, n) / scale)[tiny]
+    rows = np.stack((alpha1, alpha3, gamma2, es, taus), axis=1).tolist()
+    edges = [
+        (1.0, 1.0, 0.0, 0.0, 1e-158),  # r = -5e-324
+        (1e10, 1e-10, 0.0, 1e-316, 2.0),  # b1 underflows to -0
+        # c1^2 and E c2^2 overflow, A and B do not
+        (math.sqrt(1e-303), math.sqrt(1e-303), 0.0, -2e-303, 7.2 / math.sqrt(2e-303)),
+    ]
+    return [tuple(row) for row in rows] + edges
+
+
+@pytest.mark.parametrize("seed", [260_001, 260_002])
+def test_scalar_checks_accept_what_the_matrix_checks_accept(seed):
+    # wherever S^3 = -E S, A B^T = I and det A = det B = 1, checked entry by
+    # entry, accept, sigma, delta and r accept as well, with [A, B] bit for bit
+    accepted = 0
+    for couplings in differential_couplings(np.random.default_rng(seed), 10_000):
+        try:
+            got = propagate(SolvableGenerator.from_couplings(*couplings)).ab
+        except ValueError as exc:
+            if str(exc).startswith(INPUT_REFUSALS):
+                continue  # refused before either kind of check
+            got = None
+        try:
+            want = matrix_checked_stack(*couplings)
+        except ValueError:
+            continue  # the scalar checks may answer what the matrix ones refuse
+        assert got is not None, couplings
+        assert got.tobytes() == want.tobytes(), couplings
+        accepted += 1
+    assert accepted > 2_000, accepted
 
 
 class TestNumericExpm:
@@ -415,14 +545,24 @@ class TestPropagatedTransform:
                 0.0, abs=1e-12
             )
 
+    def test_has_no_pair_constructor(self):
+        message = "^a PropagatedTransform is built by propagate$"
+        with pytest.raises(TypeError, match=message):
+            PropagatedTransform(a=np.eye(3), b=np.eye(3), tau=1.0)
+        with pytest.raises(TypeError, match=message):
+            PropagatedTransform(np.eye(3), np.eye(3), 1.0)
+
+    # the refusals below are those of checked_transform, the entry-by-entry
+    # constructor of any pair behind measurement_from_matrix
+
     def test_rejects_non_canonical_pair(self):
         with pytest.raises(ValueError, match="B"):
-            PropagatedTransform(a=np.eye(3), b=2.0 * np.eye(3), tau=1.0)
+            checked_transform(np.eye(3), 2.0 * np.eye(3), 1.0)
 
     def test_rejects_non_symplectic_pair_with_unit_determinants(self):
         a = np.diag([2.0, 0.5, 1.0])
         with pytest.raises(ValueError, match="A B"):
-            PropagatedTransform(a=a, b=np.eye(3), tau=1.0)
+            checked_transform(a, np.eye(3), 1.0)
 
     def test_canonical_tolerance_scales_with_identity(self):
         # A B^T = I is checked to 1e-10 times max(1, |I|) = 1e-10
@@ -430,10 +570,10 @@ class TestPropagatedTransform:
             b = np.eye(3)
             b[0, 1] = off
             if ok:
-                PropagatedTransform(a=np.eye(3), b=b, tau=1.0)
+                checked_transform(np.eye(3), b, 1.0)
             else:
                 with pytest.raises(ValueError, match="A B"):
-                    PropagatedTransform(a=np.eye(3), b=b, tau=1.0)
+                    checked_transform(np.eye(3), b, 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -441,16 +581,15 @@ class TestPropagatedTransform:
         a = np.eye(3)
         a[1, 2] = bad
         with pytest.raises(ValueError):
-            PropagatedTransform(a=a, b=np.eye(3), tau=1.0)
+            checked_transform(a, np.eye(3), 1.0)
         with pytest.raises(ValueError):
-            PropagatedTransform(a=np.eye(3), b=a, tau=1.0)
+            checked_transform(np.eye(3), a, 1.0)
 
     def test_rejects_nonunit_determinant(self):
         a = np.diag([2.0, 1.0, 1.0])
         b = np.linalg.inv(a).T
         with pytest.raises(ValueError, match="det"):
-            PropagatedTransform(a=a, b=b, tau=1.0)
-
+            checked_transform(a, b, 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("k", range(9))
@@ -460,13 +599,13 @@ class TestPropagatedTransform:
         pair = {"a": np.eye(3), "b": np.eye(3)}
         pair[factor].flat[k] = bad
         with pytest.raises(ValueError, match=r"^A B\^T != I: non-finite entries$"):
-            PropagatedTransform(tau=1.0, **pair)
+            checked_transform(tau=1.0, **pair)
 
 
 def test_generator_and_transform_arrays_are_read_only():
     gen = SolvableGenerator.from_couplings(0.7, -1.1, 0.4, 0.9, 1.2)
     arrays = [gen.s, gen._powers]
-    for transform in (propagate(gen), PropagatedTransform(a=np.eye(3), b=np.eye(3), tau=1.0)):
+    for transform in (propagate(gen), checked_transform(np.eye(3), np.eye(3), 1.0)):
         arrays += [transform.ab, transform.a, transform.b]
     assert not [array for array in arrays if array.flags.writeable]
 
@@ -479,7 +618,7 @@ class TestEvolvedRows:
         np.testing.assert_allclose(q2[3:], 0.0)
 
     def test_identity_transform_fixes_quadratures(self):
-        tr = PropagatedTransform(a=np.eye(3), b=np.eye(3), tau=1.0)
+        tr = checked_transform(np.eye(3), np.eye(3), 1.0)
         rows = evolved_rows(tr)
         for i in range(3):
             np.testing.assert_array_equal(rows[i, :3], np.eye(3)[i])

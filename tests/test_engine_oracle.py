@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import FAMILIES, random_pure_probe, random_solvable_generator
+from conftest import FAMILIES, check_deviation, random_pure_probe, random_solvable_generator
 from simqp import (
     GaussianState,
     JointGaussian,
@@ -54,7 +54,6 @@ from simqp.measurement import (
 )
 from simqp.phase_space import (
     TOLERANCES,
-    check_deviation,
     checked_covariance,
     packet_probe_moments,
 )
@@ -75,16 +74,21 @@ def check_close(actual, expected, name: str, message: str, scale: float = 1.0) -
 # ------------------------------------------------------------------ oracle
 
 
-def oracle_model(gen, probe):
-    """The pair as two closed forms and the meters as coefficient triples."""
+def oracle_model(gen, probe, checked=True):
+    """The pair as two closed forms and the meters as coefficient triples.
+
+    ``checked`` holds the pair to ``A B^T = I`` entry by entry and to
+    ``det A = det B = 1``, at the absolute ``transform`` bound.
+    """
     c1, c2 = expm_coefficients(gen.e, gen.tau)
     s, s2 = gen.s, gen.s @ gen.s
     a = EYE3 + c1 * s + c2 * s2
     b = EYE3 - c1 * s.T + c2 * s2.T
-    check_close(a @ b.T, EYE3, "transform", "A B^T != I")
-    for name, det in zip("AB", np.linalg.det(np.stack((a, b))).tolist()):
-        if abs(det - 1.0) > TRANSFORM_ATOL:
-            raise ValueError(f"det({name}) = {det:g} != 1")
+    if checked:
+        check_close(a @ b.T, EYE3, "transform", "A B^T != I")
+        for name, det in zip("AB", np.linalg.det(np.stack((a, b))).tolist()):
+            if abs(det - 1.0) > TRANSFORM_ATOL:
+                raise ValueError(f"det({name}) = {det:g} != 1")
     zero = np.zeros(3)
     meter_q = (a[1].copy(), zero, 0.0)
     meter_p = (zero, b[2].copy(), 0.0)
@@ -96,13 +100,13 @@ def oracle_model(gen, probe):
     return SimpleNamespace(a=a, b=b, probe=probe, meters=(meter_q, meter_p))
 
 
-def oracle_build(family, nu, psi):
+def oracle_build(family, nu, psi, checked=True):
     recipe = FAMILY_PARAMETERS[family]
     alpha1, alpha3 = solve_couplings(nu, recipe.tau, recipe.gamma2, recipe.e)
     gen = SolvableGenerator.from_couplings(
         alpha1, alpha3, recipe.gamma2, recipe.e, recipe.tau
     )
-    m = oracle_model(gen, make_probe_state(nu, recipe.kappa, psi))
+    m = oracle_model(gen, make_probe_state(nu, recipe.kappa, psi), checked)
     a21, a22 = m.a[1, 0], m.a[1, 1]
     if abs(a21 - nu) > 1e-10 or abs(a22 - recipe.kappa) > 1e-10:
         raise RuntimeError(
@@ -370,12 +374,19 @@ def test_family_models_match_the_oracle(family):
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
 def test_edge_models_match_the_oracle(family):
+    # where the oracle refuses only on its own A B^T or det check, which
+    # reads the rounding of those products at an absolute bound, the engine
+    # answers from r: its pair is the oracle's unchecked closed form, and
+    # the rest of the pipeline is the oracle's on that pair
     rng = np.random.default_rng([8103, FAMILIES.index(family)])
     rejected = 0
     for _ in range(250):
         nu, psi = edge_nu(rng), edge_psi(rng)
         engine = outcome(build_model, family, nu, psi)
         oracle = outcome(oracle_build, family, nu, psi)
+        if oracle[0] == "raised" and oracle[2].startswith(("A B^T != I", "det(")):
+            assert engine[0] == "ok", (nu, psi, engine, oracle)
+            oracle = outcome(oracle_build, family, nu, psi, False)
         rejected += oracle[0] != "ok"
         assert_same_pipeline(engine, oracle, psi)
     assert rejected < 250  # most edge models still build

@@ -154,12 +154,11 @@ NONE = dict.fromkeys(COUNTED, 0)
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_model_building_factors_once(linalg_shapes, family):
-    # the probe is diagonal in checked variances; A and B share one det call
+    # the probe is diagonal in checked variances, and A and B are checked by
+    # the scalar r = 2 c2 - c1^2 - E c2^2, with no det
     gen = MODELS[family.value].generator
-    assert call_counts(linalg_shapes, propagate, gen) == {**NONE, "det": 2}
-    assert linalg_shapes["det"] == [(3, 3), (3, 3)]
-    assert linalg_shapes.calls["det"] == [(2, 3, 3)]
-    assert call_counts(linalg_shapes, build_model, family, 0.37, PSI) == {**NONE, "det": 2}
+    assert call_counts(linalg_shapes, propagate, gen) == NONE
+    assert call_counts(linalg_shapes, build_model, family, 0.37, PSI) == NONE
     assert call_counts(linalg_shapes, make_probe_state, 0.37, 2.0, PSI) == NONE
 
 
@@ -203,27 +202,25 @@ def test_posterior_consistency_checks_each_law_once(linalg_shapes, family):
     # eigenvalues, and there is no (6, 6) product re-check and no
     # eigen-check of the diagonal probe
     assert linalg_shapes["psd"] == [(3, 3), (3, 3)]
-    # [A, B] once, and each triple's meter block factored once
-    assert counts == {"psd": 2, "det": 2, "cholesky": 2, "solve": 2}
+    # each triple's meter block factored once, and [A, B] not at all
+    assert counts == {"psd": 2, "det": 0, "cholesky": 2, "solve": 2}
     assert linalg_shapes["cholesky"] == linalg_shapes["solve"] == [(2, 2), (2, 2)]
     # the two triples share one stacked call per factoring step
     assert {name: len(linalg_shapes.calls[name]) for name in FACTORED} == {
-        "det": 1, "cholesky": 1, "solve": 1
+        "det": 0, "cholesky": 1, "solve": 1
     }
 
 
 def test_fuzz_pipeline_checks_the_probe_and_factors_once(linalg_shapes):
-    # probe PSD check, then one batched det of [A, B]; the product state,
-    # the meters and both error routes add no factorisation
+    # the probe PSD check alone: [A, B], the product state, the meters and
+    # both error routes add no factorisation
     def pipeline():
         probe = GaussianState(modes=(2, 3), mean=np.zeros(4), cov=0.5 * np.eye(4), hbar=PSI.hbar)
         gen = SolvableGenerator.from_couplings(0.7, -1.1, 0.4, 0.9, 1.2)
         qrms_errors(measurement_from_parts(gen, probe), PSI)
 
-    assert call_counts(linalg_shapes, pipeline) == {**NONE, "psd": 1, "det": 2}
+    assert call_counts(linalg_shapes, pipeline) == {**NONE, "psd": 1}
     assert linalg_shapes["psd"] == [(4, 4)]
-    assert linalg_shapes["det"] == [(3, 3), (3, 3)]
-    assert linalg_shapes.calls["det"] == [(2, 3, 3)]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -233,4 +230,4 @@ def test_family_pipeline_factors_once(linalg_shapes, family):
         qrms_errors(model, PSI)
         check_theorem_conditions(model, PSI)
 
-    assert call_counts(linalg_shapes, pipeline) == {**NONE, "det": 2}
+    assert call_counts(linalg_shapes, pipeline) == NONE
