@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import TOLERANCES, _square, all_finite
+from .phase_space import TOLERANCES, _square, all_finite, exceeds
 
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
@@ -52,6 +52,8 @@ class SolvableGenerator:
     holds sigma and ``delta / g2 = a1 b1 - a3 b3`` to the ``identity`` entry
     times the sum of their terms' magnitudes, plus what a coupling or
     product that underflows may add; it never silently reclassifies ``E``.
+    That allowance grows with ``|a_j|``, so the products ``a_j b_j`` go
+    on to :func:`propagate`, which holds ``A B^T - I`` by them.
     """
 
     s: np.ndarray
@@ -101,9 +103,8 @@ class SolvableGenerator:
         powers.setflags(write=False)
         gen = object.__new__(cls)
         # frozen: the fields go in through the instance dict
-        vars(gen).update(
-            s=powers[0, 0], _powers=powers, e=e, gamma2=float(gamma2), tau=float(tau)
-        )
+        vars(gen).update(s=powers[0, 0], _powers=powers, _products=(p1, p3), e=e,
+                         gamma2=float(gamma2), tau=float(tau))
         return gen
 
 
@@ -111,10 +112,10 @@ def _check_sum(name: str, label: str, terms: tuple, floor: float) -> None:
     """Refuse the sum of ``terms`` unless it is at most ``TOLERANCES[name]``
     times the sum of their magnitudes plus ``floor``, what underflow may
     add; a NaN or inf sum always fails."""
-    residual = sum(terms)
-    bound = TOLERANCES[name] * sum(map(abs, terms)) + floor
-    if not abs(residual) <= bound:
-        raise ValueError(f"{label} = {residual:g} exceeds its rounding bound {bound:g}")
+    residual, scale = sum(terms), sum(map(abs, terms)) + floor / TOLERANCES[name]
+    if exceeds(name, residual, scale):
+        raise ValueError(f"{label} = {residual:g} exceeds its rounding bound "
+                         f"{TOLERANCES[name] * scale:g}")
 
 
 def _coupling_product(gamma2: float, e: float) -> float:
@@ -165,7 +166,8 @@ class PropagatedTransform:
     ``S^3 = -E S``, the closed form gives ``A B^T - I = r S^2`` and
     ``det A = det B = 1 - E r`` exactly, with ``r = 2 c2 - c1^2 - E c2^2``,
     so the pair preserves the canonical commutation relations and stays in
-    SL(3) once ``r`` vanishes.
+    SL(3) once ``r`` vanishes.  :func:`propagate` holds ``r`` at both
+    coupling pairs' own constants, which is what the stored S gives.
     """
 
     ab: np.ndarray
@@ -183,9 +185,18 @@ def propagate(gen: SolvableGenerator) -> PropagatedTransform:
     ``B = e^{-tau S^T}`` is the closed form at ``-S^T``, whose square is
     ``(S^2)^T``, so one ``S^2`` and one pair of coefficients build the
     stack ``[A, B]``; a stack that leaves float64 is refused with its
-    coefficients.  ``r = 2 c2 - c1^2 - E c2^2`` is then held to the
-    ``transform`` entry times ``2|c2| + c1^2 + |E| c2^2``, plus what a
-    square or product that underflows may add.
+    coefficients.  For the stored S, whatever its b_j, algebra gives::
+
+        A B^T - I = (r1 + r3)/2 S^2 + (r1 - r3)/2 g2 S,
+        r_j = 2 c2 - c1^2 + c2^2 (g2^2 + 2 a_j b_j)
+
+    exactly: ``r = 2 c2 - c1^2 - E c2^2`` at the pair's own constant
+    ``E_j = -(g2^2 + 2 a_j b_j)``, which is E until a b_j that underflows
+    moves it.  Each r_j is held to the ``transform`` entry times the sum of
+    its terms' magnitudes, ``2|c2| + c1^2 + c2^2 (g2^2 + 2|a_j b_j|)``,
+    plus ``(4 + 2|c2|)`` subnormal spacings for a square or product that
+    underflows.  Coefficients past 2^500 are scaled first, and a refusal
+    then names ``r_j`` times the ``2^-n`` it was scaled by.
     """
     c1, c2 = expm_coefficients(gen.e, gen.tau)
     powers = gen._powers  # indexed: unpacking an array costs more
@@ -194,18 +205,20 @@ def propagate(gen: SolvableGenerator) -> PropagatedTransform:
         ab += _EYE3
         ab += c2 * powers[1]
     if not all_finite(ab.ravel().tolist()):
-        raise ValueError(
-            f"e^(tau S) overflows float64 at tau={gen.tau:g}, E={gen.e:g}: "
-            f"its coefficients are (c1, c2) = ({c1:g}, {c2:g})"
-        )
-    # A B^T - I = r S^2.  r is homogeneous: (c1, c2, E) -> (k c1, k^2 c2, E / k^2)
-    # scales it by k^2, so past 2^500 a power of two k keeps c1^2 and E c2^2 in
-    # float64 (a refusal then prints r and its bound times k^2)
-    big = max(abs(c1), abs(c2))
-    k = 1.0 if big < 2.0**500 else math.ldexp(1.0, -math.frexp(big)[1])
-    c1, c2 = c1 * k, c2 * k
-    r = (2.0 * c2 * k, -_square(c1), -gen.e * c2 * c2)  # (-E c2) c2: no 0 * inf at E = 0
-    _check_sum("transform", "A B^T != I: r", r, (4.0 + abs(c2)) * _SUBNORMAL)
+        raise ValueError(f"e^(tau S) overflows float64 at tau={gen.tau:g}, E={gen.e:g}: "
+                         f"its coefficients are (c1, c2) = ({c1:g}, {c2:g})")
+    # r_j is homogeneous: (c1, c2) -> (k c1, k c2), with 2 c2 k as its first term,
+    # scales it by k^2, so past 2^500 a power of two k keeps every term in float64
+    # |g2| + 1.5 sqrt|a_j b_j| >= sqrt(g2^2 + 2 |a_j b_j|), with no square to overflow
+    root = abs(gen.gamma2) + 1.5 * math.sqrt(max(map(abs, gen._products)))
+    big = max(abs(c1), abs(c2) * (1.0 + root))
+    shift = math.frexp(min(big, 1e308))[1] if big >= 2.0**500 else 0
+    k = math.ldexp(1.0, -shift)
+    c1, c2, g2sq = c1 * k, c2 * k, _square(gen.gamma2)
+    scaled = f" times 2^{-2 * shift}" if shift else ""
+    for j, p in zip((1, 3), gen._products):
+        r = (2.0 * c2 * k, -_square(c1), c2 * (c2 * g2sq), 2.0 * c2 * (c2 * p))
+        _check_sum("transform", f"A B^T != I: r{j}{scaled}", r, (4.0 + 2.0 * abs(c2)) * _SUBNORMAL)
     ab.setflags(write=False)  # before its views are taken, so they inherit it
     transform = object.__new__(PropagatedTransform)
     vars(transform).update(ab=ab, a=ab[0], b=ab[1], tau=gen.tau)

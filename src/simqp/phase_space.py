@@ -39,8 +39,10 @@ TOLERANCES = {
     # sigma and delta / g2 of S^3 + E S = sigma S + delta I; the sum of each one's
     # terms' magnitudes, plus (|a1| + |a3| + 4) subnormal spacings for underflow
     "identity": 1e-12,
-    # r of A B^T - I = r S^2 (det A - 1 = det B - 1 = -E r); 2|c2| + c1^2 + |E| c2^2,
-    # plus (4 + |c2|) subnormal spacings for underflow
+    # r1 and r3 of A B^T - I = (r1 + r3)/2 S^2 + (r1 - r3)/2 g2 S, with
+    # r_j = 2 c2 - c1^2 + c2^2 (g2^2 + 2 a_j b_j) (r_j = r, det A - 1 = -E r once
+    # S^3 = -E S); 2|c2| + c1^2 + c2^2 (g2^2 + 2|a_j b_j|), plus (4 + 2|c2|)
+    # subnormal spacings for underflow
     "transform": 1e-10,
     "drift": 1e-10,  # a21 - nu and a22 - kappa after build_model propagates; 1
     "degenerate_factor": 1e-12,  # |F| below this leaves the couplings undetermined; 1

@@ -166,6 +166,18 @@ class TestSolvableGenerator:
         got = propagate(SolvableGenerator.from_couplings(*couplings)).ab
         assert got.tobytes() == matrix_checked_stack(*couplings).tobytes()
 
+    def test_coupling_that_underflows_is_refused_where_it_shows(self):
+        # b1 = -5e-328 underflows to -0: a1 b1 = 0 against -(g2^2 + E)/2 = -5e-41,
+        # and sigma = E/2 lies inside the underflow allowance |a1| 2^-1074 = 4.9e-37.
+        # At tau = 1e20, c2 = 4.6e39 turns that into A[1,1] = 1 rather than 0.77,
+        # and r1 = 2 c2 - c1^2 (pair 1's own constant is 0) refuses it
+        couplings = (1e287, 1e-20, 0.0, 1e-40, 1e20)
+        gen = SolvableGenerator.from_couplings(*couplings)
+        with pytest.raises(ValueError, match=r"^A B\^T != I: r1 = .* exceeds its rounding bound"):
+            propagate(gen)
+        with pytest.raises(ValueError, match=r"^S\^3 != -E S"):
+            matrix_checked_stack(*couplings)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["a1", "a3"])
     def test_non_finite_coupling_is_refused_by_name(self, name, bad):
@@ -384,13 +396,8 @@ class TestPropagateSharesOneSquare:
             -17.837206618423735, 1.6683877611056739,
         )
         transform = propagate(gen)
-        a, b = transform.a, transform.b
-        norms = np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
-        assert np.linalg.norm(a, 2) > 500.0
-        bound = 16.0 * np.finfo(float).eps * norms
-        assert np.abs(a @ b.T - np.eye(3)).max() <= bound
-        for det in np.linalg.det(transform.ab).tolist():
-            assert abs(det - 1.0) <= bound
+        assert np.linalg.norm(transform.a, 2) > 500.0
+        assert_canonical_to_rounding(transform.a, transform.b)
 
     def test_perturbed_coefficients_are_refused_by_r(self, monkeypatch):
         # (c1, c2) off by 1e-9 relative: r = 2 c2 - c1^2 - E c2^2 no longer
@@ -401,7 +408,7 @@ class TestPropagateSharesOneSquare:
         for skew in ((1.0 + 1e-9, 1.0), (1.0, 1.0 + 1e-9)):
             moved = tuple(c * k for c, k in zip(exact, skew))
             monkeypatch.setattr(dynamics, "expm_coefficients", lambda e, t, moved=moved: moved)
-            message = r"^A B\^T != I: r = .* exceeds its rounding bound"
+            message = r"^A B\^T != I: r1 = .* exceeds its rounding bound"
             with pytest.raises(ValueError, match=message):
                 propagate(gen)
         monkeypatch.undo()
@@ -449,30 +456,57 @@ def differential_couplings(rng, n):
         (1e10, 1e-10, 0.0, 1e-316, 2.0),  # b1 underflows to -0
         # c1^2 and E c2^2 overflow, A and B do not
         (math.sqrt(1e-303), math.sqrt(1e-303), 0.0, -2e-303, 7.2 / math.sqrt(2e-303)),
+        (1e287, 1e-20, 0.0, 1e-40, 1e20),  # b1 underflows, and c2 = 4.6e39 shows it
     ]
     return [tuple(row) for row in rows] + edges
+
+
+def assert_canonical_to_rounding(a, b, c=16.0):
+    """Assert ``A B^T = I`` and ``det A = det B = 1`` to what rounding the
+    entries of A and B allows: ``c u ||A|| ||B||`` at first order, plus, for
+    ``det A``, the second-order ``c u^2 ||A||^3`` (``det(A + dA) - det A``
+    of a 3x3 has an ``||A|| ||dA||^2`` term, which takes over once
+    ``u ||A||^2 > ||B||``); likewise for ``det B``.  Computed on copies
+    scaled by powers of two, so that no product overflows."""
+    u = np.finfo(float).eps / 2
+    ea, eb = (math.frexp(np.abs(m).max())[1] for m in (a, b))
+    with np.errstate(under="ignore", divide="ignore"):  # det of a scaled copy may underflow
+        sa, sb = np.ldexp(a, -ea), np.ldexp(b, -eb)
+        na, nb = np.linalg.norm(sa, 2), np.linalg.norm(sb, 2)
+        residual = sa @ sb.T - math.ldexp(1.0, -ea - eb) * np.eye(3)
+        assert np.abs(residual).max() <= c * u * na * nb
+        for m, n, e, other in ((sa, na, ea, eb), (sb, nb, eb, ea)):
+            first = math.ldexp(c * u * na * nb, other - 2 * e)
+            deviation = abs(np.linalg.det(m) - math.ldexp(1.0, -3 * e))
+            assert deviation <= first + c * u * u * n**3
 
 
 @pytest.mark.parametrize("seed", [260_001, 260_002])
 def test_scalar_checks_accept_what_the_matrix_checks_accept(seed):
     # wherever S^3 = -E S, A B^T = I and det A = det B = 1, checked entry by
-    # entry, accept, sigma, delta and r accept as well, with [A, B] bit for bit
-    accepted = 0
+    # entry, accept, sigma, delta and r accept as well, with [A, B] bit for
+    # bit; where only sigma, delta and r accept, [A, B] is still canonical
+    # and unimodular to the rounding of its entries
+    accepted = scalar_only = 0
     for couplings in differential_couplings(np.random.default_rng(seed), 10_000):
         try:
-            got = propagate(SolvableGenerator.from_couplings(*couplings)).ab
+            transform = propagate(SolvableGenerator.from_couplings(*couplings))
         except ValueError as exc:
             if str(exc).startswith(INPUT_REFUSALS):
                 continue  # refused before either kind of check
-            got = None
+            transform = None
         try:
             want = matrix_checked_stack(*couplings)
         except ValueError:
-            continue  # the scalar checks may answer what the matrix ones refuse
-        assert got is not None, couplings
-        assert got.tobytes() == want.tobytes(), couplings
+            if transform is not None:  # what the matrix checks refuse
+                assert_canonical_to_rounding(transform.a, transform.b)
+                scalar_only += 1
+            continue
+        assert transform is not None, couplings
+        assert transform.ab.tobytes() == want.tobytes(), couplings
         accepted += 1
     assert accepted > 2_000, accepted
+    assert scalar_only > 2_000, scalar_only
 
 
 class TestNumericExpm:
